@@ -78,7 +78,7 @@ def main():
     from qihe.coding import orthogonal_pure_alphabet
 
     for L in (1, 2, 3):
-        led = refactorization_ledger(orthogonal_pure_alphabet(), L, 0.1, ctx, method="dense")
+        led = refactorization_ledger(orthogonal_pure_alphabet(), L, 0.1, ctx)
         ru = refactorization_unitary(led.subspace)
         print(
             f"L={L}: matrix {ru.matrix.shape[0]}x{ru.matrix.shape[1]}, "

@@ -48,6 +48,7 @@ from .qcore import (
     DensityMatrix,
     ValidationError,
     basis_state,
+    check_capacity,
     max_dimension,
     mixture,
     von_neumann_entropy,
@@ -211,7 +212,7 @@ def _cmd_carnot(args, cfg: RunConfig) -> tuple[dict, None]:
     return report, None
 
 
-def _parse_reveal(items: list[str] | None, n: int) -> dict[int, int]:
+def _parse_reveal(items: list[str] | None) -> dict[int, int]:
     revealed: dict[int, int] = {}
     for item in items or []:
         try:
@@ -229,6 +230,8 @@ def _parse_reveal(items: list[str] | None, n: int) -> dict[int, int]:
 
 def _cmd_protocol(args, cfg: RunConfig) -> tuple[dict, None]:
     ctx = cfg.context
+    if args.which in ("ghz", "parity"):
+        check_capacity(2 ** args.n, cfg.capacity)
     if args.which == "bell":
         outcome = bell_protocol(ctx, intercepted=args.intercept)
         report = {"protocol": "bell", "intercepted": args.intercept}
@@ -242,7 +245,7 @@ def _cmd_protocol(args, cfg: RunConfig) -> tuple[dict, None]:
         report = {"protocol": "ghz", "n": args.n, "initiator": args.initiator}
         report.update(outcome.to_dict())
     else:  # parity
-        revealed = _parse_reveal(args.reveal, args.n)
+        revealed = _parse_reveal(args.reveal)
         if revealed:
             outcome = parity_unlock(args.n, revealed, ctx)
             report = {"protocol": "parity", "mode": "unlock", "n": args.n}
@@ -319,8 +322,7 @@ def _cmd_typical(args, cfg: RunConfig) -> tuple[dict, None]:
     if not 0.0 < args.p < 1.0:
         raise ValidationError(f"--p must lie strictly between 0 and 1, got {args.p}")
     rho = DensityMatrix(np.diag([args.p, 1.0 - args.p]).astype(complex), (2,))
-    sub = typical_subspace(rho, args.L, args.delta, method=args.method,
-                           max_dim=cfg.capacity)
+    sub = typical_subspace(rho, args.L, args.delta, max_dim=cfg.capacity)
     report = {
         "p": args.p,
         "L": sub.L,
@@ -329,7 +331,6 @@ def _cmd_typical(args, cfg: RunConfig) -> tuple[dict, None]:
         "capture_probability": sub.capture_probability,
         "source_entropy_bits": sub.source_entropy,
         "dim_bound_bits": sub.L * (sub.source_entropy + sub.delta),
-        "projector_materialized": sub.projector is not None,
     }
     return report, None
 
@@ -357,8 +358,7 @@ def _cmd_refactor(args, cfg: RunConfig) -> tuple[dict, None]:
         "success_probability": ledger.success_probability,
         "typical_dim": ledger.subspace.dim if ledger.subspace else 0,
     }
-    if ledger.subspace is not None and ledger.subspace.basis is not None \
-            and args.L <= 3:
+    if args.L <= 3 and ledger.subspace.basis is not None:
         check = refactorization_unitary(ledger.subspace, max_dim=cfg.capacity)
         report["unitarity_residual"] = check.unitarity_residual
         report["mapping_residual"] = check.mapping_residual
@@ -401,7 +401,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="energy unit system (default: natural bit-units)")
     parser.add_argument("--temperature", type=float, default=300.0,
                         help="reservoir temperature in kelvin (default: 300)")
-    parser.add_argument("--capacity", type=int, default=max_dimension(),
+    parser.add_argument("--capacity", type=int, default=None,
                         help="dense dimension cap (default: env or 2^14)")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized demo modes (default: 0)")
@@ -464,7 +464,6 @@ def build_parser() -> _Parser:
                    help="ground-state weight of the diagonal source")
     p.add_argument("--L", type=int, required=True, help="block length")
     p.add_argument("--delta", type=float, required=True, help="typicality width")
-    p.add_argument("--method", choices=("auto", "dense", "diagonal"), default="auto")
 
     p = sub.add_parser("refactor", help="refactorization energy ledger for a block")
     _add_common(p)
@@ -487,7 +486,8 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         cfg = RunConfig(units=args.units, temperature=args.temperature,
-                        capacity=args.capacity, seed=args.seed, output=args.output)
+                        capacity=max_dimension(args.capacity), seed=args.seed,
+                        output=args.output)
         report, csv_table = _HANDLERS[args.command](args, cfg)
         _emit(report, cfg, csv_table)
     except CapacityError as exc:

@@ -15,23 +15,26 @@ these numbers are produced together.
 For long blocks the receiver can concentrate the source onto its
 typical subspace, swap the typical content into a compact ancilla with
 a permutation-style unitary, and run the emptied carriers through the
-engine.  :func:`typical_subspace` supports a dense spectral route
-(explicit projector) and a combinatorial route for diagonal sources
-(binomial/multinomial sums, no large matrices), and
-:func:`refactorization_ledger` turns capture statistics into a net
-work-per-letter bracket.
+engine (Schumacher compression).  :func:`typical_subspace` counts the
+subspace from the spectrum of ``rho_B`` alone, by a multinomial census
+over eigenvalue type classes, so it needs no ``d**L``-sized matrix for
+any source; the eigenvector basis and projector are built only on
+request, within the dense cap.  :func:`refactorization_ledger` turns
+capture statistics into a net work-per-letter bracket.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .qcore import (
+    MAX_DIM_ENV,
     DensityMatrix,
     ValidationError,
     basis_state,
@@ -70,7 +73,6 @@ __all__ = [
 _IDENTITY_TOL = 1e-12
 _CHI_TOL = 1e-10
 _PROJECTOR_TOL = 1e-9
-_DIAGONAL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -304,10 +306,11 @@ class TypicalSubspace:
 
     ``dim`` counts the retained eigenvectors (an exact integer),
     ``capture_probability`` is ``tr(Pi rho_B^(x L))``, and
-    ``source_entropy`` is ``S(rho_B)`` in bits.  ``projector`` and
-    ``basis`` are materialized only on the dense route; the
-    combinatorial route leaves them ``None`` so that block lengths far
-    beyond the dense cap stay reachable for diagonal sources.
+    ``source_entropy`` is ``S(rho_B)`` in bits.  The subspace is spanned
+    by the products of the single-letter ``eigenvectors`` whose
+    eigenvalue counts form one of the typical ``classes``.  ``basis`` and
+    ``projector`` are built from them on first access, and are ``None``
+    when ``d**L`` exceeds ``max_dim``.
     """
 
     L: int
@@ -315,8 +318,9 @@ class TypicalSubspace:
     dim: int
     capture_probability: float
     source_entropy: float
-    projector: np.ndarray | None = None
-    basis: np.ndarray | None = None
+    eigenvectors: np.ndarray | None = field(default=None, repr=False, compare=False)
+    classes: tuple[tuple[int, ...], ...] = field(default=(), repr=False, compare=False)
+    max_dim: int | None = None
 
     def __post_init__(self) -> None:
         if not (-1e-12 <= self.capture_probability <= 1.0 + 1e-12):
@@ -330,18 +334,51 @@ class TypicalSubspace:
                     f"dimension bound violated: log2(dim) = {math.log2(self.dim)} "
                     f"exceeds L(S + delta) = {bound}"
                 )
-        if self.projector is not None:
-            p = self.projector
-            idem = float(np.max(np.abs(p @ p - p)))
-            if idem > _PROJECTOR_TOL:
-                raise ValidationError(
-                    f"projector is not idempotent: max |P^2 - P| = {idem:.3e}"
-                )
-            tr = float(np.real(np.trace(p)))
-            if abs(tr - self.dim) > 0.5:
-                raise ValidationError(
-                    f"projector trace {tr} disagrees with counted dimension {self.dim}"
-                )
+
+    @cached_property
+    def basis(self) -> np.ndarray | None:
+        """Orthonormal ``d**L x dim`` columns spanning the subspace.
+
+        Column ``j`` of the product eigenbasis is kept when the multiset of
+        its ``L`` base-``d`` digits is a typical class, in increasing ``j``.
+        Each kept column is multiplied out one letter position at a time,
+        so memory stays ``O(d**L * dim)``.
+        """
+        if self.eigenvectors is None:
+            return None
+        d = self.eigenvectors.shape[0]
+        total = d ** self.L
+        if total > max_dimension(self.max_dim):
+            return None
+        powers = d ** np.arange(self.L - 1, -1, -1)
+        digits = (np.arange(total)[:, None] // powers) % d
+        # a sorted digit string is itself an index below d**L, so it keys its class
+        typical = [np.repeat(np.arange(d), counts) @ powers for counts in self.classes]
+        kept = digits[np.isin(np.sort(digits, axis=1) @ powers, typical)]
+        basis = np.ones((1, len(kept)), dtype=complex)
+        for k in range(self.L):
+            basis = (basis[:, None, :] * self.eigenvectors[:, kept[:, k]]).reshape(
+                basis.shape[0] * d, len(kept))
+        return basis
+
+    @cached_property
+    def projector(self) -> np.ndarray | None:
+        """``basis @ basis^H``, checked for idempotency and trace ``dim``."""
+        basis = self.basis
+        if basis is None:
+            return None
+        p = basis @ basis.conj().T
+        idem = float(np.max(np.abs(p @ p - p)))
+        if idem > _PROJECTOR_TOL:
+            raise ValidationError(
+                f"projector is not idempotent: max |P^2 - P| = {idem:.3e}"
+            )
+        tr = float(np.real(np.trace(p)))
+        if abs(tr - self.dim) > 0.5:
+            raise ValidationError(
+                f"projector trace {tr} disagrees with counted dimension {self.dim}"
+            )
+        return p
 
 
 def _typical_window(evals: np.ndarray, L: int, delta: float) -> tuple[float, float, float]:
@@ -351,16 +388,22 @@ def _typical_window(evals: np.ndarray, L: int, delta: float) -> tuple[float, flo
 
 def _combinatorial_census(
     evals: np.ndarray, L: int, delta: float
-) -> tuple[int, float, float]:
-    """Count typical eigenvectors and their captured probability by type class."""
+) -> tuple[int, float, float, tuple[tuple[int, ...], ...]]:
+    """Count typical eigenvectors and their captured probability by type class.
+
+    Returns ``(dim, capture, entropy, classes)``, where ``classes`` lists
+    the eigenvalue counts of every typical type class.
+    """
     entropy, lo, hi = _typical_window(evals, L, delta)
     dim = 0
     capture = 0.0
+    classes = []
     lams = [float(x) for x in np.real(evals)]
     for counts in _compositions(L, len(lams)):
         w = _class_weight_log2(counts, lams)
         if w is None or not lo <= w <= hi:
             continue
+        classes.append(counts)
         mult = _multinomial(L, counts)
         dim += mult
         if mult.bit_length() < 1000:
@@ -371,96 +414,38 @@ def _combinatorial_census(
         else:
             term = 2.0 ** (math.log2(mult) + w)
         capture += term
-    return dim, capture, entropy
+    return dim, capture, entropy, tuple(classes)
 
 
 def typical_subspace(
     rho_b: DensityMatrix,
     L: int,
     delta: float,
-    method: str = "auto",
     max_dim: int | None = None,
 ) -> TypicalSubspace:
     """Project ``rho_B^(x L)`` onto eigenvalues within ``2**(-L(S +/- delta))``.
 
-    ``method`` selects the route:
-
-    * ``"dense"`` diagonalizes the single-letter state, builds the
-      eigenvector tensor basis explicitly and returns the projector;
-      requires ``d**L`` within the dense cap.
-    * ``"diagonal"`` reads the spectrum off a diagonal ``rho_b`` and
-      runs the binomial/multinomial census only; no large matrices, so
-      very long blocks are fine.
-    * ``"auto"`` prefers dense when it fits, else falls back to the
-      diagonal route when the source allows it.
-
-    Both routes classify type classes with identical arithmetic, so
-    their capture probabilities agree to float precision.
+    The eigenvalues of ``rho_B^(x L)`` are products of the ``d`` eigenvalues
+    of ``rho_b``, so one ``d x d`` diagonalization and a multinomial census
+    over type classes give the exact ``dim`` and capture probability for
+    any source, diagonal or not, at any block length.  Nothing of size
+    ``d**L`` is allocated here; ``basis`` and ``projector`` are built on
+    first access when ``d**L`` is within ``max_dim`` (default: the
+    configured dense cap).
     """
     if L < 1:
         raise ValidationError(f"block length must be at least 1, got {L}")
     if not (delta > 0 and math.isfinite(delta)):
         raise ValidationError(f"delta must be positive and finite, got {delta}")
-    if method not in ("auto", "dense", "diagonal"):
-        raise ValidationError(f"unknown method {method!r}")
-
-    d = rho_b.dim
-    total = d ** L
-    fits_dense = total <= max_dimension(max_dim)
-
-    off_diag = float(np.max(np.abs(rho_b.data - np.diag(np.diag(rho_b.data))))) \
-        if d > 1 else 0.0
-    is_diagonal = off_diag <= _DIAGONAL_TOL
-
-    if method == "auto":
-        method = "dense" if fits_dense else "diagonal"
-    if method == "diagonal" and not is_diagonal:
-        raise ValidationError(
-            f"the diagonal route requires a diagonal source state "
-            f"(max off-diagonal magnitude {off_diag:.3e})"
-        )
-    if method == "dense":
-        check_capacity(total, max_dim)
-
-    if method == "diagonal":
-        evals = np.real(np.diag(rho_b.data)).copy()
-        evals[(evals < 0) & (evals >= -1e-10)] = 0.0
-        dim, capture, entropy = _combinatorial_census(evals, L, delta)
-        return TypicalSubspace(
-            L=L, delta=delta, dim=dim,
-            capture_probability=min(max(capture, 0.0), 1.0),
-            source_entropy=entropy,
-        )
-
     evals, evecs = np.linalg.eigh(rho_b.data)
-    entropy, lo, hi = _typical_window(evals, L, delta)
-    lams = [float(x) for x in np.real(evals)]
-
-    cols = []
-    for j in range(total):
-        counts = [0] * d
-        idx = j
-        for _ in range(L):
-            counts[idx % d] += 1
-            idx //= d
-        w = _class_weight_log2(counts, lams)
-        if w is not None and lo <= w <= hi:
-            cols.append(j)
-
-    big_v = np.ones((1, 1), dtype=complex)
-    big_rho = np.ones((1, 1), dtype=complex)
-    for _ in range(L):
-        big_v = np.kron(big_v, evecs)
-        big_rho = np.kron(big_rho, rho_b.data)
-    basis = np.ascontiguousarray(big_v[:, cols]) if cols else np.zeros((total, 0), complex)
-    projector = basis @ basis.conj().T
-    capture = float(np.real(np.einsum("ij,ji->", projector, big_rho)))
+    dim, capture, entropy, classes = _combinatorial_census(evals, L, delta)
     return TypicalSubspace(
-        L=L, delta=delta, dim=len(cols),
+        L=L, delta=delta, dim=dim,
         capture_probability=min(max(capture, 0.0), 1.0),
         source_entropy=entropy,
-        projector=projector,
-        basis=basis,
+        eigenvectors=evecs,
+        classes=classes,
+        max_dim=max_dimension(max_dim),
     )
 
 
@@ -500,9 +485,11 @@ class RefactorizationLedger:
     ``w1 = k_B T ln2 L M``; a failed projection is billed at the worst
     case ``-w1``.  Resetting the ancilla that swallowed the typical
     content costs ``w_ancilla = k_B T ln2 log2(dim)``.  The resulting
-    ``net_per_letter`` is guaranteed to sit between ``lower_bound``
-    (finite-block, measured epsilon) and ``upper_bound`` (the asymptotic
-    ceiling ``k_B T ln2 (M - S(rho_B))``).
+    ``net_per_letter`` is guaranteed to sit at or above ``lower_bound``
+    (finite-block, measured epsilon), because ``log2 dim <= L(S + delta)``.
+    ``upper_bound`` is the asymptotic ceiling ``k_B T ln2 (M - S(rho_B))``;
+    a short block with a narrow window can keep fewer than ``2**(L S)``
+    dimensions and outrun it, and the ledger then refuses to certify it.
     """
 
     w1: float
@@ -521,7 +508,8 @@ class RefactorizationLedger:
         if self.net_per_letter > self.upper_bound + 1e-12:
             raise ValidationError(
                 f"net work {self.net_per_letter} exceeds the asymptotic ceiling "
-                f"{self.upper_bound}"
+                f"{self.upper_bound}, which short blocks can outrun; use a longer "
+                f"block (--L) or a wider typicality window (--delta)"
             )
         if self.net_per_letter < self.lower_bound - 1e-12:
             raise ValidationError(
@@ -535,7 +523,6 @@ def refactorization_ledger(
     L: int,
     delta: float,
     ctx: ThermalContext,
-    method: str = "auto",
     max_dim: int | None = None,
 ) -> RefactorizationLedger:
     """Audit the engine yield of refactorizing ``L`` source letters.
@@ -547,7 +534,7 @@ def refactorization_ledger(
     :func:`refactorization_unitary` for the explicit small-block check.
     """
     rho_b = ensemble_state(alphabet)
-    sub = typical_subspace(rho_b, L, delta, method=method, max_dim=max_dim)
+    sub = typical_subspace(rho_b, L, delta, max_dim=max_dim)
     if sub.dim < 1:
         raise ValidationError(
             "typical subspace is empty; widen delta or lengthen the block"
@@ -594,45 +581,33 @@ class RefactorizationUnitary:
 def _complete_orthonormal(cols: np.ndarray) -> np.ndarray:
     """Extend orthonormal columns to a full orthonormal basis.
 
-    Deterministic: candidate vectors are the standard basis in order,
-    orthogonalized (twice, for stability) against everything accepted so
-    far.  The input columns are kept verbatim as the leading columns.
+    One complete QR factorization supplies the orthogonal complement; the
+    input columns are kept verbatim as the leading columns.
     """
-    total, k = cols.shape
-    basis = [np.array(cols[:, i]) for i in range(k)]
-    for cand_idx in range(total):
-        if len(basis) == total:
-            break
-        v = np.zeros(total, dtype=complex)
-        v[cand_idx] = 1.0
-        for _ in range(2):
-            for b in basis:
-                v = v - b * np.vdot(b, v)
-        norm = float(np.linalg.norm(v))
-        if norm > 1e-7:
-            basis.append(v / norm)
-    if len(basis) != total:
-        raise ValidationError("failed to complete an orthonormal basis")
-    return np.column_stack(basis)
+    full = np.linalg.qr(cols, mode="complete")[0]
+    full[:, : cols.shape[1]] = cols
+    return full
 
 
 def refactorization_unitary(
     sub: TypicalSubspace, max_dim: int | None = None
 ) -> RefactorizationUnitary:
-    """Materialize and verify the swap unitary for a dense-route subspace.
+    """Materialize and verify the swap unitary for a typical subspace.
 
     Only sensible for small blocks: the unitary lives on the product of
     the full carrier block and the ancilla, so its dimension is
-    ``d**L * dim``.  Raises if the subspace came from the combinatorial
-    route (no eigenvector basis available).
+    ``d**L * dim``, and must be within ``max_dim``.  Raises
+    :class:`ValidationError` if the subspace has no basis because its
+    block was above the cap it was built under.
     """
-    if sub.basis is None:
-        raise ValidationError(
-            "explicit construction needs the dense route; rebuild the subspace "
-            "with method='dense'"
-        )
     if sub.dim < 1:
         raise ValidationError("cannot build a swap unitary for an empty subspace")
+    if sub.basis is None:
+        raise ValidationError(
+            f"no eigenvector basis: the L = {sub.L} block is above the cap "
+            f"{sub.max_dim} the subspace was built under; raise --capacity or "
+            f"{MAX_DIM_ENV}"
+        )
     d_block, d_anc = sub.basis.shape
     total = d_block * d_anc
     check_capacity(total, max_dim)

@@ -89,7 +89,13 @@ def max_dimension(override: int | None = None) -> int:
     """Return the dense-dimension cap: explicit override, env var, or default."""
     if override is not None:
         return int(override)
-    return int(os.environ.get(MAX_DIM_ENV, DEFAULT_MAX_DIM))
+    raw = os.environ.get(MAX_DIM_ENV)
+    if raw is None:
+        return DEFAULT_MAX_DIM
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValidationError(f"{MAX_DIM_ENV} must be an integer, got {raw!r}") from None
 
 
 def check_capacity(dim: int, max_dim: int | None = None) -> None:

@@ -191,8 +191,7 @@ def criterion_7(seed: int = 0) -> CriterionResult:
     worst_err = 0.0
     bound_ok = True
     for L in (8, 16, 24):
-        method = "dense" if 2 ** L <= qcore.max_dimension() else "diagonal"
-        sub = coding.typical_subspace(rho, L, delta, method=method)
+        sub = coding.typical_subspace(rho, L, delta)
         oracle = _binomial_capture(p, L, delta)
         worst_err = max(worst_err, abs(sub.capture_probability - oracle))
         captures.append(sub.capture_probability)
@@ -218,9 +217,7 @@ def criterion_8(seed: int = 0) -> CriterionResult:
     worst_unitarity = 0.0
     worst_mapping = 0.0
     for L in (1, 2, 3):
-        sub = coding.typical_subspace(
-            coding.ensemble_state(alphabet), L, 0.1, method="dense"
-        )
+        sub = coding.typical_subspace(coding.ensemble_state(alphabet), L, 0.1)
         check = coding.refactorization_unitary(sub)
         worst_unitarity = max(worst_unitarity, check.unitarity_residual)
         worst_mapping = max(worst_mapping, check.mapping_residual)

@@ -245,9 +245,7 @@ def test_criterion_08_refactorization_ledger_and_explicit_swap(capsys):
     unitary_ok = True
     worst_unitarity = 0.0
     for L in (1, 2, 3):
-        small = refactorization_ledger(
-            orthogonal_pure_alphabet(), L, 0.1, NATURAL, method="dense"
-        )
+        small = refactorization_ledger(orthogonal_pure_alphabet(), L, 0.1, NATURAL)
         ru = refactorization_unitary(small.subspace)
         worst_unitarity = max(worst_unitarity, ru.unitarity_residual)
         if ru.unitarity_residual >= 1e-10 or ru.mapping_residual != 0.0:

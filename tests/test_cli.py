@@ -118,6 +118,15 @@ class TestProtocolCommands:
         code, _, _ = run_cli(capsys, "protocol", "ghz", "--n", "30")
         assert code == 3
 
+    @pytest.mark.parametrize("which", ["ghz", "parity"])
+    def test_capacity_flag_bounds_the_register(self, capsys, which):
+        code, out, err = run_cli(capsys, "protocol", which, "--n", "5", "--capacity", "8")
+        assert code == 3
+        assert out == ""
+        assert "capacity" in err
+        code, _, _ = run_cli(capsys, "protocol", which, "--n", "3", "--capacity", "8")
+        assert code == 0
+
     def test_parity_reveal(self, capsys):
         _, out, _ = run_cli(
             capsys, "protocol", "parity", "--n", "3", "--reveal", "0:1", "--reveal", "1:0"
@@ -202,6 +211,17 @@ class TestCodingCommands:
         assert doc["mapping_residual"] == 0.0
         assert doc["typical_dim"] == 4
 
+    def test_refactor_non_diagonal_alphabet_at_long_blocks(self, capsys, tmp_path):
+        path = str(tmp_path / "zp.json")
+        save_alphabet(zero_plus_alphabet(), path)
+        code, out, _ = run_cli(
+            capsys, "refactor", "--alphabet", path, "--L", "2000", "--delta", "0.03"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["lower_bound"] <= doc["net_per_letter"] <= doc["upper_bound"]
+        assert "unitarity_residual" not in doc
+
     def test_refactor_large_block_skips_the_matrix(self, capsys, tmp_path):
         path = str(tmp_path / "orth.json")
         save_alphabet(orthogonal_pure_alphabet(), path)
@@ -229,6 +249,21 @@ class TestUsageAndDeterminism:
     def test_capacity_flag_validated(self, capsys):
         code, _, _ = run_cli(capsys, "work", "--capacity", "2")
         assert code == 2
+
+    def test_malformed_capacity_environment_is_a_validation_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("QIHE_MAX_DIM", "abc")
+        code, out, err = run_cli(capsys, "work")
+        assert code == 2
+        assert out == ""
+        assert "QIHE_MAX_DIM" in err
+        assert "Traceback" not in err
+
+    def test_capacity_environment_is_the_default_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("QIHE_MAX_DIM", "8")
+        code, _, _ = run_cli(capsys, "protocol", "ghz", "--n", "4")
+        assert code == 3
+        code, _, _ = run_cli(capsys, "protocol", "ghz", "--n", "3")
+        assert code == 0
 
     def test_json_reports_are_byte_identical(self, capsys):
         _, first, _ = run_cli(capsys, "protocol", "parity", "--n", "4", "--trials", "5", "--seed", "9")

@@ -215,24 +215,35 @@ class TestBlocking:
 
 class TestTypicalSubspace:
     def test_capture_matches_binomial_oracle_both_methods(self):
+        """The census and the projector built from its basis both match."""
         rho = make_density(np.diag([0.9, 0.1]).astype(complex), 2)
-        for method in ("dense", "diagonal"):
-            sub = typical_subspace(rho, L=8, delta=0.2, method=method)
-            assert sub.dim == 8  # only the one-excitation class is typical
-            np.testing.assert_allclose(
-                sub.capture_probability, binomial_capture(0.9, 8, 0.2), atol=1e-12
-            )
+        sub = typical_subspace(rho, L=8, delta=0.2)
+        assert sub.dim == 8  # only the one-excitation class is typical
+        oracle = binomial_capture(0.9, 8, 0.2)
+        np.testing.assert_allclose(sub.capture_probability, oracle, atol=1e-12)
+        big_rho = np.diag(np.array([0.9, 0.1]))
+        for _ in range(7):
+            big_rho = np.kron(big_rho, np.diag([0.9, 0.1]))
+        np.testing.assert_allclose(
+            np.real(np.trace(sub.projector @ big_rho)), oracle, atol=1e-12
+        )
 
     def test_methods_agree_at_larger_length(self):
+        """The census agrees with a dense Kronecker-power eigenvalue count."""
         rho = make_density(np.diag([0.7, 0.3]).astype(complex), 2)
-        dense = typical_subspace(rho, L=10, delta=0.15, method="dense")
-        diag = typical_subspace(rho, L=10, delta=0.15, method="diagonal")
-        assert dense.dim == diag.dim
-        assert abs(dense.capture_probability - diag.capture_probability) < 1e-12
+        sub = typical_subspace(rho, L=10, delta=0.15)
+        big = np.array([[1.0]])
+        for _ in range(10):
+            big = np.kron(big, np.diag([0.7, 0.3]))
+        lam = np.linalg.eigvalsh(big)
+        s = -(0.7 * math.log2(0.7) + 0.3 * math.log2(0.3))
+        inside = (np.log2(lam) >= -10 * (s + 0.15)) & (np.log2(lam) <= -10 * (s - 0.15))
+        assert sub.dim == int(inside.sum())
+        assert abs(sub.capture_probability - float(lam[inside].sum())) < 1e-12
 
     def test_projector_shape_and_idempotency(self):
         rho = make_density(np.diag([0.9, 0.1]).astype(complex), 2)
-        sub = typical_subspace(rho, L=8, delta=0.2, method="dense")
+        sub = typical_subspace(rho, L=8, delta=0.2)
         assert sub.projector.shape == (256, 256)
         np.testing.assert_allclose(
             sub.projector @ sub.projector, sub.projector, atol=1e-9
@@ -245,7 +256,7 @@ class TestTypicalSubspace:
     def test_dimension_bound(self):
         rho = make_density(np.diag([0.8, 0.2]).astype(complex), 2)
         for L in (6, 12, 18):
-            sub = typical_subspace(rho, L=L, delta=0.1, method="diagonal")
+            sub = typical_subspace(rho, L=L, delta=0.1)
             s = sub.source_entropy
             assert math.log2(max(sub.dim, 1)) <= L * (s + 0.1)
 
@@ -267,15 +278,30 @@ class TestTypicalSubspace:
         assert sub.dim == 0
         assert sub.capture_probability == 0.0
 
-    def test_diagonal_method_requires_diagonal_state(self):
-        rho_b = ensemble_state(zero_plus_alphabet())
-        with pytest.raises(ValidationError):
-            typical_subspace(rho_b, L=4, delta=0.2, method="diagonal")
+    def test_non_diagonal_source_matches_binomial_census_at_long_blocks(self):
+        """{|0>,|+>} has eigenvalues (2 +/- sqrt 2)/4, so its census is binomial."""
+        L, delta = 2000, 0.03
+        sub = typical_subspace(ensemble_state(zero_plus_alphabet()), L=L, delta=delta)
+        lp, lm = (2 + math.sqrt(2)) / 4, (2 - math.sqrt(2)) / 4
+        s = -(lp * math.log2(lp) + lm * math.log2(lm))
+        dim, capture = 0, 0.0
+        for k in range(L + 1):
+            w = (L - k) * math.log2(lp) + k * math.log2(lm)
+            if -L * (s + delta) <= w <= -L * (s - delta):
+                dim += math.comb(L, k)
+                capture += 2.0 ** (math.log2(math.comb(L, k)) + w)
+        assert sub.dim == dim
+        np.testing.assert_allclose(sub.capture_probability, capture, rtol=1e-12)
+        assert sub.basis is None  # 2**2000 is far above the cap
 
-    def test_dense_method_respects_capacity(self):
+    def test_basis_is_withheld_above_the_capacity_cap(self):
         rho = make_density(np.diag([0.9, 0.1]).astype(complex), 2)
+        capped = typical_subspace(rho, L=8, delta=0.2, max_dim=128)
+        assert capped.dim == 8  # the census does not depend on the cap
+        assert capped.basis is None
+        assert capped.projector is None
         with pytest.raises(CapacityError):
-            typical_subspace(rho, L=8, delta=0.2, method="dense", max_dim=128)
+            refactorization_unitary(typical_subspace(rho, L=8, delta=0.2), max_dim=128)
 
     def test_auto_falls_back_to_census_for_long_blocks(self):
         rho = make_density(np.diag([0.9, 0.1]).astype(complex), 2)
@@ -307,7 +333,7 @@ class TestTypicalSubspace:
         assert captures[-1] > 1 - 1e-9
         # the curve agrees with the subspace census at moderate length
         rho = make_density(np.diag([0.9, 0.1]).astype(complex), 2)
-        sub = typical_subspace(rho, L=24, delta=0.2, method="diagonal")
+        sub = typical_subspace(rho, L=24, delta=0.2)
         assert abs(captures[0] - sub.capture_probability) < 1e-12
 
 
@@ -364,7 +390,7 @@ class TestRefactorizationLedger:
         class, the ancilla is free, and the per-letter net would exceed the
         asymptotic ceiling -- the ledger refuses to certify that."""
         with pytest.raises(ValidationError):
-            refactorization_ledger(zero_plus_alphabet(), 2, 0.4, natural_ctx, method="dense")
+            refactorization_ledger(zero_plus_alphabet(), 2, 0.4, natural_ctx)
 
     def test_empty_subspace_is_an_error(self, natural_ctx):
         with pytest.raises(ValidationError, match="empty"):
@@ -373,9 +399,7 @@ class TestRefactorizationLedger:
 
 class TestRefactorizationUnitary:
     def test_orthogonal_alphabet_swap_is_a_permutation(self, natural_ctx):
-        led = refactorization_ledger(
-            orthogonal_pure_alphabet(), 2, 0.1, natural_ctx, method="dense"
-        )
+        led = refactorization_ledger(orthogonal_pure_alphabet(), 2, 0.1, natural_ctx)
         ru = refactorization_unitary(led.subspace)
         assert ru.unitarity_residual == 0.0
         assert ru.mapping_residual == 0.0
@@ -385,9 +409,7 @@ class TestRefactorizationUnitary:
         assert np.array_equal(np.abs(ru.matrix) ** 2, np.abs(ru.matrix))
 
     def test_generic_small_case_meets_tolerance(self, natural_ctx):
-        led = refactorization_ledger(
-            zero_plus_alphabet(), 2, 0.9, natural_ctx, method="dense"
-        )
+        led = refactorization_ledger(zero_plus_alphabet(), 2, 0.9, natural_ctx)
         ru = refactorization_unitary(led.subspace)
         assert ru.unitarity_residual < 1e-10
         assert ru.mapping_residual < 1e-10
