@@ -55,6 +55,7 @@ from .protocols import (
     ProtocolOutcome,
     bell_pair,
     bell_protocol,
+    classical_pair,
     classical_pair_protocol,
     even_parity_state,
     ghz_state,

@@ -6,7 +6,8 @@ Subcommands map one-to-one onto the library surface: ``work``,
 emitted as JSON by default (sorted keys, compact separators, so a fixed
 configuration and seed reproduce byte-identical output), with ``pretty``
 for humans and ``csv`` for tradeoff sweeps.  Every numeric field in a
-JSON report carries a ``<name>_units`` sibling.
+JSON report carries a ``<name>_units`` sibling, attached by ``_annotate``
+from the field's name alone.
 
 Exit codes: 0 success, 1 failed verification, 2 validation error,
 3 capacity error, 64 unknown flags or unusable command lines.
@@ -24,10 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coding import (
+    _entropy_budget,
     block_alphabet,
-    ensemble_state,
-    holevo_chi,
-    letter_entropies,
     load_alphabet,
     refactorization_ledger,
     refactorization_unitary,
@@ -38,6 +37,7 @@ from .coding import (
 from .protocols import (
     bell_pair,
     bell_protocol,
+    classical_pair,
     classical_pair_protocol,
     ghz_unlock,
     parity_no_information_trials,
@@ -50,7 +50,6 @@ from .qcore import (
     basis_state,
     check_capacity,
     max_dimension,
-    mixture,
     von_neumann_entropy,
 )
 from .thermo import ThermalContext, extractable_work, remote_carnot
@@ -61,13 +60,12 @@ __all__ = ["RunConfig", "main", "run"]
 _KELVIN_KEYS = {"temperature", "t_low", "t_high"}
 _ENERGY_KEYS = {
     "work", "landauer_reset", "w1", "w_ancilla", "net_per_letter",
-    "lower_bound", "upper_bound", "heat_from_hot", "work_per_qubit",
+    "lower_bound", "upper_bound",
 }
+_JOULE_KEYS = {"si_work", "work_per_qubit", "heat_from_hot"}
 _BIT_UNIT_KEYS = {
     "natural_work", "bell_work", "interceptor_work", "classical_work",
 }
-_DIMENSIONLESS_HINTS = ("probability", "epsilon", "efficiency", "error",
-                        "residual", "deviation")
 
 
 @dataclass(frozen=True)
@@ -101,10 +99,8 @@ def _unit_hint(key: str, energy_unit: str) -> str:
         return energy_unit
     if key in _BIT_UNIT_KEYS:
         return "bit-unit"
-    if key == "si_work":
+    if key in _JOULE_KEYS:
         return "J"
-    if any(hint in key for hint in _DIMENSIONLESS_HINTS):
-        return "dimensionless"
     return "dimensionless"
 
 
@@ -166,10 +162,6 @@ def _emit(report: dict, cfg: RunConfig, csv_table: tuple[list[str], list[list]] 
         sys.stdout.write(buf.getvalue())
 
 
-def _classical_pair_state() -> DensityMatrix:
-    return mixture([(0.5, basis_state(0, (2, 2))), (0.5, basis_state(3, (2, 2)))])
-
-
 def _cmd_work(args, cfg: RunConfig) -> tuple[dict, None]:
     ctx = cfg.context
     if args.state == "pure-qubit":
@@ -177,13 +169,14 @@ def _cmd_work(args, cfg: RunConfig) -> tuple[dict, None]:
         entropy = 0.0
     elif args.state == "maximally-mixed":
         d = args.d
+        check_capacity(d, cfg.capacity)
         state = DensityMatrix(np.eye(d, dtype=complex) / d, (d,))
         entropy = von_neumann_entropy(state)
     elif args.state == "bell-pair":
         state = bell_pair()
         entropy = 0.0
     else:  # classical-pair
-        state = _classical_pair_state()
+        state = classical_pair()
         entropy = von_neumann_entropy(state)
     wr = extractable_work(state, ctx)
     report = {
@@ -192,7 +185,6 @@ def _cmd_work(args, cfg: RunConfig) -> tuple[dict, None]:
         "entropy_bits": entropy,
         "work_bits": wr.entropy_delta,
         "work": wr.work,
-        "work_units": wr.units,
         "temperature": cfg.temperature,
     }
     return report, None
@@ -204,9 +196,7 @@ def _cmd_carnot(args, cfg: RunConfig) -> tuple[dict, None]:
         "t_low": rep.t_low,
         "t_high": rep.t_high,
         "work_per_qubit": rep.work_per_qubit,
-        "work_per_qubit_units": "J",
         "heat_from_hot": rep.heat_from_hot,
-        "heat_from_hot_units": "J",
         "efficiency": rep.efficiency,
     }
     return report, None
@@ -230,8 +220,6 @@ def _parse_reveal(items: list[str] | None) -> dict[int, int]:
 
 def _cmd_protocol(args, cfg: RunConfig) -> tuple[dict, None]:
     ctx = cfg.context
-    if args.which in ("ghz", "parity"):
-        check_capacity(2 ** args.n, cfg.capacity)
     if args.which == "bell":
         outcome = bell_protocol(ctx, intercepted=args.intercept)
         report = {"protocol": "bell", "intercepted": args.intercept}
@@ -241,17 +229,18 @@ def _cmd_protocol(args, cfg: RunConfig) -> tuple[dict, None]:
         report = {"protocol": "classical"}
         report.update(outcome.to_dict())
     elif args.which == "ghz":
-        outcome = ghz_unlock(args.n, args.initiator, ctx)
+        outcome = ghz_unlock(args.n, args.initiator, ctx, max_dim=cfg.capacity)
         report = {"protocol": "ghz", "n": args.n, "initiator": args.initiator}
         report.update(outcome.to_dict())
     else:  # parity
         revealed = _parse_reveal(args.reveal)
         if revealed:
-            outcome = parity_unlock(args.n, revealed, ctx)
+            outcome = parity_unlock(args.n, revealed, ctx, max_dim=cfg.capacity)
             report = {"protocol": "parity", "mode": "unlock", "n": args.n}
             report.update(outcome.to_dict())
         else:
-            reports = parity_no_information_trials(args.n, args.trials, seed=cfg.seed)
+            reports = parity_no_information_trials(args.n, args.trials, seed=cfg.seed,
+                                                   max_dim=cfg.capacity)
             report = {
                 "protocol": "parity",
                 "mode": "no-information-check",
@@ -266,16 +255,14 @@ def _cmd_protocol(args, cfg: RunConfig) -> tuple[dict, None]:
 
 def _cmd_holevo(args, cfg: RunConfig) -> tuple[dict, None]:
     alphabet = load_alphabet(args.alphabet)
-    chi = holevo_chi(alphabet)
-    s_b = von_neumann_entropy(ensemble_state(alphabet))
-    avg = sum(p * s for p, s in zip(alphabet.probs, letter_entropies(alphabet)))
+    point, s_b = _entropy_budget(alphabet)
     report = {
         "alphabet": args.alphabet,
         "n_letters": len(alphabet.letters),
         "dims": alphabet.d,
-        "chi_bits": chi,
+        "chi_bits": point.comm_bits,
         "ensemble_entropy_bits": s_b,
-        "avg_letter_entropy_bits": avg,
+        "avg_letter_entropy_bits": point.avg_letter_entropy,
     }
     return report, None
 
@@ -345,18 +332,13 @@ def _cmd_refactor(args, cfg: RunConfig) -> tuple[dict, None]:
         "L": args.L,
         "delta": args.delta,
         "w1": ledger.w1,
-        "w1_units": ledger.units,
         "w_ancilla": ledger.w_ancilla,
-        "w_ancilla_units": ledger.units,
         "net_per_letter": ledger.net_per_letter,
-        "net_per_letter_units": ledger.units,
         "lower_bound": ledger.lower_bound,
-        "lower_bound_units": ledger.units,
         "upper_bound": ledger.upper_bound,
-        "upper_bound_units": ledger.units,
         "epsilon": ledger.epsilon,
         "success_probability": ledger.success_probability,
-        "typical_dim": ledger.subspace.dim if ledger.subspace else 0,
+        "typical_dim": ledger.subspace.dim,
     }
     if args.L <= 3 and ledger.subspace.basis is not None:
         check = refactorization_unitary(ledger.subspace, max_dim=cfg.capacity)
@@ -490,7 +472,7 @@ def run(argv: list[str] | None = None) -> int:
                         output=args.output)
         report, csv_table = _HANDLERS[args.command](args, cfg)
         _emit(report, cfg, csv_table)
-    except CapacityError as exc:
+    except (CapacityError, MemoryError) as exc:
         sys.stderr.write(f"qihe: capacity error: {exc}\n")
         return 3
     except (ValidationError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:

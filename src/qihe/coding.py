@@ -47,7 +47,7 @@ from .qcore import (
     tensor_power,
     von_neumann_entropy,
 )
-from .thermo import ThermalContext, extractable_work, unit_factor
+from .thermo import ThermalContext, unit_factor
 
 __all__ = [
     "Alphabet",
@@ -171,19 +171,6 @@ def letter_entropies(alphabet: Alphabet) -> list[float]:
     return [von_neumann_entropy(let) for let in alphabet.letters]
 
 
-def holevo_chi(alphabet: Alphabet) -> float:
-    """Holevo bound ``chi = S(rho_B) - sum_a p_a S(rho_a)`` in bits."""
-    s_b = von_neumann_entropy(ensemble_state(alphabet))
-    avg = sum(p * s for p, s in zip(alphabet.probs, letter_entropies(alphabet)))
-    chi = s_b - avg
-    if chi < -_CHI_TOL:
-        raise ValidationError(
-            f"Holevo quantity came out negative ({chi:.3e}); concavity is violated "
-            "beyond numerical tolerance"
-        )
-    return chi
-
-
 @dataclass(frozen=True)
 class TradeoffPoint:
     """One operating point of the energy/communication budget, in bits.
@@ -199,6 +186,11 @@ class TradeoffPoint:
     capacity_bits: float
 
     def __post_init__(self) -> None:
+        if self.comm_bits < -_CHI_TOL:
+            raise ValidationError(
+                f"Holevo quantity came out negative ({self.comm_bits:.3e}); concavity "
+                "is violated beyond numerical tolerance"
+            )
         residual = (self.energy_bits + self.comm_bits
                     + self.avg_letter_entropy - self.capacity_bits)
         if abs(residual) > _IDENTITY_TOL:
@@ -208,19 +200,26 @@ class TradeoffPoint:
             )
 
 
-def tradeoff_point(alphabet: Alphabet, ctx: ThermalContext) -> TradeoffPoint:
-    """Operating point with the full Holevo communication switched on."""
-    rho_b = ensemble_state(alphabet)
-    energy = extractable_work(rho_b, ctx).entropy_delta
-    s_b = von_neumann_entropy(rho_b)
+def _entropy_budget(alphabet: Alphabet) -> tuple[TradeoffPoint, float]:
+    """The full-communication point and ``S(rho_B)``: the one place both entropies are computed."""
+    s_b = von_neumann_entropy(ensemble_state(alphabet))
     avg = sum(p * s for p, s in zip(alphabet.probs, letter_entropies(alphabet)))
-    chi = s_b - avg
     return TradeoffPoint(
-        energy_bits=energy,
-        comm_bits=chi,
+        energy_bits=alphabet.capacity_bits - s_b,
+        comm_bits=s_b - avg,
         avg_letter_entropy=avg,
         capacity_bits=alphabet.capacity_bits,
-    )
+    ), s_b
+
+
+def holevo_chi(alphabet: Alphabet) -> float:
+    """Holevo bound ``chi = S(rho_B) - sum_a p_a S(rho_a)`` in bits."""
+    return _entropy_budget(alphabet)[0].comm_bits
+
+
+def tradeoff_point(alphabet: Alphabet, ctx: ThermalContext) -> TradeoffPoint:
+    """Operating point with the full Holevo communication on; in bits, so ``ctx`` is unused."""
+    return _entropy_budget(alphabet)[0]
 
 
 def tradeoff_curve(

@@ -11,7 +11,9 @@ Three families are implemented:
   exactly unpolarized.
 
 Measurement branches in verification paths are enumerated exhaustively;
-random sampling exists only for generating seeded test channels.
+random sampling exists only for generating seeded test channels.  Every
+function that builds an ``n``-qubit register takes ``max_dim``, the cap on
+its dimension ``2**n`` (default: the configured dense cap).
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import unitary_group
 
 from .qcore import (
     DensityMatrix,
@@ -48,6 +49,7 @@ __all__ = [
     "ProtocolOutcome",
     "bell_pair",
     "bell_protocol",
+    "classical_pair",
     "classical_pair_protocol",
     "even_parity_state",
     "ghz_state",
@@ -100,11 +102,8 @@ class ProtocolOutcome:
         def work_entry(wr: WorkReport) -> dict:
             return {
                 "work": wr.work,
-                "work_units": wr.units,
                 "entropy_delta_bits": wr.entropy_delta,
-                "entropy_delta_bits_units": "bit",
                 "landauer_reset": wr.landauer_reset,
-                "landauer_reset_units": wr.units,
             }
 
         return {
@@ -120,6 +119,11 @@ def bell_pair() -> PureState:
     amp = np.zeros(4, dtype=complex)
     amp[0] = amp[3] = 1.0 / math.sqrt(2.0)
     return PureState(amp, (2, 2))
+
+
+def classical_pair() -> DensityMatrix:
+    """The classically correlated pair ``(|00><00| + |11><11|)/2``."""
+    return mixture([(0.5, basis_state(0, (2, 2))), (0.5, basis_state(3, (2, 2)))])
 
 
 def bell_protocol(ctx: ThermalContext, intercepted: bool = False) -> ProtocolOutcome:
@@ -163,7 +167,7 @@ def classical_pair_protocol(ctx: ThermalContext) -> ProtocolOutcome:
     residual entropy, so after A's bit arrives B extracts exactly half
     of the Bell-pair yield.  A single held bit is worthless on its own.
     """
-    pair = mixture([(0.5, basis_state(0, (2, 2))), (0.5, basis_state(3, (2, 2)))])
+    pair = classical_pair()
     work_a = extractable_work(partial_trace(pair, (0,)), ctx)
     work_b = extractable_work(pair, ctx)
     parties = (Party("A", ()), Party("B", (0, 1)))
@@ -194,6 +198,7 @@ def ghz_unlock(
     initiator: int,
     ctx: ThermalContext,
     outcome: int | None = None,
+    max_dim: int | None = None,
 ) -> ProtocolOutcome:
     """One party measures its GHZ qubit and broadcasts; the rest cash in.
 
@@ -210,7 +215,7 @@ def ghz_unlock(
     """
     if not 0 <= initiator < n:
         raise ValidationError(f"initiator index {initiator} out of range for {n} parties")
-    rho = ghz_state(n).density()
+    rho = ghz_state(n, max_dim).density()
     records = measure_computational(rho, initiator)
     branches = [outcome] if outcome is not None else [0, 1]
     if outcome is not None and outcome not in (0, 1):
@@ -314,6 +319,9 @@ def haar_random_channel(
     ``n_kraus`` stacked blocks which serve as Kraus operators.  Their
     completeness relation is inherited from the isometry.
     """
+    # scipy.stats takes about a second to import and only this function uses it.
+    from scipy.stats import unitary_group
+
     if dim < 1 or n_kraus < 1:
         raise ValidationError(f"need dim >= 1 and n_kraus >= 1, got {dim}, {n_kraus}")
     big = unitary_group.rvs(dim * n_kraus, random_state=rng) if dim * n_kraus > 1 \
@@ -343,7 +351,9 @@ class ParityCheckReport:
     branch_weight: float
 
 
-def parity_no_information_check(n: int, ch: QuantumChannel) -> ParityCheckReport:
+def parity_no_information_check(
+    n: int, ch: QuantumChannel, max_dim: int | None = None
+) -> ParityCheckReport:
     """Verify that attacking qubits 2..n-1 of the parity state reveals nothing.
 
     ``ch`` must target exactly the last ``n - 2`` qubits (indices
@@ -365,7 +375,7 @@ def parity_no_information_check(n: int, ch: QuantumChannel) -> ParityCheckReport
             f"got {ch.output_dim} x {ch.input_dim}"
         )
 
-    state = even_parity_state(n)
+    state = even_parity_state(n, max_dim)
     out, norm = apply_channel(state.rho, ch)
     unnorm = out.data * norm
     dims = (2,) * n
@@ -409,17 +419,19 @@ def parity_no_information_trials(
     trials: int,
     seed: int = 0,
     max_kraus: int = 4,
+    max_dim: int | None = None,
 ) -> list[ParityCheckReport]:
     """Run the no-information check against seeded Haar-random channels."""
     if trials < 1:
         raise ValidationError(f"need at least one trial, got {trials}")
+    check_capacity(2 ** n, max_dim)  # before any 2**(n-2)-sized channel is drawn
     rng = np.random.default_rng(seed)
     block = 2 ** (n - 2)
     reports = []
     for _ in range(trials):
         n_kraus = int(rng.integers(1, max_kraus + 1))
         ch = haar_random_channel(block, n_kraus, rng, tuple(range(2, n)))
-        reports.append(parity_no_information_check(n, ch))
+        reports.append(parity_no_information_check(n, ch, max_dim))
     return reports
 
 
@@ -427,6 +439,7 @@ def parity_unlock(
     n: int,
     revealed: Mapping[int, int],
     ctx: ThermalContext,
+    max_dim: int | None = None,
 ) -> ProtocolOutcome:
     """Condition the even-parity state on broadcast measurement outcomes.
 
@@ -449,7 +462,7 @@ def parity_unlock(
         if b not in (0, 1):
             raise ValidationError(f"revealed outcome for qubit {q} must be 0 or 1, got {b}")
 
-    state: DensityMatrix | None = even_parity_state(n).rho
+    state: DensityMatrix | None = even_parity_state(n, max_dim).rho
     for q in sorted(outcomes, reverse=True):
         if state is None:
             raise ValidationError("no subsystems left to condition on")

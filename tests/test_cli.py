@@ -10,10 +10,14 @@ Exit-code contract:
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qihe.cli
 from qihe.cli import main
 from qihe.coding import (
     holevo_chi,
@@ -29,20 +33,116 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def walk_numeric_units(node, path=""):
-    """Yield (path, has_units) for every numeric leaf in a report document."""
+def unit_table(node, table=None):
+    """Map every numeric field name in a report to its ``_units`` label.
+
+    Fails on a numeric field without a label, and on a name that carries
+    two different labels within one report.
+    """
+    table = {} if table is None else table
     if isinstance(node, dict):
         for key, value in node.items():
             if key.endswith("_units"):
                 continue
-            sub = f"{path}.{key}" if path else key
             if isinstance(value, (dict, list)):
-                yield from walk_numeric_units(value, sub)
+                unit_table(value, table)
             elif isinstance(value, (int, float)) and not isinstance(value, bool):
-                yield sub, f"{key}_units" in node
+                unit = node.get(f"{key}_units")
+                assert unit is not None, f"{key} has no units"
+                assert table.setdefault(key, unit) == unit, f"{key} is labelled two ways"
     elif isinstance(node, list):
-        for i, value in enumerate(node):
-            yield from walk_numeric_units(value, f"{path}[{i}]")
+        for value in node:
+            unit_table(value, table)
+    return table
+
+
+def _protocol_units(energy, **extra):
+    return {"entropy_delta_bits": "bit", "landauer_reset": energy, "work": energy, **extra}
+
+
+def _refactor_units(energy):
+    return {
+        "L": "dimensionless", "delta": "dimensionless", "epsilon": "dimensionless",
+        "lower_bound": energy, "mapping_residual": "dimensionless",
+        "net_per_letter": energy, "success_probability": "dimensionless",
+        "typical_dim": "dimensionless", "unitarity_residual": "dimensionless",
+        "upper_bound": energy, "w1": energy, "w_ancilla": energy,
+    }
+
+
+# The label of every numeric field, per report, as the CLI has always written it.
+UNIT_TABLES = [
+    ("work-bell-pair", "work --state bell-pair",
+     {"dimension": "dimensionless", "entropy_bits": "bit", "temperature": "K",
+      "work": "bit-unit", "work_bits": "bit"}),
+    ("work-si", "work --state maximally-mixed --d 3 --units SI",
+     {"dimension": "dimensionless", "entropy_bits": "bit", "temperature": "K",
+      "work": "J", "work_bits": "bit"}),
+    ("carnot", "carnot --t-low 300 --t-high 600",
+     {"efficiency": "dimensionless", "heat_from_hot": "J", "t_high": "K", "t_low": "K",
+      "work_per_qubit": "J"}),
+    ("protocol-bell", "protocol bell --intercept", _protocol_units("bit-unit")),
+    ("protocol-bell-si", "protocol bell --units SI", _protocol_units("J")),
+    ("protocol-classical", "protocol classical", _protocol_units("bit-unit")),
+    ("protocol-ghz", "protocol ghz --n 3",
+     _protocol_units("bit-unit", initiator="dimensionless", n="dimensionless")),
+    ("protocol-parity-reveal", "protocol parity --n 3 --reveal 0:1 --reveal 1:0",
+     _protocol_units("bit-unit", n="dimensionless")),
+    ("protocol-parity-trials", "protocol parity --n 3 --trials 2",
+     {"n": "dimensionless", "seed": "dimensionless", "trials": "dimensionless",
+      "worst_rho12_deviation": "dimensionless", "worst_rho1_deviation": "dimensionless"}),
+    ("holevo", "holevo --alphabet {alphabet}",
+     {"avg_letter_entropy_bits": "bit", "chi_bits": "bit", "dims": "dimensionless",
+      "ensemble_entropy_bits": "bit", "n_letters": "dimensionless"}),
+    ("tradeoff", "tradeoff --alphabet {alphabet} --block 2",
+     {"avg_letter_entropy_bits": "bit", "capacity_bits": "bit", "comm_bits": "bit",
+      "comm_bits_per_letter": "dimensionless", "energy_bits": "bit",
+      "energy_bits_per_letter": "dimensionless", "n": "dimensionless"}),
+    ("typical", "typical --p 0.9 --L 8 --delta 0.2",
+     {"L": "dimensionless", "capture_probability": "dimensionless",
+      "delta": "dimensionless", "dim": "dimensionless", "dim_bound_bits": "bit",
+      "p": "dimensionless", "source_entropy_bits": "bit"}),
+    ("refactor", "refactor --alphabet {alphabet} --L 3 --delta 0.5",
+     _refactor_units("bit-unit")),
+    ("refactor-si", "refactor --alphabet {alphabet} --L 3 --delta 0.5 --units SI",
+     _refactor_units("J")),
+    ("verify", "verify --seed 7",
+     {"bell_work": "bit-unit", "ceiling": "dimensionless", "channels_per_n": "dimensionless",
+      "chi_eigenvalue_oracle": "dimensionless", "chi_error": "dimensionless",
+      "chi_zero_plus": "dimensionless", "classical_work": "bit-unit",
+      "endpoint_error": "dimensionless", "epsilon": "dimensionless",
+      "interceptor_work": "bit-unit", "lower_bound": "bit-unit",
+      "natural_work": "bit-unit", "net_per_letter": "bit-unit", "number": "dimensionless",
+      "seed": "dimensionless", "si_relative_error": "dimensionless", "si_work": "J",
+      "trials": "dimensionless", "upper_bound": "bit-unit",
+      "worst_completion_entropy": "bit", "worst_identity_residual": "dimensionless",
+      "worst_mapping_residual": "dimensionless",
+      "worst_marginal_deviation": "dimensionless", "worst_oracle_error": "dimensionless",
+      "worst_reduced_state_deviation": "dimensionless",
+      "worst_relative_residual": "dimensionless",
+      "worst_unitarity_residual": "dimensionless"}),
+]
+
+
+class TestReportUnits:
+    @pytest.mark.parametrize(
+        "command, expected", [(cmd, units) for _, cmd, units in UNIT_TABLES],
+        ids=[case_id for case_id, _, _ in UNIT_TABLES],
+    )
+    def test_every_numeric_field_names_its_units(self, capsys, tmp_path, command, expected):
+        path = str(tmp_path / "zp.json")
+        save_alphabet(zero_plus_alphabet(), path)
+        code, out, _ = run_cli(capsys, *command.format(alphabet=path).split())
+        assert code == 0
+        assert unit_table(json.loads(out)) == expected
+
+    def test_import_leaves_scipy_unloaded(self):
+        src = os.path.dirname(os.path.dirname(qihe.cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        probe = "import sys, qihe.cli; print('scipy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
 
 
 class TestWorkCommand:
@@ -65,11 +165,12 @@ class TestWorkCommand:
         code, out, _ = run_cli(capsys, "work", "--state", "maximally-mixed", "--d", "4")
         assert json.loads(out)["work"] == 0.0
 
-    def test_every_numeric_field_names_its_units(self, capsys):
-        _, out, _ = run_cli(capsys, "work", "--state", "bell-pair")
-        doc = json.loads(out)
-        missing = [p for p, ok in walk_numeric_units(doc) if not ok]
-        assert missing == []
+    def test_dimension_above_the_cap_is_a_capacity_error(self, capsys):
+        code, out, err = run_cli(capsys, "work", "--state", "maximally-mixed", "--d", "10000000")
+        assert code == 3
+        assert out == ""
+        assert "capacity" in err
+        assert "Traceback" not in err
 
     def test_pretty_output(self, capsys):
         code, out, _ = run_cli(capsys, "work", "--state", "pure-qubit", "--output", "pretty")
@@ -125,6 +226,16 @@ class TestProtocolCommands:
         assert out == ""
         assert "capacity" in err
         code, _, _ = run_cli(capsys, "protocol", which, "--n", "3", "--capacity", "8")
+        assert code == 0
+
+    @pytest.mark.parametrize("extra", [
+        ("ghz",), ("parity", "--trials", "2"), ("parity", "--reveal", "0:1"),
+    ], ids=["ghz", "parity-trials", "parity-reveal"])
+    def test_capacity_flag_raises_the_environment_cap(self, capsys, monkeypatch, extra):
+        monkeypatch.setenv("QIHE_MAX_DIM", "8")
+        code, _, _ = run_cli(capsys, "protocol", *extra, "--n", "4")
+        assert code == 3
+        code, _, _ = run_cli(capsys, "protocol", *extra, "--n", "4", "--capacity", "16")
         assert code == 0
 
     def test_parity_reveal(self, capsys):
@@ -264,6 +375,16 @@ class TestUsageAndDeterminism:
         assert code == 3
         code, _, _ = run_cli(capsys, "protocol", "ghz", "--n", "3")
         assert code == 0
+
+    def test_memory_error_is_a_capacity_error(self, capsys, monkeypatch):
+        def exhausted(args, cfg):
+            raise MemoryError("Unable to allocate 1.42 PiB")
+
+        monkeypatch.setitem(qihe.cli._HANDLERS, "work", exhausted)
+        code, out, err = run_cli(capsys, "work")
+        assert code == 3
+        assert out == ""
+        assert err == "qihe: capacity error: Unable to allocate 1.42 PiB\n"
 
     def test_json_reports_are_byte_identical(self, capsys):
         _, first, _ = run_cli(capsys, "protocol", "parity", "--n", "4", "--trials", "5", "--seed", "9")

@@ -159,6 +159,13 @@ class TestEnergyCommunicationBudget:
                 energy_bits=0.5, comm_bits=0.5, avg_letter_entropy=0.5, capacity_bits=1.0
             )
 
+    def test_negative_holevo_quantity_rejected(self):
+        with pytest.raises(ValidationError, match="Holevo quantity came out negative"):
+            TradeoffPoint(
+                energy_bits=0.5, comm_bits=-1e-9, avg_letter_entropy=0.5 + 1e-9,
+                capacity_bits=1.0,
+            )
+
     def test_orthogonal_endpoints(self, natural_ctx):
         full_comm, full_energy = tradeoff_curve(orthogonal_pure_alphabet(), natural_ctx)
         assert abs(full_comm[0] - 1.0) <= 1e-12 and abs(full_comm[1]) <= 1e-12

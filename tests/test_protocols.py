@@ -8,12 +8,15 @@ pure pair is worth log2(4) - 0 = 2 bit-units, a classical correlated pair
 log2(4) - 1 = 1, and a maximally mixed qubit exactly 0.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from qihe.cli import main
 from qihe.qcore import (
+    CapacityError,
     DensityMatrix,
     ImpossibleEvidenceError,
     QuantumChannel,
@@ -28,6 +31,7 @@ from qihe.protocols import (
     ParityState,
     bell_pair,
     bell_protocol,
+    classical_pair,
     classical_pair_protocol,
     even_parity_state,
     ghz_state,
@@ -70,10 +74,14 @@ class TestBellProtocol:
             marg = partial_trace(rho, [qubit])
             np.testing.assert_allclose(marg.data, np.eye(2) / 2, atol=1e-12)
 
-    def test_outcome_serializes_with_units(self, natural_ctx):
-        doc = bell_protocol(natural_ctx).to_dict()
+    def test_outcome_serializes_with_units(self, natural_ctx, capsys):
+        """``to_dict`` carries the numbers; the CLI report attaches their units."""
+        assert "work_units" not in bell_protocol(natural_ctx).to_dict()["parties"]["B"]
+        assert main(["protocol", "bell"]) == 0
+        doc = json.loads(capsys.readouterr().out)
         assert doc["parties"]["B"]["work"] == 2.0
         assert doc["parties"]["B"]["work_units"] == "bit-unit"
+        assert doc["parties"]["B"]["entropy_delta_bits_units"] == "bit"
         assert doc["interceptor"] is None
 
 
@@ -82,6 +90,12 @@ class TestClassicalPairProtocol:
         out = classical_pair_protocol(natural_ctx)
         assert out.per_party_work["B"].work == 1.0
         assert out.per_party_work["A"].work == 0.0
+
+    def test_pair_state_is_the_correlated_mixture(self):
+        pair = classical_pair()
+        np.testing.assert_array_equal(pair.data, np.diag([0.5, 0, 0, 0.5]))
+        assert pair.dims == (2, 2)
+        assert von_neumann_entropy(pair) == 1.0
 
 
 class TestGhzProtocol:
@@ -189,6 +203,10 @@ class TestParityNoInformation:
         assert rep.rho1_deviation == 0.0
         assert rep.rho12_deviation == 0.0
         assert abs(rep.branch_weight - 0.5) < 1e-12
+
+    def test_trials_check_the_cap_before_drawing_a_channel(self):
+        with pytest.raises(CapacityError):
+            parity_no_information_trials(40, trials=1, max_dim=1024)
 
     def test_random_channels_leak_nothing(self):
         for n in (3, 4, 5):
