@@ -30,7 +30,6 @@ from .coding import (
     load_alphabet,
     refactorization_ledger,
     refactorization_unitary,
-    tradeoff_curve,
     tradeoff_point,
     typical_subspace,
 )
@@ -269,9 +268,11 @@ def _cmd_holevo(args, cfg: RunConfig) -> tuple[dict, None]:
 
 def _cmd_tradeoff(args, cfg: RunConfig) -> tuple[dict, tuple[list[str], list[list]]]:
     ctx = cfg.context
+    if args.block < 0:
+        raise ValidationError(f"--block must be non-negative, got {args.block}")
     alphabet = load_alphabet(args.alphabet)
     point = tradeoff_point(alphabet, ctx)
-    curve = tradeoff_curve(alphabet, ctx)
+    curve = point.endpoints()
     report = {
         "alphabet": args.alphabet,
         "point": {

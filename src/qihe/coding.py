@@ -18,9 +18,12 @@ a permutation-style unitary, and run the emptied carriers through the
 engine (Schumacher compression).  :func:`typical_subspace` counts the
 subspace from the spectrum of ``rho_B`` alone, by a multinomial census
 over eigenvalue type classes, so it needs no ``d**L``-sized matrix for
-any source; the eigenvector basis and projector are built only on
-request, within the dense cap.  :func:`refactorization_ledger` turns
-capture statistics into a net work-per-letter bracket.
+any source.  The census visits every prefix of the first ``d - 2``
+counts and then only the classes the typicality window can hold, not
+all ``C(L + d - 1, d - 1)`` classes.  The eigenvector basis and
+projector are built only on request, within the dense cap.
+:func:`refactorization_ledger` turns capture statistics into a net
+work-per-letter bracket.
 """
 
 from __future__ import annotations
@@ -73,6 +76,7 @@ __all__ = [
 _IDENTITY_TOL = 1e-12
 _CHI_TOL = 1e-10
 _PROJECTOR_TOL = 1e-9
+_EPS = 2.0 ** -52  # float64 machine epsilon
 
 
 @dataclass(frozen=True)
@@ -199,6 +203,11 @@ class TradeoffPoint:
                 f"exceeds {_IDENTITY_TOL:.0e}"
             )
 
+    def endpoints(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        """Tradeoff endpoints ``(C, E)``: this point, and all energy at ``C = 0``."""
+        return ((self.comm_bits, self.energy_bits),
+                (0.0, self.capacity_bits - self.avg_letter_entropy))
+
 
 def _entropy_budget(alphabet: Alphabet) -> tuple[TradeoffPoint, float]:
     """The full-communication point and ``S(rho_B)``: the one place both entropies are computed."""
@@ -231,10 +240,7 @@ def tradeoff_curve(
     all-energy point ``(0, M - <S_a>)``; intermediate operation is the
     straight line between them.
     """
-    point = tradeoff_point(alphabet, ctx)
-    full_comm = (point.comm_bits, point.energy_bits)
-    all_energy = (0.0, point.capacity_bits - point.avg_letter_entropy)
-    return full_comm, all_energy
+    return tradeoff_point(alphabet, ctx).endpoints()
 
 
 def block_alphabet(alphabet: Alphabet, n: int, max_dim: int | None = None) -> Alphabet:
@@ -263,23 +269,19 @@ def block_alphabet(alphabet: Alphabet, n: int, max_dim: int | None = None) -> Al
     return out
 
 
-def _compositions(total: int, parts: int):
-    """All tuples of ``parts`` non-negative integers summing to ``total``."""
-    if parts == 1:
-        yield (total,)
+def _prefixes(total: int, parts: int):
+    """Every ``parts``-tuple of non-negative counts summing to at most ``total``.
+
+    Tuples come in lexicographic order, each with what is left of ``total``
+    and its multinomial ``total! / (c_1! ... c_parts! left!)``.
+    """
+    if parts == 0:
+        yield (), total, 1
         return
     for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _multinomial(total: int, counts: Sequence[int]) -> int:
-    out = 1
-    rem = total
-    for m in counts:
-        out *= math.comb(rem, m)
-        rem -= m
-    return out
+        head = math.comb(total, first)
+        for rest, left, mult in _prefixes(total - first, parts - 1):
+            yield (first,) + rest, left, head * mult
 
 
 def _class_weight_log2(counts: Sequence[int], evals: Sequence[float]) -> float | None:
@@ -385,25 +387,86 @@ def _typical_window(evals: np.ndarray, L: int, delta: float) -> tuple[float, flo
     return entropy, -L * (entropy + delta), -L * (entropy - delta)
 
 
+def _window_solver(logs: Sequence[float], L: int, lo: float, hi: float):
+    """Solve ``lo <= base + m * slope <= hi`` for the integer count ``m``.
+
+    Returns ``solve(base, slope, n)``, a range within ``0..n`` that holds
+    every ``m`` whose weight can pass the window test.  The weight is a
+    float sum of ``len(logs)`` terms ``m_i * logs[i]`` with ``sum m_i = L``,
+    so the solved interval is widened by a bound on its rounding error,
+    plus one count: the caller's own ``lo <= w <= hi`` test, not this
+    solve, decides every class.  A flat or nearly flat weight gets the
+    whole range.
+    """
+    err = 4 * (len(logs) + 2) * _EPS * (L * max(map(abs, logs)) + abs(lo) + abs(hi))
+
+    def solve(base: float, slope: float, n: int) -> range:
+        pad = err / abs(slope) + 1.0 if slope else math.inf
+        if pad >= n:
+            return range(n + 1)
+        ends = ((lo - base) / slope, (hi - base) / slope)
+        first = max(min(ends) - pad, 0.0)
+        last = min(max(ends) + pad, float(n))
+        return range(math.floor(first), math.ceil(last) + 1)
+
+    return solve
+
+
+def _window_classes(lams: Sequence[float], L: int, lo: float, hi: float):
+    """The type classes the window can hold, with their multinomials.
+
+    Classes come in lexicographic order.  Every prefix of the first
+    ``d - 2`` counts is visited; the weight is then linear in the next
+    count ``m``, the last being ``rest - m``, so only the solved interval
+    of ``m`` is walked, with ``C(rest, m)`` stepped by its exact
+    recurrence.  A prefix on a zero eigenvalue is skipped.
+    """
+    d = len(lams)
+    if d == 1:
+        yield (L,), 1
+        return
+    positive = [lam > 0.0 for lam in lams]
+    logs = [math.log2(lam) if lam > 0.0 else 0.0 for lam in lams]
+    solve = _window_solver(logs, L, lo, hi)
+    for prefix, rest, head in _prefixes(L, d - 2):
+        if not all(ok for c, ok in zip(prefix, positive) if c):
+            continue
+        if not positive[-2]:
+            span = range(1)
+        elif not positive[-1]:
+            span = range(rest, rest + 1)
+        else:
+            base = sum(c * lg for c, lg in zip(prefix, logs)) + rest * logs[-1]
+            span = solve(base, logs[-2] - logs[-1], rest)
+        if not span:
+            continue
+        binom = math.comb(rest, span.start)
+        for m in span:
+            yield prefix + (m, rest - m), head * binom
+            binom = binom * (rest - m) // (m + 1)
+
+
 def _combinatorial_census(
     evals: np.ndarray, L: int, delta: float
 ) -> tuple[int, float, float, tuple[tuple[int, ...], ...]]:
     """Count typical eigenvectors and their captured probability by type class.
 
     Returns ``(dim, capture, entropy, classes)``, where ``classes`` lists
-    the eigenvalue counts of every typical type class.
+    the eigenvalue counts of every typical type class.  Only the classes
+    :func:`_window_classes` offers are weighed, so the cost is the
+    ``C(L + d - 2, d - 2)`` prefixes plus the classes near the window, not
+    every one of the ``C(L + d - 1, d - 1)`` classes.
     """
     entropy, lo, hi = _typical_window(evals, L, delta)
     dim = 0
     capture = 0.0
     classes = []
     lams = [float(x) for x in np.real(evals)]
-    for counts in _compositions(L, len(lams)):
+    for counts, mult in _window_classes(lams, L, lo, hi):
         w = _class_weight_log2(counts, lams)
         if w is None or not lo <= w <= hi:
             continue
         classes.append(counts)
-        mult = _multinomial(L, counts)
         dim += mult
         if mult.bit_length() < 1000:
             term = float(mult)
@@ -427,7 +490,9 @@ def typical_subspace(
     The eigenvalues of ``rho_B^(x L)`` are products of the ``d`` eigenvalues
     of ``rho_b``, so one ``d x d`` diagonalization and a multinomial census
     over type classes give the exact ``dim`` and capture probability for
-    any source, diagonal or not, at any block length.  Nothing of size
+    any source, diagonal or not, at any block length.  The census costs
+    the ``C(L + d - 2, d - 2)`` prefixes of the first ``d - 2`` counts
+    plus the typical classes, not every class.  Nothing of size
     ``d**L`` is allocated here; ``basis`` and ``projector`` are built on
     first access when ``d**L`` is within ``max_dim`` (default: the
     configured dense cap).
@@ -466,7 +531,8 @@ def qubit_capture_curve(
         entropy, lo, hi = _typical_window(evals, int(L), delta)
         capture = 0.0
         lp, lq = math.log2(p), math.log2(1.0 - p)
-        for k in range(int(L) + 1):
+        solve = _window_solver((lp, lq), int(L), lo, hi)
+        for k in solve(L * lp, lq - lp, int(L)):
             w = (L - k) * lp + k * lq
             if lo <= w <= hi:
                 log_c = (math.lgamma(L + 1) - math.lgamma(k + 1)

@@ -300,6 +300,27 @@ class TestCodingCommands:
         rates = [float(r.split(",")[2]) for r in rows]
         assert rates == sorted(rates)  # energy rate per letter is nondecreasing
 
+    def test_tradeoff_computes_the_entropy_budget_once(self, capsys, tmp_path, monkeypatch):
+        path = str(tmp_path / "zp.json")
+        save_alphabet(zero_plus_alphabet(), path)
+        calls = []
+        budget = qihe.coding._entropy_budget
+        monkeypatch.setattr(qihe.coding, "_entropy_budget",
+                            lambda alphabet: calls.append(alphabet) or budget(alphabet))
+        code, out, _ = run_cli(capsys, "tradeoff", "--alphabet", path)
+        assert code == 0
+        assert len(calls) == 1
+        doc = json.loads(out)
+        assert doc["curve"]["full_communication"]["comm_bits"] == doc["point"]["comm_bits"]
+
+    def test_negative_block_is_a_validation_error(self, capsys, tmp_path):
+        path = str(tmp_path / "zp.json")
+        save_alphabet(zero_plus_alphabet(), path)
+        code, out, err = run_cli(capsys, "tradeoff", "--alphabet", path, "--block", "-1")
+        assert code == 2
+        assert out == ""
+        assert "--block" in err
+
     def test_csv_refused_for_scalar_reports(self, capsys):
         code, _, _ = run_cli(capsys, "work", "--output", "csv")
         assert code == 2
