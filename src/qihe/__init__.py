@@ -50,8 +50,6 @@ from .thermo import (
 )
 from .protocols import (
     ParityCheckReport,
-    ParityState,
-    Party,
     ProtocolOutcome,
     bell_pair,
     bell_protocol,

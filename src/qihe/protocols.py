@@ -10,6 +10,10 @@ Three families are implemented:
   theorem: operations on all but two qubits leave the first qubit
   exactly unpolarized.
 
+Parties are named by id only: ``"A"`` and ``"B"`` in the pair protocols,
+and ``"A1"`` .. ``"An"`` in the n-party ones, where ``A{i+1}`` holds qubit
+``i``.
+
 Measurement branches in verification paths are enumerated exhaustively;
 random sampling exists only for generating seeded test channels.  Every
 function that builds an ``n``-qubit register takes ``max_dim``, the cap on
@@ -19,8 +23,8 @@ its dimension ``2**n`` (default: the configured dense cap).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -43,9 +47,7 @@ from .qcore import (
 from .thermo import ThermalContext, WorkReport, cycle_work, extractable_work
 
 __all__ = [
-    "Party",
     "ParityCheckReport",
-    "ParityState",
     "ProtocolOutcome",
     "bell_pair",
     "bell_protocol",
@@ -65,14 +67,6 @@ _PURITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class Party:
-    """A named participant and the subsystem indices it currently holds."""
-
-    id: str
-    held_subsystems: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class ProtocolOutcome:
     """Result of one protocol run.
 
@@ -81,23 +75,16 @@ class ProtocolOutcome:
     simulated measurement branch when a protocol enumerates branches),
     and ``interceptor_work`` is present only for runs with an
     interceptor, computed from the interceptor's reduced state alone.
+    Which subsystems a party holds is fixed by the protocol and its id
+    (see the module docstring); the outcome does not record it.
     """
 
     per_party_work: dict[str, WorkReport]
     broadcast_log: tuple[tuple[str, int], ...]
     interceptor_work: WorkReport | None = None
-    parties: tuple[Party, ...] = ()
-
-    def __post_init__(self) -> None:
-        seen: set[int] = set()
-        for p in self.parties:
-            overlap = seen.intersection(p.held_subsystems)
-            if overlap:
-                raise ValidationError(f"parties hold overlapping subsystems: {sorted(overlap)}")
-            seen.update(p.held_subsystems)
 
     def to_dict(self) -> dict:
-        """JSON-ready report: party ids, works in declared units, broadcast log."""
+        """JSON-ready report: party ids, bare work numbers, broadcast log."""
 
         def work_entry(wr: WorkReport) -> dict:
             return {
@@ -142,21 +129,13 @@ def bell_protocol(ctx: ThermalContext, intercepted: bool = False) -> ProtocolOut
     if intercepted:
         interceptor = extractable_work(flying, ctx)
         work_b = extractable_work(partial_trace(rho, (1,)), ctx)
-        parties = (Party("A", ()), Party("B", (1,)))
-        return ProtocolOutcome(
-            per_party_work={"A": work_a, "B": work_b},
-            broadcast_log=(),
-            interceptor_work=interceptor,
-            parties=parties,
-        )
-
-    work_b = extractable_work(psi, ctx)
-    parties = (Party("A", ()), Party("B", (0, 1)))
+    else:
+        interceptor = None
+        work_b = extractable_work(psi, ctx)
     return ProtocolOutcome(
         per_party_work={"A": work_a, "B": work_b},
         broadcast_log=(),
-        interceptor_work=None,
-        parties=parties,
+        interceptor_work=interceptor,
     )
 
 
@@ -170,12 +149,10 @@ def classical_pair_protocol(ctx: ThermalContext) -> ProtocolOutcome:
     pair = classical_pair()
     work_a = extractable_work(partial_trace(pair, (0,)), ctx)
     work_b = extractable_work(pair, ctx)
-    parties = (Party("A", ()), Party("B", (0, 1)))
     return ProtocolOutcome(
         per_party_work={"A": work_a, "B": work_b},
         broadcast_log=(),
         interceptor_work=None,
-        parties=parties,
     )
 
 
@@ -251,59 +228,28 @@ def ghz_unlock(
     for i in remote:
         per_party[_party_id(i)] = branch_works[0][i]
     log = tuple((_party_id(initiator), b) for b in branches)
-    parties = tuple(Party(_party_id(i), (i,)) for i in range(n))
-    return ProtocolOutcome(per_party_work=per_party, broadcast_log=log, parties=parties)
+    return ProtocolOutcome(per_party_work=per_party, broadcast_log=log)
 
 
-@dataclass(frozen=True)
-class ParityState:
-    """Uniform mixture over all even-parity computational basis strings.
+def _odd_parity(n: int) -> np.ndarray:
+    """Mask over the ``2**n`` basis indices: True where the Hamming weight is odd."""
+    odd = np.zeros(1, dtype=bool)
+    for _ in range(n):
+        odd = np.concatenate([odd, ~odd])
+    return odd
+
+
+def even_parity_state(n: int, max_dim: int | None = None) -> DensityMatrix:
+    """The n-qubit uniform mixture over all even-parity basis strings.
 
     The density matrix is diagonal with weight ``2**(1-n)`` on each of
-    the ``2**(n-1)`` strings of even Hamming weight and zero elsewhere;
-    that structure is validated at construction.
+    the ``2**(n-1)`` strings of even Hamming weight and zero elsewhere.
     """
-
-    n: int
-    rho: DensityMatrix
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValidationError(f"an even-parity state needs n >= 2 qubits, got {self.n}")
-        d = 2 ** self.n
-        if self.rho.dims != (2,) * self.n:
-            raise ValidationError(
-                f"state signature {self.rho.dims} is not {self.n} qubits"
-            )
-        data = self.rho.data
-        off = data - np.diag(np.diag(data))
-        worst_off = float(np.max(np.abs(off)))
-        if worst_off > _BRANCH_TOL:
-            raise ValidationError(
-                f"even-parity state must be diagonal: off-diagonal magnitude {worst_off:.3e}"
-            )
-        want = 2.0 ** (1 - self.n)
-        for idx in range(d):
-            val = float(np.real(data[idx, idx]))
-            expect = want if bin(idx).count("1") % 2 == 0 else 0.0
-            if abs(val - expect) > _BRANCH_TOL:
-                raise ValidationError(
-                    f"diagonal entry {idx} is {val}, expected {expect} "
-                    f"(parity {'even' if expect else 'odd'})"
-                )
-
-
-def even_parity_state(n: int, max_dim: int | None = None) -> ParityState:
-    """Build the n-qubit even-parity mixture."""
     if n < 2:
         raise ValidationError(f"an even-parity state needs n >= 2 qubits, got {n}")
     check_capacity(2 ** n, max_dim)
-    diag = np.zeros(2 ** n)
-    weight = 2.0 ** (1 - n)
-    for idx in range(2 ** n):
-        if bin(idx).count("1") % 2 == 0:
-            diag[idx] = weight
-    return ParityState(n, DensityMatrix(np.diag(diag).astype(complex), (2,) * n))
+    diag = np.where(_odd_parity(n), 0.0, 2.0 ** (1 - n))
+    return DensityMatrix(np.diag(diag).astype(complex), (2,) * n)
 
 
 def haar_random_channel(
@@ -375,21 +321,23 @@ def parity_no_information_check(
             f"got {ch.output_dim} x {ch.input_dim}"
         )
 
-    state = even_parity_state(n, max_dim)
-    out, norm = apply_channel(state.rho, ch)
+    out, norm = apply_channel(even_parity_state(n, max_dim), ch)
     unnorm = out.data * norm
     dims = (2,) * n
 
+    # Accumulate Kraus operator by operator, each in ascending column order:
+    # a vectorised sum changes the last ulp of the reported weights.
+    odd = _odd_parity(n - 2)
     c_even = 0.0
     c_odd = 0.0
     for k in ch.kraus:
         mags = np.abs(k) ** 2
         for i in range(block):
             col = float(np.sum(mags[:, i]))
-            if bin(i).count("1") % 2 == 0:
-                c_even += col
-            else:
+            if odd[i]:
                 c_odd += col
+            else:
+                c_even += col
 
     scale = 2.0 ** (1 - n)
     predicted12 = scale * np.diag(
@@ -462,7 +410,7 @@ def parity_unlock(
         if b not in (0, 1):
             raise ValidationError(f"revealed outcome for qubit {q} must be 0 or 1, got {b}")
 
-    state: DensityMatrix | None = even_parity_state(n, max_dim).rho
+    state: DensityMatrix | None = even_parity_state(n, max_dim)
     for q in sorted(outcomes, reverse=True):
         if state is None:
             raise ValidationError("no subsystems left to condition on")
@@ -485,5 +433,4 @@ def parity_unlock(
         per_party[_party_id(i)] = extractable_work(marginal, ctx)
 
     log = tuple((_party_id(q), outcomes[q]) for q in sorted(outcomes))
-    parties = tuple(Party(_party_id(i), (i,)) for i in range(n))
-    return ProtocolOutcome(per_party_work=per_party, broadcast_log=log, parties=parties)
+    return ProtocolOutcome(per_party_work=per_party, broadcast_log=log)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -218,7 +218,7 @@ class QuantumChannel:
 
     kraus: tuple[np.ndarray, ...]
     target: tuple[int, ...]
-    trace_preserving: bool = True  # recomputed in __post_init__
+    trace_preserving: bool = field(init=False)
 
     def __post_init__(self) -> None:
         ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
@@ -300,8 +300,9 @@ def make_density(
     * a :class:`PureState` (rank-one projector),
     * an existing :class:`DensityMatrix` (returned unchanged),
     * a 1-D array of amplitudes (treated as a pure state),
-    * a 2-D array (explicit matrix, validated eagerly),
-    * a sequence of ``(weight, state)`` pairs (classical mixture).
+    * a 2-D array (explicit matrix, validated eagerly).
+
+    Classical mixtures are built with :func:`mixture`.
 
     ``dims`` fixes the subsystem factorization where it cannot be
     inferred; it defaults to a single subsystem of full dimension.
@@ -310,9 +311,6 @@ def make_density(
         return spec
     if isinstance(spec, PureState):
         return spec.density()
-    if isinstance(spec, (list, tuple)) and spec and isinstance(spec[0], (list, tuple)) \
-            and len(spec[0]) == 2 and np.isscalar(spec[0][0]) and not np.isscalar(spec[0][1]):
-        return mixture(spec, dims)
     arr = np.asarray(spec, dtype=complex)
     if arr.ndim == 1:
         return PureState(arr, _as_dims(dims if dims is not None else arr.shape[0],

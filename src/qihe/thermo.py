@@ -78,17 +78,19 @@ class WorkReport:
 
     ``work`` is ``unit_factor * entropy_delta`` where ``entropy_delta``
     is the entropy (in bits) poured into the messenger subsystem.
-    ``landauer_reset`` is the cost of undoing that entropy change, i.e.
-    the reset bill that comes due elsewhere; it always equals ``|work|``.
-    ``hamiltonian_cycle_term`` records the internal-energy contribution,
-    identically zero over a closed cycle.
+    The internal-energy term of a closed cycle vanishes identically, so
+    it is not carried.
     """
 
     work: float
     entropy_delta: float
-    landauer_reset: float
     units: str = "bit-unit"
-    hamiltonian_cycle_term: float = 0.0
+
+    @property
+    def landauer_reset(self) -> float:
+        """Cost of undoing the entropy change, the reset bill that comes due
+        elsewhere: always ``|work|``."""
+        return abs(self.work)
 
 
 @dataclass(frozen=True)
@@ -124,21 +126,14 @@ def cycle_work(entropy_delta: float, ctx: ThermalContext) -> WorkReport:
 
     Positive ``entropy_delta`` means entropy flows from the reservoir
     into the messenger and work is harvested; negative means the engine
-    is run in reverse.  The Hamiltonian term of a closed cycle vanishes
-    identically and is recorded as 0.
+    is run in reverse.
     """
     delta = float(entropy_delta)
     if not math.isfinite(delta):
         raise ValidationError(f"entropy delta must be finite, got {entropy_delta}")
     uf = unit_factor(ctx)
     work = uf * delta
-    return WorkReport(
-        work=work,
-        entropy_delta=delta,
-        landauer_reset=abs(work),
-        units=ctx.energy_unit,
-        hamiltonian_cycle_term=0.0,
-    )
+    return WorkReport(work=work, entropy_delta=delta, units=ctx.energy_unit)
 
 
 def extractable_work(state: DensityMatrix | PureState, ctx: ThermalContext) -> WorkReport:

@@ -153,7 +153,7 @@ def test_criterion_05_parity_mixture_leaks_nothing_single_qubit(capsys):
         rng = np.random.default_rng(500 + n)
         tail = 2 ** (n - 2)
         ch = haar_random_channel(tail, 3, rng, target=tuple(range(2, n)))
-        rho = even_parity_state(n).rho.data
+        rho = even_parity_state(n).data
         lifted = [np.kron(np.eye(4, dtype=complex), k) for k in ch.kraus]
         out = sum(op @ rho @ op.conj().T for op in lifted)
         weight = float(np.real(np.trace(out)))
@@ -171,7 +171,7 @@ def test_criterion_05_parity_mixture_leaks_nothing_single_qubit(capsys):
         if abs(work - 1.0) >= 1e-10:
             completion_ok = False
         # slice the diagonal directly: only the parity-completing string survives
-        diag = np.real(np.diag(even_parity_state(n).rho.data))
+        diag = np.real(np.diag(even_parity_state(n).data))
         base = sum(b << (n - 1 - i) for i, b in enumerate(bits))
         stay, flip = diag[base << 1 | (sum(bits) % 2)], diag[base << 1 | (1 - sum(bits) % 2)]
         if not (stay > 0 and flip == 0):

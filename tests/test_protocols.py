@@ -21,14 +21,12 @@ from qihe.qcore import (
     ImpossibleEvidenceError,
     QuantumChannel,
     ValidationError,
-    make_density,
     measure_computational,
     partial_trace,
     von_neumann_entropy,
 )
 from qihe.thermo import ThermalContext, unit_factor
 from qihe.protocols import (
-    ParityState,
     bell_pair,
     bell_protocol,
     classical_pair,
@@ -155,34 +153,31 @@ class TestGhzProtocol:
 
 
 class TestEvenParityState:
-    def test_support_is_even_parity_strings(self):
-        ps = even_parity_state(3)
-        expect = np.zeros((8, 8), dtype=complex)
-        for idx in range(8):
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_support_is_even_parity_strings(self, n):
+        rho = even_parity_state(n)
+        expect = np.zeros((2**n, 2**n), dtype=complex)
+        for idx in range(2**n):
             if bin(idx).count("1") % 2 == 0:
-                expect[idx, idx] = 0.25
-        assert np.array_equal(ps.rho.data, expect)
+                expect[idx, idx] = 2.0 ** (1 - n)
+        assert rho.dims == (2,) * n
+        assert np.array_equal(rho.data, expect)
 
     def test_two_qubit_case_is_the_classical_pair(self):
-        ps = even_parity_state(2)
-        assert np.array_equal(ps.rho.data, np.diag([0.5, 0, 0, 0.5]).astype(complex))
+        rho = even_parity_state(2)
+        assert np.array_equal(rho.data, np.diag([0.5, 0, 0, 0.5]).astype(complex))
 
     def test_every_strict_subset_is_maximally_mixed(self):
         """No coalition missing even one qubit can extract anything."""
         from itertools import combinations
 
         for n in (3, 4):
-            ps = even_parity_state(n)
+            rho = even_parity_state(n)
             for size in range(1, n):
                 for keep in combinations(range(n), size):
-                    marg = partial_trace(ps.rho, keep)
+                    marg = partial_trace(rho, keep)
                     d = 2**size
                     np.testing.assert_allclose(marg.data, np.eye(d) / d, atol=1e-12)
-
-    def test_wrapper_rejects_foreign_states(self):
-        bell = make_density(np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2), (2, 2))
-        with pytest.raises(ValidationError):
-            ParityState(2, bell)
 
 
 class TestParityNoInformation:
@@ -250,7 +245,7 @@ class TestParityUnlock:
     def test_completion_bit_restores_even_parity(self, natural_ctx):
         """Independent check by direct conditioning: revealed bits 1,0 force
         the remaining qubit into |1> with certainty."""
-        rho = even_parity_state(3).rho
+        rho = even_parity_state(3)
         after_first = measure_computational(rho, 0)[1].post_state
         final = measure_computational(after_first, 0)[0].post_state
         np.testing.assert_allclose(final.data, np.diag([0.0, 1.0]), atol=1e-14)

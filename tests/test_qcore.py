@@ -87,6 +87,11 @@ class TestStateConstruction:
         rho = make_density([[0.5, 0.5], [0.5, 0.5]], 2)
         np.testing.assert_allclose(rho.data, np.full((2, 2), 0.5), atol=1e-15)
 
+    def test_make_density_refuses_a_weighted_pair_list(self):
+        # mixtures go through mixture(); make_density takes single states only
+        with pytest.raises(TypeError):
+            make_density([(0.5, basis_state(0, 2)), (0.5, basis_state(1, 2))], 2)
+
     def test_mixture_of_basis_states(self):
         rho = mixture(
             [(0.5, basis_state(0, (2, 2))), (0.5, basis_state(3, (2, 2)))]
@@ -162,6 +167,11 @@ class TestChannels:
         p0 = np.diag([1.0, 0.0]).astype(complex)
         ch = QuantumChannel(kraus=(p0,), target=(0,))
         assert not ch.trace_preserving
+
+    def test_trace_preserving_is_not_an_argument(self):
+        # the classification is computed, so a caller cannot set it
+        with pytest.raises(TypeError):
+            QuantumChannel(kraus=(np.eye(2, dtype=complex),), target=(0,), trace_preserving=False)
 
     def test_overcomplete_kraus_rejected(self):
         with pytest.raises(ValidationError):

@@ -69,7 +69,6 @@ class TestCycleWork:
         rep = cycle_work(-1.5, ThermalContext(units="natural"))
         assert rep.entropy_delta == -1.5
         assert rep.landauer_reset == abs(rep.work)
-        assert rep.hamiltonian_cycle_term == 0.0
 
     def test_rejects_non_finite_entropy(self):
         with pytest.raises(ValidationError):
