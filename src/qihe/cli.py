@@ -168,6 +168,8 @@ def _cmd_work(args, cfg: RunConfig) -> tuple[dict, None]:
         entropy = 0.0
     elif args.state == "maximally-mixed":
         d = args.d
+        if d < 1:
+            raise ValidationError(f"--d must be at least 1, got {d}")
         check_capacity(d, cfg.capacity)
         state = DensityMatrix(np.eye(d, dtype=complex) / d, (d,))
         entropy = von_neumann_entropy(state)

@@ -264,14 +264,22 @@ def haar_random_channel(
     ``dim`` columns form a random isometry, and the isometry is cut into
     ``n_kraus`` stacked blocks which serve as Kraus operators.  Their
     completeness relation is inherited from the isometry.
-    """
-    # scipy.stats takes about a second to import and only this function uses it.
-    from scipy.stats import unitary_group
 
+    The unitary is Mezzadri's QR-of-Ginibre recipe (arXiv:math-ph/0609050).
+    Its draws must stay bit-identical to ``scipy.stats.unitary_group.rvs``
+    on the same ``Generator``, real parts drawn before imaginary ones: the
+    ``verify`` report depends on them, and the tests compare the two.
+    """
     if dim < 1 or n_kraus < 1:
         raise ValidationError(f"need dim >= 1 and n_kraus >= 1, got {dim}, {n_kraus}")
-    big = unitary_group.rvs(dim * n_kraus, random_state=rng) if dim * n_kraus > 1 \
-        else np.ones((1, 1), dtype=complex)
+    n = dim * n_kraus
+    if n == 1:
+        big = np.ones((1, 1), dtype=complex)
+    else:
+        z = 1 / math.sqrt(2) * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        q, r = np.linalg.qr(z)
+        d = r.diagonal()
+        big = q * (d / abs(d))
     isometry = big[:, :dim]
     kraus = tuple(isometry[j * dim:(j + 1) * dim, :] for j in range(n_kraus))
     return QuantumChannel(kraus, target)
@@ -370,6 +378,8 @@ def parity_no_information_trials(
     max_dim: int | None = None,
 ) -> list[ParityCheckReport]:
     """Run the no-information check against seeded Haar-random channels."""
+    if n < 3:
+        raise ValidationError(f"the no-information check needs n >= 3, got {n}")
     if trials < 1:
         raise ValidationError(f"need at least one trial, got {trials}")
     check_capacity(2 ** n, max_dim)  # before any 2**(n-2)-sized channel is drawn

@@ -289,6 +289,12 @@ def basis_state(index: int, dims: int | Sequence[int]) -> PureState:
     return PureState(amp, tuple(dims))
 
 
+def _is_weighted_pair(item) -> bool:
+    """Whether ``item`` reads as a ``(weight, state)`` entry of a mixture."""
+    return (isinstance(item, (list, tuple)) and len(item) == 2 and np.ndim(item[0]) == 0
+            and (isinstance(item[1], (PureState, DensityMatrix)) or np.ndim(item[1]) > 0))
+
+
 def make_density(
     spec: "PureState | DensityMatrix | np.ndarray | Sequence",
     dims: int | Iterable[int] | None = None,
@@ -302,7 +308,8 @@ def make_density(
     * a 1-D array of amplitudes (treated as a pure state),
     * a 2-D array (explicit matrix, validated eagerly).
 
-    Classical mixtures are built with :func:`mixture`.
+    Classical mixtures are built with :func:`mixture`; a ``(weight, state)``
+    pair list raises :class:`TypeError`.
 
     ``dims`` fixes the subsystem factorization where it cannot be
     inferred; it defaults to a single subsystem of full dimension.
@@ -311,6 +318,9 @@ def make_density(
         return spec
     if isinstance(spec, PureState):
         return spec.density()
+    if isinstance(spec, (list, tuple)) and spec and _is_weighted_pair(spec[0]):
+        raise TypeError("make_density takes a single state; build a (weight, state) "
+                        "mixture with mixture()")
     arr = np.asarray(spec, dtype=complex)
     if arr.ndim == 1:
         return PureState(arr, _as_dims(dims if dims is not None else arr.shape[0],

@@ -137,12 +137,17 @@ class TestReportUnits:
         assert unit_table(json.loads(out)) == expected
 
     def test_import_leaves_scipy_unloaded(self):
+        # nor does a full verify or a run of the Haar-channel parity trials
         src = os.path.dirname(os.path.dirname(qihe.cli.__file__))
         env = {**os.environ, "PYTHONPATH": src}
-        probe = "import sys, qihe.cli; print('scipy' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out.strip() == "False"
+        for argv in ([], ["verify", "--seed", "7"],
+                     ["protocol", "parity", "--n", "4", "--trials", "2"]):
+            probe = ("import sys, qihe.cli; argv = sys.argv[1:]; "
+                     "code = qihe.cli.run(argv) if argv else 0; "
+                     "print(code, 'scipy' in sys.modules)")
+            out = subprocess.run([sys.executable, "-c", probe, *argv], env=env, check=True,
+                                 capture_output=True, text=True).stdout
+            assert out.splitlines()[-1] == "0 False", argv
 
 
 class TestWorkCommand:
@@ -164,6 +169,13 @@ class TestWorkCommand:
     def test_maximally_mixed_is_worthless(self, capsys):
         code, out, _ = run_cli(capsys, "work", "--state", "maximally-mixed", "--d", "4")
         assert json.loads(out)["work"] == 0.0
+
+    @pytest.mark.parametrize("d", ["0", "-3"])
+    def test_dimension_below_one_names_the_flag(self, capsys, d):
+        code, out, err = run_cli(capsys, "work", "--state", "maximally-mixed", "--d", d)
+        assert code == 2
+        assert out == ""
+        assert "--d" in err
 
     def test_dimension_above_the_cap_is_a_capacity_error(self, capsys):
         code, out, err = run_cli(capsys, "work", "--state", "maximally-mixed", "--d", "10000000")
@@ -254,6 +266,13 @@ class TestProtocolCommands:
         assert doc["trials"] == 3
         assert doc["worst_rho1_deviation"] < 1e-9
         assert doc["worst_rho12_deviation"] < 1e-9
+
+    @pytest.mark.parametrize("n", ["2", "1", "-3"])
+    def test_parity_trials_need_three_qubits(self, capsys, n):
+        code, out, err = run_cli(capsys, "protocol", "parity", "--n", n, "--trials", "2")
+        assert code == 2
+        assert out == ""
+        assert "n >= 3" in err
 
     def test_parity_contradictory_evidence(self, capsys):
         code, _, _ = run_cli(

@@ -273,6 +273,19 @@ class TestParityUnlock:
 
 
 class TestHaarRandomChannels:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_kraus_operators_are_blocks_of_the_scipy_draw(self, seed):
+        from scipy.stats import unitary_group
+
+        # n_kraus = 1 makes the one Kraus operator the whole unitary
+        shapes = [(n, 1) for n in range(2, 65)] + [(1, 4), (2, 3), (4, 2), (8, 4)]
+        for dim, n_kraus in shapes:
+            ch = haar_random_channel(dim, n_kraus, np.random.default_rng(seed), target=(0,))
+            big = unitary_group.rvs(dim * n_kraus, random_state=np.random.default_rng(seed))
+            assert len(ch.kraus) == n_kraus
+            for j, k in enumerate(ch.kraus):
+                assert np.array_equal(k, big[j * dim:(j + 1) * dim, :dim]), (dim, n_kraus)
+
     def test_seeded_draws_are_reproducible(self):
         a = haar_random_channel(4, 3, np.random.default_rng(21), target=(2, 3))
         b = haar_random_channel(4, 3, np.random.default_rng(21), target=(2, 3))

@@ -86,11 +86,15 @@ class TestStateConstruction:
         # a nested 2x2 matrix must parse as a matrix, not a mixture
         rho = make_density([[0.5, 0.5], [0.5, 0.5]], 2)
         np.testing.assert_allclose(rho.data, np.full((2, 2), 0.5), atol=1e-15)
+        rho = make_density([(1, 0), (0, 0)])
+        assert np.array_equal(rho.data, np.diag([1, 0]).astype(complex))
 
     def test_make_density_refuses_a_weighted_pair_list(self):
         # mixtures go through mixture(); make_density takes single states only
-        with pytest.raises(TypeError):
-            make_density([(0.5, basis_state(0, 2)), (0.5, basis_state(1, 2))], 2)
+        for zero, one in ((basis_state(0, 2), basis_state(1, 2)),
+                          (np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex))):
+            with pytest.raises(TypeError, match="mixture"):
+                make_density([(0.5, zero), (0.5, one)], 2)
 
     def test_mixture_of_basis_states(self):
         rho = mixture(
