@@ -18,10 +18,9 @@ a permutation-style unitary, and run the emptied carriers through the
 engine (Schumacher compression).  :func:`typical_subspace` counts the
 subspace from the spectrum of ``rho_B`` alone, by a multinomial census
 over eigenvalue type classes, so it needs no ``d**L``-sized matrix for
-any source.  The census visits every prefix of the first ``d - 2``
-counts and then only the classes the typicality window can hold, not
-all ``C(L + d - 1, d - 1)`` classes.  The eigenvector basis and
-projector are built only on request, within the dense cap.
+any source.  One census loop weighs only the classes the typicality
+window can hold, not all ``C(L + d - 1, d - 1)``.  The eigenvector basis
+and projector are built only on request, within the dense cap.
 :func:`refactorization_ledger` turns capture statistics into a net
 work-per-letter bracket.
 """
@@ -30,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -251,8 +251,7 @@ def block_alphabet(alphabet: Alphabet, n: int, max_dim: int | None = None) -> Al
     sublinearly for non-orthogonal letters, which is what pushes the
     per-letter energy toward its ``M - <S_a>`` ceiling.
     """
-    if n < 1:
-        raise ValidationError(f"block length must be at least 1, got {n}")
+    n = _block_length(n, "block length n")
     check_capacity(alphabet.d ** n, max_dim)
     blocked = []
     for let, s_single in zip(alphabet.letters, letter_entropies(alphabet)):
@@ -282,23 +281,6 @@ def _prefixes(total: int, parts: int):
         head = math.comb(total, first)
         for rest, left, mult in _prefixes(total - first, parts - 1):
             yield (first,) + rest, left, head * mult
-
-
-def _class_weight_log2(counts: Sequence[int], evals: Sequence[float]) -> float | None:
-    """Base-2 log of the eigenvalue product for a type class.
-
-    Returns ``None`` when the class puts weight on a zero (or clamped
-    negative) eigenvalue, i.e. the product is exactly zero and the class
-    can never be typical.
-    """
-    w = 0.0
-    for m, lam in zip(counts, evals):
-        if m == 0:
-            continue
-        if lam <= 0.0:
-            return None
-        w += m * math.log2(lam)
-    return w
 
 
 @dataclass(frozen=True)
@@ -412,38 +394,15 @@ def _window_solver(logs: Sequence[float], L: int, lo: float, hi: float):
     return solve
 
 
-def _window_classes(lams: Sequence[float], L: int, lo: float, hi: float):
-    """The type classes the window can hold, with their multinomials.
+class _Powers(dict):
+    """``lam ** m`` by count ``m``, each power taken once."""
 
-    Classes come in lexicographic order.  Every prefix of the first
-    ``d - 2`` counts is visited; the weight is then linear in the next
-    count ``m``, the last being ``rest - m``, so only the solved interval
-    of ``m`` is walked, with ``C(rest, m)`` stepped by its exact
-    recurrence.  A prefix on a zero eigenvalue is skipped.
-    """
-    d = len(lams)
-    if d == 1:
-        yield (L,), 1
-        return
-    positive = [lam > 0.0 for lam in lams]
-    logs = [math.log2(lam) if lam > 0.0 else 0.0 for lam in lams]
-    solve = _window_solver(logs, L, lo, hi)
-    for prefix, rest, head in _prefixes(L, d - 2):
-        if not all(ok for c, ok in zip(prefix, positive) if c):
-            continue
-        if not positive[-2]:
-            span = range(1)
-        elif not positive[-1]:
-            span = range(rest, rest + 1)
-        else:
-            base = sum(c * lg for c, lg in zip(prefix, logs)) + rest * logs[-1]
-            span = solve(base, logs[-2] - logs[-1], rest)
-        if not span:
-            continue
-        binom = math.comb(rest, span.start)
-        for m in span:
-            yield prefix + (m, rest - m), head * binom
-            binom = binom * (rest - m) // (m + 1)
+    def __init__(self, lam: float) -> None:
+        self.lam = lam
+
+    def __missing__(self, m: int) -> float:
+        self[m] = power = self.lam ** m
+        return power
 
 
 def _combinatorial_census(
@@ -452,31 +411,74 @@ def _combinatorial_census(
     """Count typical eigenvectors and their captured probability by type class.
 
     Returns ``(dim, capture, entropy, classes)``, where ``classes`` lists
-    the eigenvalue counts of every typical type class.  Only the classes
-    :func:`_window_classes` offers are weighed, so the cost is the
-    ``C(L + d - 2, d - 2)`` prefixes plus the classes near the window, not
-    every one of the ``C(L + d - 1, d - 1)`` classes.
+    the counts of every typical type class in lexicographic order.  One
+    loop weighs each prefix of the first ``d - 2`` counts once; the weight
+    is then linear in the next count ``m``, the last being ``rest - m``,
+    so only the solved span of ``m`` is walked, with ``C(rest, m)`` stepped
+    by its exact recurrence and each class weighed inline, in letter order,
+    from ``log2(lam_i)`` taken once per census, prefix powers once per
+    prefix and the last two letters' powers once per count.  The cost is
+    the ``C(L + d - 2, d - 2)`` prefixes plus the classes near the window.
     """
     entropy, lo, hi = _typical_window(evals, L, delta)
+    lams = [float(x) for x in np.real(evals)]
+    if len(lams) == 1:
+        if lams[0] > 0.0 and lo <= L * math.log2(lams[0]) <= hi:
+            return 1, lams[0] ** L, entropy, ((L,),)
+        return 0, 0.0, entropy, ()
     dim = 0
     capture = 0.0
     classes = []
-    lams = [float(x) for x in np.real(evals)]
-    for counts, mult in _window_classes(lams, L, lo, hi):
-        w = _class_weight_log2(counts, lams)
-        if w is None or not lo <= w <= hi:
+    logs = [math.log2(lam) if lam > 0.0 else 0.0 for lam in lams]
+    # a count on a zero eigenvalue sends the prefix weight to -inf
+    head_logs = [lg if lam > 0.0 else -math.inf for lam, lg in zip(lams, logs)]
+    a, b = logs[-2], logs[-1]
+    pa, pb = _Powers(lams[-2]), _Powers(lams[-1])
+    solve = _window_solver(logs, L, lo, hi)
+    for prefix, rest, head in _prefixes(L, len(lams) - 2):
+        pw = 0.0
+        for c, lg in zip(prefix, head_logs):
+            if c:
+                pw += c * lg
+        if pw == -math.inf:
             continue
-        classes.append(counts)
-        dim += mult
-        if mult.bit_length() < 1000:
-            term = float(mult)
-            for m, lam in zip(counts, lams):
-                if m:
-                    term *= lam ** m
+        if not lams[-2] > 0.0:
+            span = range(1 if lams[-1] > 0.0 or not rest else 0)
+        elif not lams[-1] > 0.0:
+            span = range(rest, rest + 1)
         else:
-            term = 2.0 ** (math.log2(mult) + w)
-        capture += term
+            span = solve(pw + rest * b, a - b, rest)
+        if not span:
+            continue
+        head_powers = [lam ** c for lam, c in zip(lams, prefix)]
+        binom = math.comb(rest, span.start)
+        for m in span:
+            k = rest - m
+            w = pw + m * a + k * b
+            if lo <= w <= hi:
+                classes.append(prefix + (m, k))
+                mult = head * binom
+                dim += mult
+                if mult.bit_length() < 1000:
+                    term = float(mult)
+                    for power in head_powers:
+                        term *= power
+                    capture += term * pa[m] * pb[k]
+                else:
+                    capture += 2.0 ** (math.log2(mult) + w)
+            binom = binom * k // (m + 1)
     return dim, capture, entropy, tuple(classes)
+
+
+def _block_length(L, name: str) -> int:
+    """``L`` as a Python ``int`` of at least 1, or a :class:`ValidationError` naming it."""
+    try:
+        L = operator.index(L)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {L!r}") from None
+    if L < 1:
+        raise ValidationError(f"{name} must be at least 1, got {L}")
+    return L
 
 
 def typical_subspace(
@@ -490,15 +492,14 @@ def typical_subspace(
     The eigenvalues of ``rho_B^(x L)`` are products of the ``d`` eigenvalues
     of ``rho_b``, so one ``d x d`` diagonalization and a multinomial census
     over type classes give the exact ``dim`` and capture probability for
-    any source, diagonal or not, at any block length.  The census costs
-    the ``C(L + d - 2, d - 2)`` prefixes of the first ``d - 2`` counts
-    plus the typical classes, not every class.  Nothing of size
+    any source, diagonal or not, at any integer block length.  One census
+    loop over the ``C(L + d - 2, d - 2)`` prefixes of ``d - 2`` counts
+    weighs, inline, only the classes near the window.  Nothing of size
     ``d**L`` is allocated here; ``basis`` and ``projector`` are built on
     first access when ``d**L`` is within ``max_dim`` (default: the
     configured dense cap).
     """
-    if L < 1:
-        raise ValidationError(f"block length must be at least 1, got {L}")
+    L = _block_length(L, "block length L")
     if not (delta > 0 and math.isfinite(delta)):
         raise ValidationError(f"delta must be positive and finite, got {delta}")
     evals, evecs = np.linalg.eigh(rho_b.data)
@@ -526,19 +527,18 @@ def qubit_capture_curve(
     evals = np.array([p, 1.0 - p])
     out = []
     for L in lengths:
-        if L < 1:
-            raise ValidationError(f"block lengths must be positive, got {L}")
-        entropy, lo, hi = _typical_window(evals, int(L), delta)
+        L = _block_length(L, "each block length in lengths")
+        entropy, lo, hi = _typical_window(evals, L, delta)
         capture = 0.0
         lp, lq = math.log2(p), math.log2(1.0 - p)
-        solve = _window_solver((lp, lq), int(L), lo, hi)
-        for k in solve(L * lp, lq - lp, int(L)):
+        solve = _window_solver((lp, lq), L, lo, hi)
+        for k in solve(L * lp, lq - lp, L):
             w = (L - k) * lp + k * lq
             if lo <= w <= hi:
                 log_c = (math.lgamma(L + 1) - math.lgamma(k + 1)
                          - math.lgamma(L - k + 1)) / math.log(2.0)
                 capture += 2.0 ** (log_c + w)
-        out.append((int(L), min(capture, 1.0)))
+        out.append((L, min(capture, 1.0)))
     return out
 
 

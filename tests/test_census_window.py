@@ -3,8 +3,9 @@ The window-bounded census against the full enumeration it replaced.
 
 Oracle: a test-local copy of the old census, which weighs every one of
 the ``C(L + d - 1, d - 1)`` type classes in lexicographic order and
-builds each multinomial from ``math.comb``, and of the old capture
-curve, which weighs every ``k`` in ``0..L``.  Both share the classifier
+builds each multinomial from ``math.comb``, with the old scalar class
+weight ``_class_weight_log2``, and of the old capture curve, which
+weighs every ``k`` in ``0..L``.  Both share the classifier
 ``lo <= w <= hi`` with the code under test, so the results must be
 exactly equal, not merely close: same classes, same ``dim``, and the
 same capture float.  The draws aim at the window edges: zero, exactly
@@ -12,16 +13,13 @@ degenerate and near-degenerate eigenvalues, and widths down to 1e-17.
 """
 
 import math
+from typing import Sequence
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qihe.coding import (
-    _class_weight_log2,
-    _combinatorial_census,
-    _typical_window,
-    qubit_capture_curve,
-)
+from qihe.coding import _combinatorial_census, _typical_window, qubit_capture_curve
 
 # Longest block per carrier dimension at which the full enumeration stays quick.
 _MAX_L = {1: 400, 2: 400, 3: 60, 4: 20, 5: 10}
@@ -35,6 +33,23 @@ def _compositions(total, parts):
     for first in range(total + 1):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
+
+
+def _class_weight_log2(counts: Sequence[int], evals: Sequence[float]) -> float | None:
+    """Base-2 log of the eigenvalue product for a type class.
+
+    Returns ``None`` when the class puts weight on a zero (or clamped
+    negative) eigenvalue, i.e. the product is exactly zero and the class
+    can never be typical.
+    """
+    w = 0.0
+    for m, lam in zip(counts, evals):
+        if m == 0:
+            continue
+        if lam <= 0.0:
+            return None
+        w += m * math.log2(lam)
+    return w
 
 
 def full_census(evals, L, delta):
@@ -118,6 +133,30 @@ def census_inputs(draw):
 def test_census_equals_the_full_enumeration(inputs):
     evals, L, delta = inputs
     assert _combinatorial_census(evals, L, delta) == full_census(evals, L, delta)
+
+
+def _multinomial(counts):
+    mult, rem = 1, sum(counts)
+    for m in counts:
+        mult *= math.comb(rem, m)
+        rem -= m
+    return mult
+
+
+# Blocks past the sweep's lengths.  The first two keep classes whose
+# multinomials reach 1000 bits, where the capture term is taken in the log
+# domain; the last two are the largest censuses the benchmark runs.
+@pytest.mark.parametrize("evals, L, delta, log_domain", [
+    ((0.3, 0.33, 0.37), 700, 0.01, True),
+    ((0.25, 0.75), 3000, 0.02, True),
+    ((0.2, 0.3, 0.5), 300, 0.1, False),
+    ((0.1, 0.2, 0.3, 0.4), 60, 0.1, False),
+])
+def test_census_equals_the_full_enumeration_at_long_blocks(evals, L, delta, log_domain):
+    census = _combinatorial_census(np.array(evals), L, delta)
+    assert census == full_census(np.array(evals), L, delta)
+    classes = census[3]
+    assert any(_multinomial(c).bit_length() >= 1000 for c in classes) == log_domain
 
 
 @settings(max_examples=150, deadline=None)

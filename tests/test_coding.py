@@ -332,6 +332,30 @@ class TestTypicalSubspace:
         with pytest.raises(ValidationError):
             typical_subspace(rho, L=4, delta=0.0)
 
+    def test_numpy_integer_block_lengths_give_the_python_int_result(self):
+        rho2 = make_density(np.diag([0.9, 0.1]).astype(complex), 2)
+        rho3 = make_density(np.diag([0.5, 0.3, 0.2]).astype(complex), 3)
+        for rho, L in ((rho2, 6), (rho3, 100)):
+            want = typical_subspace(rho, L, 0.3)
+            got = typical_subspace(rho, np.int64(L), 0.3)
+            assert type(got.L) is int
+            assert got == want and got.classes == want.classes
+        got = qubit_capture_curve(0.8, [np.int64(1000)], 0.1)
+        assert got == qubit_capture_curve(0.8, [1000], 0.1)
+        assert type(got[0][0]) is int
+
+    def test_non_integer_block_lengths_are_refused(self):
+        rho = make_density(np.diag([0.9, 0.1]).astype(complex), 2)
+        for L in (3.5, 6.0, "6"):
+            with pytest.raises(ValidationError, match="block length L must be an integer"):
+                typical_subspace(rho, L, 0.3)
+        with pytest.raises(ValidationError, match="block length in lengths must be an integer"):
+            qubit_capture_curve(0.8, [1000.5], 0.1)
+        with pytest.raises(ValidationError, match="block length in lengths must be at least 1"):
+            qubit_capture_curve(0.8, [1000, 0], 0.1)
+        with pytest.raises(ValidationError, match="block length n must be an integer"):
+            block_alphabet(zero_plus_alphabet(), 2.5)
+
     def test_capture_curve_tends_to_one(self):
         curve = qubit_capture_curve(0.9, [24, 400, 2000], 0.2)
         assert [L for L, _ in curve] == [24, 400, 2000]
