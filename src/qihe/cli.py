@@ -19,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -48,10 +49,11 @@ from .qcore import (
     ValidationError,
     basis_state,
     check_capacity,
+    entropy_from_eigenvalues,
     max_dimension,
     von_neumann_entropy,
 )
-from .thermo import ThermalContext, extractable_work, remote_carnot
+from .thermo import ThermalContext, cycle_work, remote_carnot
 from .verify import run_acceptance, summary
 
 __all__ = ["RunConfig", "main", "run"]
@@ -162,27 +164,23 @@ def _emit(report: dict, cfg: RunConfig, csv_table: tuple[list[str], list[list]] 
 
 
 def _cmd_work(args, cfg: RunConfig) -> tuple[dict, None]:
-    ctx = cfg.context
     if args.state == "pure-qubit":
-        state = basis_state(0, 2)
-        entropy = 0.0
+        dim, entropy = basis_state(0, 2).dim, 0.0
     elif args.state == "maximally-mixed":
-        d = args.d
-        if d < 1:
-            raise ValidationError(f"--d must be at least 1, got {d}")
-        check_capacity(d, cfg.capacity)
-        state = DensityMatrix(np.eye(d, dtype=complex) / d, (d,))
-        entropy = von_neumann_entropy(state)
+        dim = args.d
+        if dim < 1:
+            raise ValidationError(f"--d must be at least 1, got {dim}")
+        check_capacity(dim, cfg.capacity)
+        entropy = entropy_from_eigenvalues(np.full(dim, 1.0 / dim))
     elif args.state == "bell-pair":
-        state = bell_pair()
-        entropy = 0.0
+        dim, entropy = bell_pair().dim, 0.0
     else:  # classical-pair
         state = classical_pair()
-        entropy = von_neumann_entropy(state)
-    wr = extractable_work(state, ctx)
+        dim, entropy = state.dim, von_neumann_entropy(state)
+    wr = cycle_work(math.log2(dim) - entropy, cfg.context)
     report = {
         "state": args.state,
-        "dimension": state.dim,
+        "dimension": dim,
         "entropy_bits": entropy,
         "work_bits": wr.entropy_delta,
         "work": wr.work,

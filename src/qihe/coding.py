@@ -98,7 +98,7 @@ class Alphabet:
         if any(p < -1e-12 for p in probs):
             raise ValidationError(f"letter probabilities must be non-negative: {probs}")
         total = sum(probs)
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:  # NaN fails this test
             raise ValidationError(
                 f"letter probabilities must sum to 1: |sum - 1| = {abs(total - 1.0):.3e}"
             )
@@ -126,16 +126,33 @@ class Alphabet:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Alphabet":
-        d = int(obj["dims"])
-        letters = []
-        for entry in obj["letters"]:
+        """Parse the JSON file format; a missing or malformed field raises
+        :class:`ValidationError` naming the field."""
+        if not isinstance(obj, dict):
+            raise ValidationError(f"an alphabet must be a JSON object, got {type(obj).__name__}")
+
+        def field(key, parse):
+            if key not in obj:
+                raise ValidationError(f"alphabet has no {key!r} field")
+            try:
+                return parse(obj[key])
+            except ValidationError:
+                raise
+            except (TypeError, ValueError, IndexError) as exc:
+                raise ValidationError(f"malformed alphabet field {key!r}: {exc}") from None
+
+        d = field("dims", int)
+
+        def letter(entry) -> DensityMatrix:
             m = matrix_from_pairs(entry)
             if m.shape != (d, d):
                 raise ValidationError(
                     f"letter matrix has shape {m.shape}, expected ({d}, {d})"
                 )
-            letters.append(DensityMatrix(m, (d,)))
-        return cls(tuple(letters), tuple(float(p) for p in obj["probs"]))
+            return DensityMatrix(m, (d,))
+
+        letters = field("letters", lambda entries: tuple(letter(e) for e in entries))
+        return cls(letters, field("probs", lambda probs: tuple(float(p) for p in probs)))
 
 
 def load_alphabet(path: str) -> Alphabet:

@@ -15,9 +15,11 @@ and ``"A1"`` .. ``"An"`` in the n-party ones, where ``A{i+1}`` holds qubit
 ``i``.
 
 Measurement branches in verification paths are enumerated exhaustively;
-random sampling exists only for generating seeded test channels.  Every
-function that builds an ``n``-qubit register takes ``max_dim``, the cap on
-its dimension ``2**n`` (default: the configured dense cap).
+random sampling exists only for generating seeded test channels.  GHZ
+unlocking works on the state's amplitudes and parity unlocking on its
+diagonal, so neither builds a ``2**n x 2**n`` matrix.  Every function that
+builds an ``n``-qubit register takes ``max_dim``, the cap on its dimension
+``2**n`` (default: the configured dense cap).
 """
 
 from __future__ import annotations
@@ -39,10 +41,8 @@ from .qcore import (
     apply_channel,
     basis_state,
     check_capacity,
-    measure_computational,
     mixture,
     partial_trace,
-    von_neumann_entropy,
 )
 from .thermo import ThermalContext, WorkReport, cycle_work, extractable_work
 
@@ -63,7 +63,6 @@ __all__ = [
 ]
 
 _BRANCH_TOL = 1e-12
-_PURITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -189,34 +188,30 @@ def ghz_unlock(
     With ``outcome`` unset, both measurement branches are simulated
     exhaustively (no random sampling) and verified to pay out
     identically; the broadcast log then carries one entry per branch.
+
+    A branch is the amplitude slice at the initiator's outcome; its
+    normalized remainder ``M`` must pass the :class:`PureState` norm check,
+    and a remote party's marginal is ``M M^H`` with that party's axis first.
     """
     if not 0 <= initiator < n:
         raise ValidationError(f"initiator index {initiator} out of range for {n} parties")
-    rho = ghz_state(n, max_dim).density()
-    records = measure_computational(rho, initiator)
-    branches = [outcome] if outcome is not None else [0, 1]
     if outcome is not None and outcome not in (0, 1):
         raise ValidationError(f"measurement outcome must be 0 or 1, got {outcome}")
+    amp = ghz_state(n, max_dim).amplitudes.reshape((2,) * n)
+    branches = [outcome] if outcome is not None else [0, 1]
 
     remote = [i for i in range(n) if i != initiator]
     branch_works: list[dict[int, WorkReport]] = []
     for b in branches:
-        rec = records[b]
-        if abs(rec.probability - 0.5) > _BRANCH_TOL:
-            raise ValidationError(
-                f"GHZ branch probability {rec.probability} deviates from 1/2"
-            )
-        post = rec.post_state
-        assert post is not None
-        purity = von_neumann_entropy(post)
-        if purity > _PURITY_TOL:
-            raise ValidationError(
-                f"conditioned GHZ remainder is not pure: entropy {purity:.3e} bits"
-            )
+        branch = np.take(amp, b, axis=initiator)
+        probability = float(np.real(np.vdot(branch, branch)))
+        if abs(probability - 0.5) > _BRANCH_TOL:
+            raise ValidationError(f"GHZ branch probability {probability} deviates from 1/2")
+        post = PureState(branch / math.sqrt(probability), branch.shape)
         works = {}
-        for i in remote:
-            pos = i if i < initiator else i - 1
-            works[i] = extractable_work(partial_trace(post, (pos,)), ctx)
+        for pos, i in enumerate(remote):
+            m = np.moveaxis(post.amplitudes.reshape(branch.shape), pos, 0).reshape(2, -1)
+            works[i] = extractable_work(DensityMatrix(m @ m.conj().T, (2,)), ctx)
         branch_works.append(works)
 
     if len(branch_works) == 2:
@@ -239,17 +234,21 @@ def _odd_parity(n: int) -> np.ndarray:
     return odd
 
 
+def _even_parity_weights(n: int, max_dim: int | None) -> np.ndarray:
+    """Diagonal of the n-qubit even-parity state, in basis-index order."""
+    if n < 2:
+        raise ValidationError(f"an even-parity state needs n >= 2 qubits, got {n}")
+    check_capacity(2 ** n, max_dim)
+    return np.where(_odd_parity(n), 0.0, 2.0 ** (1 - n))
+
+
 def even_parity_state(n: int, max_dim: int | None = None) -> DensityMatrix:
     """The n-qubit uniform mixture over all even-parity basis strings.
 
     The density matrix is diagonal with weight ``2**(1-n)`` on each of
     the ``2**(n-1)`` strings of even Hamming weight and zero elsewhere.
     """
-    if n < 2:
-        raise ValidationError(f"an even-parity state needs n >= 2 qubits, got {n}")
-    check_capacity(2 ** n, max_dim)
-    diag = np.where(_odd_parity(n), 0.0, 2.0 ** (1 - n))
-    return DensityMatrix(np.diag(diag).astype(complex), (2,) * n)
+    return DensityMatrix(np.diag(_even_parity_weights(n, max_dim)), (2,) * n)
 
 
 def haar_random_channel(
@@ -407,7 +406,8 @@ def parity_unlock(
     fewer revelations every unrevealed marginal stays maximally mixed
     and nothing is unlocked.  Announcing an outcome combination of
     probability zero (only possible when all ``n`` bits are claimed
-    with odd parity) raises :class:`ImpossibleEvidenceError`.
+    with odd parity) raises :class:`ImpossibleEvidenceError`.  Conditioning
+    slices the ``2**n`` diagonal, and each marginal is an axis sum of it.
     """
     if n < 2:
         raise ValidationError(f"the parity protocol needs n >= 2 qubits, got {n}")
@@ -420,27 +420,25 @@ def parity_unlock(
         if b not in (0, 1):
             raise ValidationError(f"revealed outcome for qubit {q} must be 0 or 1, got {b}")
 
-    state: DensityMatrix | None = even_parity_state(n, max_dim)
+    weights = _even_parity_weights(n, max_dim).reshape((2,) * n)
     for q in sorted(outcomes, reverse=True):
-        if state is None:
-            raise ValidationError("no subsystems left to condition on")
-        recs = measure_computational(state, q)
-        rec = recs[outcomes[q]]
-        if rec.probability < 1e-12:
+        branch = np.take(weights, outcomes[q], axis=q)
+        probability = float(branch.sum() / weights.sum())
+        if probability < 1e-12:
             raise ImpossibleEvidenceError(
-                f"outcome combination has probability {rec.probability:.3e}; "
+                f"outcome combination has probability {probability:.3e}; "
                 f"qubit {q} cannot read {outcomes[q]} given the other announcements"
             )
-        state = rec.post_state
+        weights = branch
 
     remaining = [i for i in range(n) if i not in outcomes]
     per_party: dict[str, WorkReport] = {}
     for q in sorted(outcomes):
         per_party[_party_id(q)] = cycle_work(0.0, ctx)
     for pos, i in enumerate(remaining):
-        assert state is not None
-        marginal = partial_trace(state, (pos,))
-        per_party[_party_id(i)] = extractable_work(marginal, ctx)
+        others = tuple(a for a in range(len(remaining)) if a != pos)
+        marginal = weights.sum(axis=others) / weights.sum()
+        per_party[_party_id(i)] = extractable_work(DensityMatrix(np.diag(marginal), (2,)), ctx)
 
     log = tuple((_party_id(q), outcomes[q]) for q in sorted(outcomes))
     return ProtocolOutcome(per_party_work=per_party, broadcast_log=log)

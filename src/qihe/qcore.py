@@ -150,7 +150,7 @@ class DensityMatrix:
         dims = _as_dims(self.dims, data.shape[0])
 
         herm = float(np.max(np.abs(data - data.conj().T))) if data.size else 0.0
-        if herm > HERMITICITY_TOL:
+        if not herm <= HERMITICITY_TOL:  # a NaN or infinite entry makes herm NaN or inf
             raise ValidationError(
                 f"not Hermitian: max |rho - rho^dag| = {herm:.3e} exceeds {HERMITICITY_TOL:.0e}"
             )
@@ -189,7 +189,7 @@ class PureState:
         amp = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         dims = _as_dims(self.dims, amp.shape[0])
         norm = float(np.linalg.norm(amp))
-        if abs(norm - 1.0) > PURE_NORM_TOL:
+        if not abs(norm - 1.0) <= PURE_NORM_TOL:  # NaN fails this test
             raise ValidationError(
                 f"state vector norm must be 1: |norm - 1| = {abs(norm - 1.0):.3e} "
                 f"exceeds {PURE_NORM_TOL:.0e}"
@@ -241,6 +241,8 @@ class QuantumChannel:
         dev = float(np.max(np.abs(comp - np.eye(shape[1]))))
         if dev <= KRAUS_TOL:
             tp = True
+        elif not math.isfinite(dev):
+            raise ValidationError(f"Kraus operators must be finite: max |sum K^dag K - I| = {dev}")
         else:
             top = float(np.max(np.linalg.eigvalsh(comp)))
             if top > 1.0 + KRAUS_TOL:
@@ -342,7 +344,7 @@ def mixture(
     if np.any(weights < -PROBABILITY_TOL):
         raise ValidationError(f"mixture weights must be non-negative, got min {weights.min():.3e}")
     total = float(weights.sum())
-    if abs(total - 1.0) > PROBABILITY_TOL:
+    if not abs(total - 1.0) <= PROBABILITY_TOL:  # NaN fails this test
         raise ValidationError(
             f"mixture weights must sum to 1: |sum - 1| = {abs(total - 1.0):.3e} "
             f"exceeds {PROBABILITY_TOL:.0e}"

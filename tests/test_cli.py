@@ -10,6 +10,7 @@ Exit-code contract:
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -184,6 +185,22 @@ class TestWorkCommand:
         assert "capacity" in err
         assert "Traceback" not in err
 
+    # classical-pair: three calls validate the mixture and its two components,
+    # and one takes its entropy
+    @pytest.mark.parametrize("state, eigvalsh_calls", [
+        ("pure-qubit", 0), ("bell-pair", 0), ("maximally-mixed", 0), ("classical-pair", 4),
+    ])
+    def test_one_entropy_per_state(self, capsys, monkeypatch, state, eigvalsh_calls):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: calls.append(np.shape(a)) or eigvalsh(a))
+        code, out, _ = run_cli(capsys, "work", "--state", state, "--d", "8")
+        assert code == 0
+        assert len(calls) == eigvalsh_calls
+        doc = json.loads(out)
+        assert doc["work_bits"] == math.log2(doc["dimension"]) - doc["entropy_bits"]
+
     def test_pretty_output(self, capsys):
         code, out, _ = run_cli(capsys, "work", "--state", "pure-qubit", "--output", "pretty")
         assert code == 0
@@ -304,6 +321,27 @@ class TestCodingCommands:
         path.write_text("{not json")
         code, _, _ = run_cli(capsys, "holevo", "--alphabet", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize("text, names", [
+        ('{"dims": 2, "letters": [1], "probs": [1]}', "'letters'"),
+        ('{"dims": 2, "letters": [[[1, 0], [0, 0]]], "probs": [1]}', "'letters'"),
+        ('[{"dims": 2}]', "JSON object"),
+        ('{"dims": 2, "letters": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]], "probs": null}',
+         "'probs'"),
+        ('{"letters": [], "probs": []}', "'dims'"),
+        ('{"dims": 2, "letters": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]], '
+         '[[[0, 0], [0, 0]], [[0, 0], [1, 0]]]], "probs": [NaN, NaN]}', "sum to 1"),
+        ('{"dims": 2, "letters": [[[[NaN, 0], [0, 0]], [[0, 0], [NaN, 0]]]], "probs": [1]}',
+         "Hermitian"),
+    ])
+    def test_malformed_alphabet_is_a_validation_error(self, capsys, tmp_path, text, names):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "holevo", "--alphabet", str(path))
+        assert code == 2
+        assert out == ""
+        assert names in err
+        assert "Traceback" not in err
 
     def test_tradeoff_csv_block_sweep(self, capsys, tmp_path):
         path = str(tmp_path / "zp.json")

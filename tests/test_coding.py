@@ -75,6 +75,27 @@ class TestAlphabet:
         with pytest.raises(ValidationError):
             Alphabet(letters=(letter, letter), probs=(1.5, -0.5))
 
+    @pytest.mark.parametrize("probs", [(math.nan, math.nan), (math.nan, 1.0)])
+    def test_probs_must_be_finite(self, probs):
+        letter = make_density(np.diag([1.0, 0.0]).astype(complex), 2)
+        with pytest.raises(ValidationError, match="sum to 1"):
+            Alphabet(letters=(letter, letter), probs=probs)
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"dims": 2, "letters": [1], "probs": [1.0]}, "'letters'"),
+        ({"dims": 2, "letters": [[[1, 0], [0, 0]]], "probs": [1.0]}, "'letters'"),
+        ({"dims": 2, "letters": [[[[1, 0], [0, 0]], [[0, 0], [0]]]], "probs": [1.0]}, "'letters'"),
+        ({"dims": 2, "letters": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]], "probs": None}, "'probs'"),
+        ({"dims": None, "letters": [], "probs": []}, "'dims'"),
+        ({"letters": [], "probs": []}, "'dims'"),
+        ({"dims": 2, "probs": []}, "'letters'"),
+        ({"dims": 2, "letters": []}, "'probs'"),
+        ([1, 2], "JSON object"),
+    ])
+    def test_malformed_documents_name_the_field(self, doc, field):
+        with pytest.raises(ValidationError, match=field):
+            Alphabet.from_dict(doc)
+
     def test_letters_share_a_dimension(self):
         a = make_density(np.diag([1.0, 0.0]).astype(complex), 2)
         b = make_density(np.eye(3, dtype=complex) / 3, 3)

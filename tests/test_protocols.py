@@ -143,6 +143,10 @@ class TestGhzProtocol:
         with pytest.raises(ValidationError):
             ghz_unlock(3, 3, natural_ctx)
 
+    def test_outcome_validated_before_the_register_is_built(self, natural_ctx):
+        with pytest.raises(ValidationError, match="outcome"):
+            ghz_unlock(40, 0, natural_ctx, outcome=2)
+
     def test_unlocked_total_dominates_broadcast_cost(self, natural_ctx):
         """n-1 unlocked bits always repay the one broadcast bit for n >= 2."""
         for n in range(2, 7):
@@ -270,6 +274,20 @@ class TestParityUnlock:
             parity_unlock(3, {5: 0}, natural_ctx)  # qubit index in range
         with pytest.raises(ValidationError):
             parity_unlock(1, {}, natural_ctx)  # at least two qubits
+
+
+@pytest.mark.parametrize("unlock", [
+    lambda ctx: ghz_unlock(7, 3, ctx),
+    lambda ctx: parity_unlock(7, {1: 0, 4: 1}, ctx),
+    lambda ctx: parity_unlock(7, {q: 1 for q in range(6)}, ctx),
+], ids=["ghz", "parity-partial", "parity-complete"])
+def test_unlocking_builds_no_matrix_above_2x2(natural_ctx, monkeypatch, unlock):
+    shapes = []
+    validate = DensityMatrix.__post_init__
+    monkeypatch.setattr(DensityMatrix, "__post_init__",
+                        lambda self: shapes.append(np.shape(self.data)) or validate(self))
+    unlock(natural_ctx)
+    assert shapes and set(shapes) == {(2, 2)}
 
 
 class TestHaarRandomChannels:

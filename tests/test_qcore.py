@@ -70,6 +70,18 @@ class TestDensityMatrixValidation:
         with pytest.raises(ValidationError, match="norm"):
             PureState(np.array([1.0, 1.0], dtype=complex), (2,))
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(ValidationError, match="Hermitian"):
+            DensityMatrix(np.array([[bad, 0.0], [0.0, bad]], dtype=complex), (2,))
+        with pytest.raises(ValidationError, match="Hermitian"):
+            DensityMatrix(np.array([[0.5, bad], [bad, 0.5]], dtype=complex), (2,))
+
+    def test_non_finite_amplitudes_rejected(self):
+        with pytest.raises(ValidationError, match="norm"):
+            PureState(np.array([np.nan, 0.0], dtype=complex), (2,))
+
 
 class TestStateConstruction:
     def test_basis_state_density(self):
@@ -102,6 +114,11 @@ class TestStateConstruction:
         )
         assert np.array_equal(rho.data, np.diag([0.5, 0, 0, 0.5]).astype(complex))
         assert rho.dims == (2, 2)
+
+    @pytest.mark.parametrize("weights", [(np.nan, np.nan), (np.nan, 1.0), (np.inf, 0.0)])
+    def test_mixture_weights_must_be_finite(self, weights):
+        with pytest.raises(ValidationError, match="sum to 1"):
+            mixture([(weights[0], basis_state(0, 2)), (weights[1], basis_state(1, 2))])
 
     def test_mixture_weights_must_sum_to_one(self):
         with pytest.raises(ValidationError, match="sum"):
@@ -176,6 +193,12 @@ class TestChannels:
         # the classification is computed, so a caller cannot set it
         with pytest.raises(TypeError):
             QuantumChannel(kraus=(np.eye(2, dtype=complex),), target=(0,), trace_preserving=False)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_kraus_rejected(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            QuantumChannel(kraus=(np.diag([1.0, bad]).astype(complex),), target=(0,))
 
     def test_overcomplete_kraus_rejected(self):
         with pytest.raises(ValidationError):
