@@ -141,7 +141,14 @@ class Alphabet:
             except (TypeError, ValueError, IndexError) as exc:
                 raise ValidationError(f"malformed alphabet field {key!r}: {exc}") from None
 
-        d = field("dims", int)
+        def dimension(value) -> int:
+            # int() would truncate 2.7 to 2 and read true as 1
+            if isinstance(value, (bool, np.bool_)) or (
+                    isinstance(value, (float, np.floating)) and not float(value).is_integer()):
+                raise ValidationError(f"alphabet field 'dims' must be an integer, got {value!r}")
+            return int(value)
+
+        d = field("dims", dimension)
 
         def letter(entry) -> DensityMatrix:
             m = matrix_from_pairs(entry)

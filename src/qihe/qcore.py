@@ -4,6 +4,8 @@ Everything downstream (thermodynamic accounting, distribution protocols,
 source coding) is built on the validated value types defined here:
 density matrices, pure states, Kraus channels and measurement records.
 States are immutable; every operation returns a fresh, re-validated object.
+A density matrix is diagonalized once, by its own positivity check, and
+:func:`von_neumann_entropy` reads that same spectrum.
 
 Conventions
 -----------
@@ -130,6 +132,16 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite, without a numpy floating-point warning.
+
+    ``vdot`` sums ``|a_ij|^2`` in BLAS, which raises no warning on ``inf``
+    or NaN; the exact elementwise test runs only when that sum is not
+    finite (a non-finite entry, or an overflow of finite ones).
+    """
+    return math.isfinite(np.vdot(a, a).real) or bool(np.isfinite(a).all())
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """A validated density operator together with its subsystem signature.
@@ -137,11 +149,18 @@ class DensityMatrix:
     Construction eagerly checks Hermiticity, unit trace and positive
     semidefiniteness; the error message names the violated invariant and
     the offending magnitude.  ``dims`` records the tensor factorization,
-    e.g. ``(2, 2, 2)`` for three qubits.
+    e.g. ``(2, 2, 2)`` for three qubits.  The spectrum that the positivity
+    check computes is kept: it is the spectrum :func:`von_neumann_entropy`
+    reads, so a state is diagonalized once however often its entropy is
+    taken.  ``eigvalsh`` copies its input into one layout before LAPACK
+    sees it, so this spectrum, taken on the input, equals ``eigvalsh`` of
+    the stored read-only ``data`` bit for bit; the copy is made last, so it
+    adds nothing to the validation's peak memory.
     """
 
     data: np.ndarray
     dims: tuple[int, ...]
+    _eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         data = np.asarray(self.data, dtype=complex)
@@ -149,8 +168,10 @@ class DensityMatrix:
             raise ValidationError(f"density matrix must be square, got shape {data.shape}")
         dims = _as_dims(self.dims, data.shape[0])
 
-        herm = float(np.max(np.abs(data - data.conj().T))) if data.size else 0.0
-        if not herm <= HERMITICITY_TOL:  # a NaN or infinite entry makes herm NaN or inf
+        # a NaN or infinite entry reads as a NaN residual, without the
+        # warning that inf - inf would print
+        herm = float(np.abs(data - data.conj().T).max()) if _all_finite(data) else math.nan
+        if not herm <= HERMITICITY_TOL:
             raise ValidationError(
                 f"not Hermitian: max |rho - rho^dag| = {herm:.3e} exceeds {HERMITICITY_TOL:.0e}"
             )
@@ -159,14 +180,17 @@ class DensityMatrix:
             raise ValidationError(
                 f"trace must be 1: |tr(rho) - 1| = {abs(tr - 1.0):.3e} exceeds {TRACE_TOL:.0e}"
             )
-        lo = float(np.min(np.linalg.eigvalsh(data)))
+        evals = np.linalg.eigvalsh(data)  # ascending, so evals[0] is the minimum
+        lo = float(evals[0])
         if lo < -PSD_TOL:
             raise ValidationError(
                 f"not positive semidefinite: min eigenvalue {lo:.3e} is below -{PSD_TOL:.0e}"
             )
 
+        evals.setflags(write=False)
         object.__setattr__(self, "data", _readonly(data))
         object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "_eigenvalues", evals)
 
     @property
     def dim(self) -> int:
@@ -237,11 +261,13 @@ class QuantumChannel:
         if target[0] < 0:
             raise ValidationError(f"channel target indices must be non-negative, got {target}")
 
+        if not all(_all_finite(k) for k in ops):
+            raise ValidationError("Kraus operators must be finite")
         comp = sum(k.conj().T @ k for k in ops)
         dev = float(np.max(np.abs(comp - np.eye(shape[1]))))
         if dev <= KRAUS_TOL:
             tp = True
-        elif not math.isfinite(dev):
+        elif not math.isfinite(dev):  # finite entries whose products overflow
             raise ValidationError(f"Kraus operators must be finite: max |sum K^dag K - I| = {dev}")
         else:
             top = float(np.max(np.linalg.eigvalsh(comp)))
@@ -511,8 +537,12 @@ def entropy_from_eigenvalues(values: np.ndarray | Sequence[float]) -> float:
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """Von Neumann entropy ``-tr(rho log2 rho)`` in bits."""
-    return entropy_from_eigenvalues(np.linalg.eigvalsh(rho.data))
+    """Von Neumann entropy ``-tr(rho log2 rho)`` in bits.
+
+    It reads the spectrum that validated ``rho``, computed once at
+    construction and equal bit for bit to ``eigvalsh(rho.data)``.
+    """
+    return entropy_from_eigenvalues(rho._eigenvalues)
 
 
 def computational_dephasing(dim: int, target: tuple[int, ...]) -> QuantumChannel:

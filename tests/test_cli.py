@@ -9,6 +9,7 @@ Exit-code contract:
     64 command-line usage errors
 """
 
+import hashlib
 import json
 import math
 import os
@@ -32,6 +33,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_process(*argv):
+    """``python -m qihe.cli`` in its own interpreter, with this checkout's ``src`` first."""
+    src = os.path.dirname(os.path.dirname(qihe.cli.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else os.pathsep.join([src, path])}
+    return subprocess.run([sys.executable, "-m", "qihe.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def unit_table(node, table=None):
@@ -185,10 +195,10 @@ class TestWorkCommand:
         assert "capacity" in err
         assert "Traceback" not in err
 
-    # classical-pair: three calls validate the mixture and its two components,
-    # and one takes its entropy
+    # classical-pair: three calls validate the mixture and its two components;
+    # the entropy reuses the mixture's validation spectrum
     @pytest.mark.parametrize("state, eigvalsh_calls", [
-        ("pure-qubit", 0), ("bell-pair", 0), ("maximally-mixed", 0), ("classical-pair", 4),
+        ("pure-qubit", 0), ("bell-pair", 0), ("maximally-mixed", 0), ("classical-pair", 3),
     ])
     def test_one_entropy_per_state(self, capsys, monkeypatch, state, eigvalsh_calls):
         calls = []
@@ -333,6 +343,8 @@ class TestCodingCommands:
          '[[[0, 0], [0, 0]], [[0, 0], [1, 0]]]], "probs": [NaN, NaN]}', "sum to 1"),
         ('{"dims": 2, "letters": [[[[NaN, 0], [0, 0]], [[0, 0], [NaN, 0]]]], "probs": [1]}',
          "Hermitian"),
+        *((f'{{"dims": {dims}, "letters": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]], "probs": [1]}}',
+           "'dims'") for dims in ("2.7", "1.5", "true", "false", "Infinity", "NaN")),
     ])
     def test_malformed_alphabet_is_a_validation_error(self, capsys, tmp_path, text, names):
         path = tmp_path / "bad.json"
@@ -342,6 +354,26 @@ class TestCodingCommands:
         assert out == ""
         assert names in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("dims", ["2.0", '"2"'])
+    def test_integral_dims_read_as_the_integer(self, capsys, tmp_path, dims):
+        text = json.dumps(zero_plus_alphabet().to_dict())
+        path = tmp_path / "zp.json"
+        path.write_text(text)
+        exact = run_cli(capsys, "holevo", "--alphabet", str(path))
+        path.write_text(text.replace('"dims": 2', f'"dims": {dims}'))
+        assert run_cli(capsys, "holevo", "--alphabet", str(path)) == exact
+        assert exact[0] == 0
+
+    def test_infinite_letter_entry_exits_2_without_a_warning(self, tmp_path):
+        path = tmp_path / "inf.json"
+        path.write_text('{"dims": 2, "letters": [[[[Infinity, 0], [0, 0]], [[0, 0], [0, 0]]]], '
+                        '"probs": [1]}')
+        proc = run_cli_process("holevo", "--alphabet", str(path))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Hermitian" in proc.stderr
+        assert "Warning" not in proc.stderr
 
     def test_tradeoff_csv_block_sweep(self, capsys, tmp_path):
         path = str(tmp_path / "zp.json")
@@ -468,6 +500,22 @@ class TestUsageAndDeterminism:
         _, first, _ = run_cli(capsys, "protocol", "parity", "--n", "4", "--trials", "5", "--seed", "9")
         _, second, _ = run_cli(capsys, "protocol", "parity", "--n", "4", "--trials", "5", "--seed", "9")
         assert first == second
+
+    @pytest.mark.parametrize("seed, md5", [
+        ("7", "a8df92a49c59b604eed48f978e356692"),
+        ("11", "0361537cfc3a4a39c5ea23bb9e918b20"),
+    ])
+    def test_verify_stdout_matches_its_golden_md5(self, seed, md5):
+        """The ``verify`` report is pinned byte for byte.
+
+        A speed-up must leave these hashes alone.  The one deliberate report
+        change queued in ROADMAP item 6 (the ``bit`` unit label and the
+        duplicate ``landauer_reset``) moves them: that change updates both
+        hashes here and records the new values in CHANGES.md.
+        """
+        proc = run_cli_process("verify", "--seed", seed)
+        assert proc.returncode == 0
+        assert hashlib.md5(proc.stdout.encode()).hexdigest() == md5
 
     def test_verify_exits_zero_and_reports_every_criterion(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--seed", "7")

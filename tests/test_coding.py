@@ -236,6 +236,21 @@ class TestBlocking:
         chi2 = holevo_chi(block_alphabet(ab, 2))
         assert chi2 <= 2 * chi1 + 1e-12
 
+    def test_blocking_diagonalizes_each_state_once(self, natural_ctx, monkeypatch):
+        """block_alphabet(., 6) then tradeoff_point: one eigvalsh per state built.
+
+        Each letter's five tensor-power steps are validated, and the blocked
+        ensemble state once; every entropy, including the blocked-entropy
+        self-check, reads a spectrum its state already holds.
+        """
+        ab = zero_plus_alphabet()
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: calls.append(np.shape(a)[0]) or eigvalsh(a))
+        tradeoff_point(block_alphabet(ab, 6), natural_ctx)
+        assert calls == [4, 8, 16, 32, 64] * 2 + [64]
+
     def test_block_capacity_guard(self):
         with pytest.raises(CapacityError):
             block_alphabet(orthogonal_pure_alphabet(4), 8, max_dim=4096)

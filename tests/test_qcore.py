@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qihe.qcore import (
     CapacityError,
@@ -70,13 +71,13 @@ class TestDensityMatrixValidation:
         with pytest.raises(ValidationError, match="norm"):
             PureState(np.array([1.0, 1.0], dtype=complex), (2,))
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_entries_rejected(self, bad):
+    def test_non_finite_entries_rejected(self, bad, recwarn):
         with pytest.raises(ValidationError, match="Hermitian"):
             DensityMatrix(np.array([[bad, 0.0], [0.0, bad]], dtype=complex), (2,))
         with pytest.raises(ValidationError, match="Hermitian"):
             DensityMatrix(np.array([[0.5, bad], [bad, 0.5]], dtype=complex), (2,))
+        assert [str(w.message) for w in recwarn] == []
 
     def test_non_finite_amplitudes_rejected(self):
         with pytest.raises(ValidationError, match="norm"):
@@ -194,11 +195,11 @@ class TestChannels:
         with pytest.raises(TypeError):
             QuantumChannel(kraus=(np.eye(2, dtype=complex),), target=(0,), trace_preserving=False)
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_kraus_rejected(self, bad):
+    def test_non_finite_kraus_rejected(self, bad, recwarn):
         with pytest.raises(ValidationError, match="finite"):
             QuantumChannel(kraus=(np.diag([1.0, bad]).astype(complex),), target=(0,))
+        assert [str(w.message) for w in recwarn] == []
 
     def test_overcomplete_kraus_rejected(self):
         with pytest.raises(ValidationError):
@@ -323,6 +324,44 @@ class TestEntropy:
             s_a = von_neumann_entropy(partial_trace(rho, [0]))
             s_b = von_neumann_entropy(partial_trace(rho, [1]))
             assert s_ab <= s_a + s_b + 1e-9
+
+    def test_one_eigvalsh_per_state_and_none_per_entropy(self, monkeypatch):
+        """The positivity check diagonalizes once; the entropy reads that spectrum."""
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: calls.append(np.shape(a)) or eigvalsh(a))
+        rho = DensityMatrix(np.diag([0.5, 0.25, 0.25]).astype(complex), (3,))
+        assert calls == [(3, 3)]
+        assert von_neumann_entropy(rho) == 1.5
+        assert von_neumann_entropy(rho) == 1.5
+        assert calls == [(3, 3)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(1, 64), rank=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1),
+           layout=st.sampled_from(["C", "F", "strided"]))
+    def test_entropy_equals_a_raw_numpy_oracle(self, dim, rank, seed, layout):
+        """Ginibre states of every rank up to D = 64, against eigvalsh of the raw array.
+
+        Whatever the input's memory layout, the kept spectrum is exactly the
+        one ``eigvalsh`` gives on the stored copy.
+        """
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(dim, min(rank, dim))) + 1j * rng.normal(size=(dim, min(rank, dim)))
+        m = g @ g.conj().T
+        m /= np.real(np.trace(m))
+        lam = np.linalg.eigvalsh(m)
+        lam = lam[lam > 0]
+        oracle = float(-np.sum(lam * np.log2(lam)))
+        if layout == "F":
+            m = np.asfortranarray(m)
+        elif layout == "strided":
+            wide = np.zeros((dim, 2 * dim), dtype=complex)
+            wide[:, ::2] = m
+            m = wide[:, ::2]
+        rho = DensityMatrix(m, (dim,))
+        assert abs(von_neumann_entropy(rho) - oracle) <= 1e-12
+        assert von_neumann_entropy(rho) == entropy_from_eigenvalues(np.linalg.eigvalsh(rho.data))
 
     def test_eigenvalue_clamp_and_rejection(self):
         # tiny negative round-off is clamped to zero ...
