@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -40,6 +39,7 @@ from .qcore import (
     MAX_DIM_ENV,
     DensityMatrix,
     ValidationError,
+    _positive_integer,
     basis_state,
     check_capacity,
     entropy_from_eigenvalues,
@@ -275,7 +275,7 @@ def block_alphabet(alphabet: Alphabet, n: int, max_dim: int | None = None) -> Al
     sublinearly for non-orthogonal letters, which is what pushes the
     per-letter energy toward its ``M - <S_a>`` ceiling.
     """
-    n = _block_length(n, "block length n")
+    n = _positive_integer(n, "block length n")
     check_capacity(alphabet.d ** n, max_dim)
     blocked = []
     for let, s_single in zip(alphabet.letters, letter_entropies(alphabet)):
@@ -494,17 +494,6 @@ def _combinatorial_census(
     return dim, capture, entropy, tuple(classes)
 
 
-def _block_length(L, name: str) -> int:
-    """``L`` as a Python ``int`` of at least 1, or a :class:`ValidationError` naming it."""
-    try:
-        L = operator.index(L)
-    except TypeError:
-        raise ValidationError(f"{name} must be an integer, got {L!r}") from None
-    if L < 1:
-        raise ValidationError(f"{name} must be at least 1, got {L}")
-    return L
-
-
 def typical_subspace(
     rho_b: DensityMatrix,
     L: int,
@@ -523,7 +512,7 @@ def typical_subspace(
     first access when ``d**L`` is within ``max_dim`` (default: the
     configured dense cap).
     """
-    L = _block_length(L, "block length L")
+    L = _positive_integer(L, "block length L")
     if not (delta > 0 and math.isfinite(delta)):
         raise ValidationError(f"delta must be positive and finite, got {delta}")
     evals, evecs = np.linalg.eigh(rho_b.data)
@@ -551,7 +540,7 @@ def qubit_capture_curve(
     evals = np.array([p, 1.0 - p])
     out = []
     for L in lengths:
-        L = _block_length(L, "each block length in lengths")
+        L = _positive_integer(L, "each block length in lengths")
         entropy, lo, hi = _typical_window(evals, L, delta)
         capture = 0.0
         lp, lq = math.log2(p), math.log2(1.0 - p)

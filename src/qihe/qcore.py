@@ -3,8 +3,10 @@
 Everything downstream (thermodynamic accounting, distribution protocols,
 source coding) is built on the validated value types defined here:
 density matrices, pure states, Kraus channels and measurement records.
-States are immutable; every operation returns a fresh, re-validated object.
-A density matrix is diagonalized once, by its own positivity check, and
+States are immutable; every operation returns a fresh, validated object.
+Intermediate results that are never returned stay plain arrays: a tensor
+power multiplies arrays and validates only the power it returns.  A density
+matrix is diagonalized once, by its own positivity check, and
 :func:`von_neumann_entropy` reads that same spectrum.
 
 Conventions
@@ -21,6 +23,7 @@ Conventions
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -124,6 +127,17 @@ def _as_dims(dims: int | Iterable[int], total: int) -> tuple[int, ...]:
             f"but the array dimension is {total}"
         )
     return out
+
+
+def _positive_integer(value, name: str) -> int:
+    """``value`` as a Python ``int`` of at least 1, or a :class:`ValidationError` naming it."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise ValidationError(f"{name} must be at least 1, got {value}")
+    return value
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -261,14 +275,18 @@ class QuantumChannel:
         if target[0] < 0:
             raise ValidationError(f"channel target indices must be non-negative, got {target}")
 
-        if not all(_all_finite(k) for k in ops):
-            raise ValidationError("Kraus operators must be finite")
+        # sum_k vdot(K, K) = sum |K_ij|^2 bounds every entry of sum K^dag K
+        # (Cauchy-Schwarz), so when it is finite the matmul cannot overflow;
+        # vdot sums in BLAS and warns on no inf or NaN
+        weight = sum(float(np.vdot(k, k).real) for k in ops)
+        if not math.isfinite(weight):
+            if not all(np.isfinite(k).all() for k in ops):
+                raise ValidationError("Kraus operators must be finite")
+            raise ValidationError("Kraus operators overflow: sum |K_ij|^2 exceeds double range")
         comp = sum(k.conj().T @ k for k in ops)
         dev = float(np.max(np.abs(comp - np.eye(shape[1]))))
         if dev <= KRAUS_TOL:
             tp = True
-        elif not math.isfinite(dev):  # finite entries whose products overflow
-            raise ValidationError(f"Kraus operators must be finite: max |sum K^dag K - I| = {dev}")
         else:
             top = float(np.max(np.linalg.eigvalsh(comp)))
             if top > 1.0 + KRAUS_TOL:
@@ -388,21 +406,31 @@ def mixture(
     return DensityMatrix(acc, ref_dims)
 
 
+def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``np.kron(x, y)`` of two matrices: the same broadcast multiply, without its set-up."""
+    return (x[:, None, :, None] * y[None, :, None, :]).reshape(
+        x.shape[0] * y.shape[0], x.shape[1] * y.shape[1])
+
+
 def tensor(a: DensityMatrix, b: DensityMatrix, max_dim: int | None = None) -> DensityMatrix:
     """Tensor product ``a (x) b`` with concatenated subsystem signatures."""
     check_capacity(a.dim * b.dim, max_dim)
-    return DensityMatrix(np.kron(a.data, b.data), a.dims + b.dims)
+    return DensityMatrix(_kron(a.data, b.data), a.dims + b.dims)
 
 
 def tensor_power(a: DensityMatrix, n: int, max_dim: int | None = None) -> DensityMatrix:
-    """``n``-fold tensor power of a state."""
-    if n < 1:
-        raise ValueError(f"tensor power requires n >= 1, got {n}")
+    """``n``-fold tensor power of a state.
+
+    The intermediate products are plain arrays, bit-identical to a chain of
+    ``np.kron``; only the power returned is built, and validated, as a
+    :class:`DensityMatrix` (``a`` itself when ``n`` is 1).
+    """
+    n = _positive_integer(n, "tensor power n")
     check_capacity(a.dim ** n, max_dim)
-    out = a
+    data = a.data
     for _ in range(n - 1):
-        out = DensityMatrix(np.kron(out.data, a.data), out.dims + a.dims)
-    return out
+        data = _kron(data, a.data)
+    return a if n == 1 else DensityMatrix(data, a.dims * n)
 
 
 def _partial_trace_raw(data: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
@@ -526,14 +554,14 @@ def entropy_from_eigenvalues(values: np.ndarray | Sequence[float]) -> float:
     positivity violation and raises.
     """
     s = 0.0
-    for lam in np.real(np.asarray(values)):
+    for lam in np.real(np.asarray(values)).tolist():  # Python floats, not numpy scalars
         if lam < -PSD_TOL:
             raise ValidationError(
                 f"not positive semidefinite: eigenvalue {lam:.3e} is below -{PSD_TOL:.0e}"
             )
         if lam > 0.0:
-            s -= float(lam) * math.log2(float(lam))
-    return float(s)
+            s -= lam * math.log2(lam)
+    return s
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

@@ -239,9 +239,10 @@ class TestBlocking:
     def test_blocking_diagonalizes_each_state_once(self, natural_ctx, monkeypatch):
         """block_alphabet(., 6) then tradeoff_point: one eigvalsh per state built.
 
-        Each letter's five tensor-power steps are validated, and the blocked
-        ensemble state once; every entropy, including the blocked-entropy
-        self-check, reads a spectrum its state already holds.
+        Each letter's sixth power is validated once (its intermediate
+        products are arrays), and the blocked ensemble state once; every
+        entropy, including the blocked-entropy self-check, reads a spectrum
+        its state already holds.
         """
         ab = zero_plus_alphabet()
         calls = []
@@ -249,7 +250,7 @@ class TestBlocking:
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             lambda a: calls.append(np.shape(a)[0]) or eigvalsh(a))
         tradeoff_point(block_alphabet(ab, 6), natural_ctx)
-        assert calls == [4, 8, 16, 32, 64] * 2 + [64]
+        assert calls == [64, 64, 64]
 
     def test_block_capacity_guard(self):
         with pytest.raises(CapacityError):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qihe.qcore import (
+    PSD_TOL,
     CapacityError,
     DensityMatrix,
     NullOutcomeError,
@@ -171,6 +172,63 @@ class TestTensorAndPartialTrace:
         np.testing.assert_allclose(cubed.data, expect, atol=1e-15)
         assert cubed.dims == (2, 2, 2)
 
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 3), n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
+           layout=st.sampled_from(["C", "F", "strided"]))
+    def test_tensor_power_is_the_kron_chain_bit_for_bit(self, d, n, seed, layout):
+        """The array products equal a chain of ``np.kron`` exactly, and the
+        kept spectrum is ``eigvalsh`` of the returned data, for any input layout."""
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        m = g @ g.conj().T
+        m /= np.real(np.trace(m))
+        if layout == "F":
+            m = np.asfortranarray(m)
+        elif layout == "strided":
+            wide = np.zeros((d, 2 * d), dtype=complex)
+            wide[:, ::2] = m
+            m = wide[:, ::2]
+        a = DensityMatrix(m, (d,))
+        power = tensor_power(a, n)
+        expect = m
+        for _ in range(n - 1):
+            expect = np.kron(expect, m)
+        assert np.array_equal(power.data, expect)
+        assert np.array_equal(power._eigenvalues, np.linalg.eigvalsh(power.data))
+        assert power.dims == (d,) * n
+
+    @pytest.mark.parametrize("n, built", [(1, 0), (2, 1), (6, 1)])
+    def test_tensor_power_builds_only_the_state_it_returns(self, n, built, monkeypatch,
+                                                           random_density):
+        a = random_density(np.random.default_rng(23), 2)
+        calls = []
+        post_init = DensityMatrix.__post_init__
+        monkeypatch.setattr(DensityMatrix, "__post_init__",
+                            lambda self: calls.append(self) or post_init(self))
+        power = tensor_power(a, n)
+        assert len(calls) == built
+        assert power is (a if n == 1 else calls[0])
+
+    def test_tensor_power_validates_the_returned_power(self):
+        """A letter inside the trace tolerance whose square falls outside it
+        is still refused, now at the power that is returned."""
+        a = DensityMatrix(np.diag([0.5 + 4e-11, 0.5 + 4e-11]).astype(complex), (2,))
+        assert tensor_power(a, 1) is a
+        with pytest.raises(ValidationError, match="trace must be 1"):
+            tensor_power(a, 2)
+
+    @pytest.mark.parametrize("n, problem", [(2.5, "an integer"), ("3", "an integer"),
+                                            (None, "an integer"), (2.0, "an integer"),
+                                            (0, "at least 1"), (-1, "at least 1")])
+    def test_tensor_power_refuses_a_bad_n(self, n, problem):
+        a = make_density(np.eye(2, dtype=complex) / 2)
+        with pytest.raises(ValidationError, match=f"tensor power n must be {problem}"):
+            tensor_power(a, n)
+
+    def test_tensor_power_accepts_numpy_integers(self):
+        a = make_density(np.eye(2, dtype=complex) / 2)
+        assert np.array_equal(tensor_power(a, np.int64(3)).data, tensor_power(a, 3).data)
+
     def test_tensor_capacity_guard(self, random_density):
         rng = np.random.default_rng(19)
         a = random_density(rng, 8)
@@ -199,6 +257,11 @@ class TestChannels:
     def test_non_finite_kraus_rejected(self, bad, recwarn):
         with pytest.raises(ValidationError, match="finite"):
             QuantumChannel(kraus=(np.diag([1.0, bad]).astype(complex),), target=(0,))
+        assert [str(w.message) for w in recwarn] == []
+
+    def test_overflowing_kraus_products_rejected_without_a_warning(self, recwarn):
+        with pytest.raises(ValidationError, match="Kraus operators overflow"):
+            QuantumChannel(kraus=(np.diag([1.0, 1e200]).astype(complex),), target=(0,))
         assert [str(w.message) for w in recwarn] == []
 
     def test_overcomplete_kraus_rejected(self):
@@ -363,11 +426,27 @@ class TestEntropy:
         assert abs(von_neumann_entropy(rho) - oracle) <= 1e-12
         assert von_neumann_entropy(rho) == entropy_from_eigenvalues(np.linalg.eigvalsh(rho.data))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(-PSD_TOL, 0.0, exclude_max=True),
+                              st.floats(0.0, 1.0)), min_size=1, max_size=64))
+    def test_entropy_sum_matches_the_numpy_scalar_loop(self, values):
+        """Summing over Python floats is the numpy-scalar loop bit for bit,
+        exact zeros and clamped round-off included."""
+        s = 0.0
+        for lam in np.real(np.asarray(values)):
+            if lam > 0.0:
+                s -= float(lam) * math.log2(float(lam))
+        got = entropy_from_eigenvalues(np.array(values))
+        assert type(got) is float
+        assert got.hex() == float(s).hex()
+        assert entropy_from_eigenvalues(values).hex() == float(s).hex()
+
     def test_eigenvalue_clamp_and_rejection(self):
         # tiny negative round-off is clamped to zero ...
         assert entropy_from_eigenvalues([1.0, -5e-11]) == 0.0
         # ... but a genuinely negative eigenvalue is an error
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^not positive semidefinite: eigenvalue "
+                           r"-1\.000e-09 is below -1e-10$"):
             entropy_from_eigenvalues([1.0, -1e-9])
 
 
