@@ -33,7 +33,6 @@ from .qcore import (
     measure_computational,
     mixture,
     partial_trace,
-    tensor,
     tensor_power,
     von_neumann_entropy,
 )

@@ -147,20 +147,27 @@ def _pretty_lines(obj, indent: int = 0) -> list[str]:
 
 def _emit(report: dict, cfg: RunConfig, csv_table: tuple[list[str], list[list]] | None = None) -> None:
     energy_unit = cfg.context.energy_unit
-    if cfg.output == "json":
-        print(json.dumps(_annotate(report, energy_unit), sort_keys=True,
-                         separators=(",", ":")))
-    elif cfg.output == "pretty":
-        print("\n".join(_pretty_lines(_annotate(report, energy_unit))))
-    else:
-        if csv_table is None:
-            raise ValidationError("csv output is only available for tradeoff sweeps")
-        header, rows = csv_table
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        sys.stdout.write(buf.getvalue())
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()  # Python 3.11+
+    if limit is not None:
+        sys.set_int_max_str_digits(0)  # so an exact typical dim prints at any size
+    try:
+        if cfg.output == "json":
+            print(json.dumps(_annotate(report, energy_unit), sort_keys=True,
+                             separators=(",", ":")))
+        elif cfg.output == "pretty":
+            print("\n".join(_pretty_lines(_annotate(report, energy_unit))))
+        else:
+            if csv_table is None:
+                raise ValidationError("csv output is only available for tradeoff sweeps")
+            header, rows = csv_table
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+            sys.stdout.write(buf.getvalue())
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def _cmd_work(args, cfg: RunConfig) -> tuple[dict, None]:

@@ -20,7 +20,8 @@ subspace from the spectrum of ``rho_B`` alone, by a multinomial census
 over eigenvalue type classes, so it needs no ``d**L``-sized matrix for
 any source.  One census loop weighs only the classes the typicality
 window can hold, not all ``C(L + d - 1, d - 1)``.  The eigenvector basis
-and projector are built only on request, within the dense cap.
+and projector are built only on request, within the dense cap; the list of
+typical classes is built only for the basis.
 :func:`refactorization_ledger` turns capture statistics into a net
 work-per-letter bracket.
 """
@@ -314,10 +315,10 @@ class TypicalSubspace:
     ``dim`` counts the retained eigenvectors (an exact integer),
     ``capture_probability`` is ``tr(Pi rho_B^(x L))``, and
     ``source_entropy`` is ``S(rho_B)`` in bits.  The subspace is spanned
-    by the products of the single-letter ``eigenvectors`` whose
-    eigenvalue counts form one of the typical ``classes``.  ``basis`` and
-    ``projector`` are built from them on first access, and are ``None``
-    when ``d**L`` exceeds ``max_dim``.
+    by the products of the single-letter ``eigenvectors`` whose counts of
+    the ``eigenvalues`` form a typical type class.  ``basis`` lists those
+    classes by a second census; it and ``projector`` are built on first
+    access, and are ``None`` when ``d**L`` exceeds ``max_dim``.
     """
 
     L: int
@@ -326,7 +327,7 @@ class TypicalSubspace:
     capture_probability: float
     source_entropy: float
     eigenvectors: np.ndarray | None = field(default=None, repr=False, compare=False)
-    classes: tuple[tuple[int, ...], ...] = field(default=(), repr=False, compare=False)
+    eigenvalues: np.ndarray | None = field(default=None, repr=False, compare=False)
     max_dim: int | None = None
 
     def __post_init__(self) -> None:
@@ -357,10 +358,12 @@ class TypicalSubspace:
         total = d ** self.L
         if total > max_dimension(self.max_dim):
             return None
+        classes: list[tuple[int, ...]] = []
+        _combinatorial_census(self.eigenvalues, self.L, self.delta, classes)
         powers = d ** np.arange(self.L - 1, -1, -1)
         digits = (np.arange(total)[:, None] // powers) % d
         # a sorted digit string is itself an index below d**L, so it keys its class
-        typical = [np.repeat(np.arange(d), counts) @ powers for counts in self.classes]
+        typical = [np.repeat(np.arange(d), counts) @ powers for counts in classes]
         kept = digits[np.isin(np.sort(digits, axis=1) @ powers, typical)]
         basis = np.ones((1, len(kept)), dtype=complex)
         for k in range(self.L):
@@ -430,29 +433,31 @@ class _Powers(dict):
 
 
 def _combinatorial_census(
-    evals: np.ndarray, L: int, delta: float
-) -> tuple[int, float, float, tuple[tuple[int, ...], ...]]:
+    evals: np.ndarray, L: int, delta: float, classes: list | None = None
+) -> tuple[int, float, float]:
     """Count typical eigenvectors and their captured probability by type class.
 
-    Returns ``(dim, capture, entropy, classes)``, where ``classes`` lists
-    the counts of every typical type class in lexicographic order.  One
-    loop weighs each prefix of the first ``d - 2`` counts once; the weight
-    is then linear in the next count ``m``, the last being ``rest - m``,
-    so only the solved span of ``m`` is walked, with ``C(rest, m)`` stepped
-    by its exact recurrence and each class weighed inline, in letter order,
-    from ``log2(lam_i)`` taken once per census, prefix powers once per
-    prefix and the last two letters' powers once per count.  The cost is
-    the ``C(L + d - 2, d - 2)`` prefixes plus the classes near the window.
+    Returns ``(dim, capture, entropy)``, and appends the counts of every
+    typical class, in lexicographic order, to ``classes`` if given (only
+    ``basis`` gives a list).  One loop weighs each prefix of the first
+    ``d - 2`` counts once; the weight is then linear in the next count
+    ``m``, the last being ``rest - m``, so only the solved span of ``m`` is
+    walked, with ``C(rest, m)`` stepped by its exact recurrence and each
+    class weighed inline, in letter order, from ``log2(lam_i)`` taken once
+    per census, prefix powers once per prefix and the last two letters'
+    powers once per count.  The cost is the ``C(L + d - 2, d - 2)``
+    prefixes plus the classes near the window.
     """
     entropy, lo, hi = _typical_window(evals, L, delta)
     lams = [float(x) for x in np.real(evals)]
     if len(lams) == 1:
         if lams[0] > 0.0 and lo <= L * math.log2(lams[0]) <= hi:
-            return 1, lams[0] ** L, entropy, ((L,),)
-        return 0, 0.0, entropy, ()
+            if classes is not None:
+                classes.append((L,))
+            return 1, lams[0] ** L, entropy
+        return 0, 0.0, entropy
     dim = 0
     capture = 0.0
-    classes = []
     logs = [math.log2(lam) if lam > 0.0 else 0.0 for lam in lams]
     # a count on a zero eigenvalue sends the prefix weight to -inf
     head_logs = [lg if lam > 0.0 else -math.inf for lam, lg in zip(lams, logs)]
@@ -480,7 +485,8 @@ def _combinatorial_census(
             k = rest - m
             w = pw + m * a + k * b
             if lo <= w <= hi:
-                classes.append(prefix + (m, k))
+                if classes is not None:
+                    classes.append(prefix + (m, k))
                 mult = head * binom
                 dim += mult
                 if mult.bit_length() < 1000:
@@ -491,7 +497,7 @@ def _combinatorial_census(
                 else:
                     capture += 2.0 ** (math.log2(mult) + w)
             binom = binom * k // (m + 1)
-    return dim, capture, entropy, tuple(classes)
+    return dim, capture, entropy
 
 
 def typical_subspace(
@@ -507,22 +513,22 @@ def typical_subspace(
     over type classes give the exact ``dim`` and capture probability for
     any source, diagonal or not, at any integer block length.  One census
     loop over the ``C(L + d - 2, d - 2)`` prefixes of ``d - 2`` counts
-    weighs, inline, only the classes near the window.  Nothing of size
-    ``d**L`` is allocated here; ``basis`` and ``projector`` are built on
-    first access when ``d**L`` is within ``max_dim`` (default: the
-    configured dense cap).
+    weighs, inline, only the classes near the window and keeps none.
+    Nothing of size ``d**L`` is allocated here; ``basis`` and ``projector``
+    are built on first access when ``d**L`` is within ``max_dim``
+    (default: the configured dense cap).
     """
     L = _positive_integer(L, "block length L")
     if not (delta > 0 and math.isfinite(delta)):
         raise ValidationError(f"delta must be positive and finite, got {delta}")
     evals, evecs = np.linalg.eigh(rho_b.data)
-    dim, capture, entropy, classes = _combinatorial_census(evals, L, delta)
+    dim, capture, entropy = _combinatorial_census(evals, L, delta)
     return TypicalSubspace(
         L=L, delta=delta, dim=dim,
         capture_probability=min(max(capture, 0.0), 1.0),
         source_entropy=entropy,
         eigenvectors=evecs,
-        classes=classes,
+        eigenvalues=evals,
         max_dim=max_dimension(max_dim),
     )
 

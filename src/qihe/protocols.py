@@ -63,6 +63,7 @@ __all__ = [
 ]
 
 _BRANCH_TOL = 1e-12
+_MAX_KRAUS = 4  # each no-information trial draws 1 to 4 Kraus operators
 
 
 @dataclass(frozen=True)
@@ -373,7 +374,6 @@ def parity_no_information_trials(
     n: int,
     trials: int,
     seed: int = 0,
-    max_kraus: int = 4,
     max_dim: int | None = None,
 ) -> list[ParityCheckReport]:
     """Run the no-information check against seeded Haar-random channels."""
@@ -386,7 +386,7 @@ def parity_no_information_trials(
     block = 2 ** (n - 2)
     reports = []
     for _ in range(trials):
-        n_kraus = int(rng.integers(1, max_kraus + 1))
+        n_kraus = int(rng.integers(1, _MAX_KRAUS + 1))
         ch = haar_random_channel(block, n_kraus, rng, tuple(range(2, n)))
         reports.append(parity_no_information_check(n, ch, max_dim))
     return reports

@@ -43,7 +43,6 @@ __all__ = [
     "apply_channel",
     "basis_state",
     "check_capacity",
-    "computational_dephasing",
     "make_density",
     "matrix_from_pairs",
     "matrix_to_pairs",
@@ -51,7 +50,6 @@ __all__ = [
     "measure_computational",
     "mixture",
     "partial_trace",
-    "tensor",
     "tensor_power",
     "von_neumann_entropy",
 ]
@@ -113,12 +111,21 @@ def check_capacity(dim: int, max_dim: int | None = None) -> None:
         )
 
 
+def _integers(values: Iterable[int], name: str) -> tuple[int, ...]:
+    """Integers as Python ``int``s, read by ``operator.index``; a bool or a
+    non-integer such as 2.7 raises a :class:`ValidationError` naming ``name``."""
+    items = tuple(values)
+    try:
+        if any(isinstance(v, (bool, np.bool_)) for v in items):
+            raise TypeError
+        return tuple(operator.index(v) for v in items)
+    except TypeError:
+        raise ValidationError(f"{name} must be integers, got {values!r}") from None
+
+
 def _as_dims(dims: int | Iterable[int], total: int) -> tuple[int, ...]:
     """Normalize a dims argument and check consistency with the total dimension."""
-    if isinstance(dims, (int, np.integer)):
-        out = (int(dims),)
-    else:
-        out = tuple(int(d) for d in dims)
+    out = _integers(dims if np.iterable(dims) else (dims,), "subsystem dimensions")
     if not out or any(d < 1 for d in out):
         raise ValidationError(f"subsystem dimensions must be positive, got {out}")
     if math.prod(out) != total:
@@ -267,7 +274,7 @@ class QuantumChannel:
             raise ValidationError(
                 f"all Kraus operators must share one 2-D shape, got {[k.shape for k in ops]}"
             )
-        target = tuple(int(t) for t in self.target)
+        target = _integers(self.target, "channel target indices")
         if not target or any(b - a != 1 for a, b in zip(target, target[1:])):
             raise ValidationError(
                 f"channel target must be a non-empty block of consecutive indices, got {target}"
@@ -410,12 +417,6 @@ def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``np.kron(x, y)`` of two matrices: the same broadcast multiply, without its set-up."""
     return (x[:, None, :, None] * y[None, :, None, :]).reshape(
         x.shape[0] * y.shape[0], x.shape[1] * y.shape[1])
-
-
-def tensor(a: DensityMatrix, b: DensityMatrix, max_dim: int | None = None) -> DensityMatrix:
-    """Tensor product ``a (x) b`` with concatenated subsystem signatures."""
-    check_capacity(a.dim * b.dim, max_dim)
-    return DensityMatrix(_kron(a.data, b.data), a.dims + b.dims)
 
 
 def tensor_power(a: DensityMatrix, n: int, max_dim: int | None = None) -> DensityMatrix:
@@ -571,13 +572,6 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     construction and equal bit for bit to ``eigvalsh(rho.data)``.
     """
     return entropy_from_eigenvalues(rho._eigenvalues)
-
-
-def computational_dephasing(dim: int, target: tuple[int, ...]) -> QuantumChannel:
-    """Full dephasing in the computational basis (measure and forget)."""
-    eye = np.eye(dim, dtype=complex)
-    kraus = tuple(np.outer(eye[:, b], eye[:, b]) for b in range(dim))
-    return QuantumChannel(kraus, target)
 
 
 def matrix_to_pairs(m: np.ndarray) -> list[list[list[float]]]:

@@ -8,8 +8,10 @@ weight ``_class_weight_log2``, and of the old capture curve, which
 weighs every ``k`` in ``0..L``.  Both share the classifier
 ``lo <= w <= hi`` with the code under test, so the results must be
 exactly equal, not merely close: same classes, same ``dim``, and the
-same capture float.  The draws aim at the window edges: zero, exactly
-degenerate and near-degenerate eigenvalues, and widths down to 1e-17.
+same capture float.  The census appends its classes only to a list its
+caller passes, so each case runs it with and without one.  The draws aim
+at the window edges: zero, exactly degenerate and near-degenerate
+eigenvalues, and widths down to 1e-17.
 """
 
 import math
@@ -128,11 +130,19 @@ def census_inputs(draw):
     return evals, draw(st.integers(1, _MAX_L[d])), draw(widths)
 
 
+def census_with_classes(evals, L, delta):
+    """The census as ``(dim, capture, entropy, classes)``, checked against a run without a list."""
+    classes = []
+    triple = _combinatorial_census(evals, L, delta, classes)
+    assert _combinatorial_census(evals, L, delta) == triple
+    return (*triple, tuple(classes))
+
+
 @settings(max_examples=300, deadline=None)
 @given(census_inputs())
 def test_census_equals_the_full_enumeration(inputs):
     evals, L, delta = inputs
-    assert _combinatorial_census(evals, L, delta) == full_census(evals, L, delta)
+    assert census_with_classes(evals, L, delta) == full_census(evals, L, delta)
 
 
 def _multinomial(counts):
@@ -153,7 +163,7 @@ def _multinomial(counts):
     ((0.1, 0.2, 0.3, 0.4), 60, 0.1, False),
 ])
 def test_census_equals_the_full_enumeration_at_long_blocks(evals, L, delta, log_domain):
-    census = _combinatorial_census(np.array(evals), L, delta)
+    census = census_with_classes(np.array(evals), L, delta)
     assert census == full_census(np.array(evals), L, delta)
     classes = census[3]
     assert any(_multinomial(c).bit_length() >= 1000 for c in classes) == log_domain

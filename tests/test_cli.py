@@ -25,8 +25,10 @@ from qihe.coding import (
     holevo_chi,
     orthogonal_pure_alphabet,
     save_alphabet,
+    typical_subspace,
     zero_plus_alphabet,
 )
+from qihe.qcore import make_density
 
 
 def run_cli(capsys, *argv):
@@ -451,6 +453,40 @@ class TestCodingCommands:
         assert doc["net_per_letter"] == 0.0
         assert "unitarity_residual" not in doc
         assert doc["typical_dim"] == 1024
+
+    @pytest.mark.parametrize("output", ["json", "pretty"])
+    @pytest.mark.parametrize("argv, key, p, L, delta", [
+        (("typical", "--p", "0.5"), "dim", 0.5, 20000, 0.1),
+        (("typical", "--p", "0.9"), "dim", 0.9, 30000, 0.01),
+        # the orthogonal qubit alphabet's ensemble state is diag(1/2, 1/2)
+        (("refactor", "--alphabet", "ORTH"), "typical_dim", 0.5, 20000, 0.1),
+    ])
+    def test_exact_dimensions_print_at_any_size(self, capsys, tmp_path, argv, key, p, L,
+                                                delta, output):
+        """A typical dimension past Python's 4300-digit int-to-str limit
+        prints exactly, and the limit is back in place afterwards."""
+        path = str(tmp_path / "orth.json")
+        save_alphabet(orthogonal_pure_alphabet(), path)
+        argv = [path if a == "ORTH" else a for a in argv]
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: none (Python < 3.11)
+        code, out, err = run_cli(capsys, *argv, "--L", str(L), "--delta", str(delta),
+                                 "--output", output)
+        assert (code, err) == (0, "")
+        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+        want = typical_subspace(make_density(np.diag([p, 1.0 - p])), L, delta).dim
+        assert want.bit_length() * math.log10(2) > 4300
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            if output == "json":
+                got = json.loads(out)[key]
+            else:
+                got = int(next(line for line in out.splitlines()
+                               if line.startswith(f"{key}: ")).split()[1])
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+        assert got == want
 
 
 class TestUsageAndDeterminism:

@@ -1,6 +1,6 @@
 """
 Core state-algebra tests: construction and validation of density matrices,
-tensor products, partial traces, Kraus channels, computational-basis
+tensor powers, partial traces, Kraus channels, computational-basis
 measurement, and von Neumann entropy.
 
 All expected values are either textbook closed forms computed inline or
@@ -23,7 +23,6 @@ from qihe.qcore import (
     ValidationError,
     apply_channel,
     basis_state,
-    computational_dephasing,
     entropy_from_eigenvalues,
     make_density,
     matrix_from_pairs,
@@ -31,10 +30,20 @@ from qihe.qcore import (
     measure_computational,
     mixture,
     partial_trace,
-    tensor,
     tensor_power,
     von_neumann_entropy,
 )
+
+
+def tensor(a, b):
+    """Test-local oracle: ``a (x) b`` by ``np.kron``, with concatenated signatures."""
+    return DensityMatrix(np.kron(a.data, b.data), a.dims + b.dims)
+
+
+def computational_dephasing(dim, target):
+    """Test-local oracle: full computational-basis dephasing, one projector per basis state."""
+    eye = np.eye(dim, dtype=complex)
+    return QuantumChannel(tuple(np.outer(eye[:, b], eye[:, b]) for b in range(dim)), target)
 
 
 class TestDensityMatrixValidation:
@@ -62,6 +71,32 @@ class TestDensityMatrixValidation:
     def test_rejects_dims_product_mismatch(self):
         with pytest.raises(ValidationError, match="subsystem dimensions"):
             DensityMatrix(np.eye(4, dtype=complex) / 4, (3,))
+
+    @pytest.mark.parametrize("build", [
+        lambda: DensityMatrix(np.eye(2) / 2, (2.7,)),
+        lambda: DensityMatrix(np.eye(2) / 2, 2.7),
+        lambda: DensityMatrix(np.eye(2) / 2, (2.0,)),
+        lambda: DensityMatrix(np.eye(2) / 2, (True, 2)),
+        lambda: DensityMatrix(np.eye(2) / 2, (np.True_, 2)),
+        lambda: DensityMatrix(np.eye(2) / 2, "2"),
+        lambda: PureState([1, 0], (2.9,)),
+        lambda: make_density(np.eye(2) / 2, 2.7),
+        lambda: QuantumChannel((np.eye(2),), (0.6,)),
+        lambda: QuantumChannel((np.eye(2),), (True,)),
+    ], ids=["dims-float", "dims-bare-float", "dims-integral-float", "dims-bool",
+            "dims-numpy-bool", "dims-string", "pure-dims-float", "make-density-dims",
+            "target-float", "target-bool"])
+    def test_non_integer_dims_and_targets_rejected(self, build):
+        """``int()`` would truncate 2.7 to 2 and read ``True`` as 1; both are refused."""
+        with pytest.raises(ValidationError, match="must be integers"):
+            build()
+
+    def test_numpy_integer_dims_and_targets_accepted(self):
+        rho = DensityMatrix(np.eye(4) / 4, (np.int64(2), np.int32(2)))
+        assert rho.dims == (2, 2) and all(type(d) is int for d in rho.dims)
+        assert DensityMatrix(np.eye(2) / 2, np.int64(2)).dims == (2,)
+        ch = QuantumChannel((np.eye(2),), (np.int64(1),))
+        assert ch.target == (1,) and type(ch.target[0]) is int
 
     def test_data_is_read_only(self):
         rho = DensityMatrix(np.eye(2, dtype=complex) / 2, (2,))
@@ -233,7 +268,7 @@ class TestTensorAndPartialTrace:
         rng = np.random.default_rng(19)
         a = random_density(rng, 8)
         with pytest.raises(CapacityError):
-            tensor(a, a, max_dim=32)
+            tensor_power(a, 2, max_dim=32)
 
 
 class TestChannels:
