@@ -391,6 +391,12 @@ class TypicalSubspace:
         return p
 
 
+def _check_delta(delta: float) -> None:
+    """Refuse a typicality window half-width that is not positive and finite (NaN included)."""
+    if not (delta > 0 and math.isfinite(delta)):
+        raise ValidationError(f"delta must be positive and finite, got {delta}")
+
+
 def _typical_window(evals: np.ndarray, L: int, delta: float) -> tuple[float, float, float]:
     entropy = entropy_from_eigenvalues(evals)
     return entropy, -L * (entropy + delta), -L * (entropy - delta)
@@ -519,8 +525,7 @@ def typical_subspace(
     (default: the configured dense cap).
     """
     L = _positive_integer(L, "block length L")
-    if not (delta > 0 and math.isfinite(delta)):
-        raise ValidationError(f"delta must be positive and finite, got {delta}")
+    _check_delta(delta)
     evals, evecs = np.linalg.eigh(rho_b.data)
     dim, capture, entropy = _combinatorial_census(evals, L, delta)
     return TypicalSubspace(
@@ -543,6 +548,7 @@ def qubit_capture_curve(
     """
     if not 0.0 < p < 1.0:
         raise ValidationError(f"p must lie strictly between 0 and 1, got {p}")
+    _check_delta(delta)
     evals = np.array([p, 1.0 - p])
     out = []
     for L in lengths:

@@ -6,8 +6,9 @@ density matrices, pure states, Kraus channels and measurement records.
 States are immutable; every operation returns a fresh, validated object.
 Intermediate results that are never returned stay plain arrays: a tensor
 power multiplies arrays and validates only the power it returns.  A density
-matrix is diagonalized once, by its own positivity check, and
-:func:`von_neumann_entropy` reads that same spectrum.
+matrix given by its entries is diagonalized once, by its own positivity
+check; a tensor power takes its spectrum from its letter's instead, and
+:func:`von_neumann_entropy` reads whichever spectrum the state keeps.
 
 Conventions
 -----------
@@ -111,15 +112,22 @@ def check_capacity(dim: int, max_dim: int | None = None) -> None:
         )
 
 
-def _integers(values: Iterable[int], name: str) -> tuple[int, ...]:
-    """Integers as Python ``int``s, read by ``operator.index``; a bool or a
+def _integer(value, name: str) -> int:
+    """``value`` as a Python ``int``, read by ``operator.index``; a bool or a
     non-integer such as 2.7 raises a :class:`ValidationError` naming ``name``."""
-    items = tuple(values)
     try:
-        if any(isinstance(v, (bool, np.bool_)) for v in items):
+        if isinstance(value, (bool, np.bool_)):
             raise TypeError
-        return tuple(operator.index(v) for v in items)
+        return operator.index(value)
     except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _integers(values: Iterable[int], name: str) -> tuple[int, ...]:
+    """Each of ``values`` read by :func:`_integer`; the error names ``name`` and the whole input."""
+    try:
+        return tuple(_integer(v, name) for v in values)
+    except ValidationError:
         raise ValidationError(f"{name} must be integers, got {values!r}") from None
 
 
@@ -138,10 +146,7 @@ def _as_dims(dims: int | Iterable[int], total: int) -> tuple[int, ...]:
 
 def _positive_integer(value, name: str) -> int:
     """``value`` as a Python ``int`` of at least 1, or a :class:`ValidationError` naming it."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    value = _integer(value, name)
     if value < 1:
         raise ValidationError(f"{name} must be at least 1, got {value}")
     return value
@@ -171,12 +176,15 @@ class DensityMatrix:
     semidefiniteness; the error message names the violated invariant and
     the offending magnitude.  ``dims`` records the tensor factorization,
     e.g. ``(2, 2, 2)`` for three qubits.  The spectrum that the positivity
-    check computes is kept: it is the spectrum :func:`von_neumann_entropy`
-    reads, so a state is diagonalized once however often its entropy is
-    taken.  ``eigvalsh`` copies its input into one layout before LAPACK
-    sees it, so this spectrum, taken on the input, equals ``eigvalsh`` of
-    the stored read-only ``data`` bit for bit; the copy is made last, so it
-    adds nothing to the validation's peak memory.
+    check reads is kept, ascending: it is the spectrum
+    :func:`von_neumann_entropy` reads, so a state is diagonalized at most
+    once however often its entropy is taken.  For a matrix given to the
+    constructor it is ``eigvalsh`` of the input, which equals ``eigvalsh``
+    of the stored read-only ``data`` bit for bit (``eigvalsh`` copies its
+    input into one layout before LAPACK sees it); the copy is made last, so
+    it adds nothing to the validation's peak memory.  A
+    :func:`tensor_power` keeps instead the sorted products of its letter's
+    kept spectrum, which is the spectrum of the power.
     """
 
     data: np.ndarray
@@ -184,34 +192,7 @@ class DensityMatrix:
     _eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        data = np.asarray(self.data, dtype=complex)
-        if data.ndim != 2 or data.shape[0] != data.shape[1]:
-            raise ValidationError(f"density matrix must be square, got shape {data.shape}")
-        dims = _as_dims(self.dims, data.shape[0])
-
-        # a NaN or infinite entry reads as a NaN residual, without the
-        # warning that inf - inf would print
-        herm = float(np.abs(data - data.conj().T).max()) if _all_finite(data) else math.nan
-        if not herm <= HERMITICITY_TOL:
-            raise ValidationError(
-                f"not Hermitian: max |rho - rho^dag| = {herm:.3e} exceeds {HERMITICITY_TOL:.0e}"
-            )
-        tr = complex(np.trace(data))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValidationError(
-                f"trace must be 1: |tr(rho) - 1| = {abs(tr - 1.0):.3e} exceeds {TRACE_TOL:.0e}"
-            )
-        evals = np.linalg.eigvalsh(data)  # ascending, so evals[0] is the minimum
-        lo = float(evals[0])
-        if lo < -PSD_TOL:
-            raise ValidationError(
-                f"not positive semidefinite: min eigenvalue {lo:.3e} is below -{PSD_TOL:.0e}"
-            )
-
-        evals.setflags(write=False)
-        object.__setattr__(self, "data", _readonly(data))
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "_eigenvalues", evals)
+        _validate(self, self.data, self.dims)
 
     @property
     def dim(self) -> int:
@@ -221,6 +202,43 @@ class DensityMatrix:
     @property
     def n_subsystems(self) -> int:
         return len(self.dims)
+
+
+def _validate(state: DensityMatrix, data, dims, spectrum: np.ndarray | None = None) -> None:
+    """Check ``data`` as a density matrix and set ``state``'s fields: the one validation body.
+
+    The positivity check reads ``spectrum``, ascending; when it is ``None``,
+    as for every matrix given to :class:`DensityMatrix`, that spectrum is
+    ``eigvalsh(data)``, computed after the cheaper checks have passed.
+    """
+    data = np.asarray(data, dtype=complex)
+    if data.ndim != 2 or data.shape[0] != data.shape[1]:
+        raise ValidationError(f"density matrix must be square, got shape {data.shape}")
+    dims = _as_dims(dims, data.shape[0])
+
+    # a NaN or infinite entry reads as a NaN residual, without the
+    # warning that inf - inf would print
+    herm = float(np.abs(data - data.conj().T).max()) if _all_finite(data) else math.nan
+    if not herm <= HERMITICITY_TOL:
+        raise ValidationError(
+            f"not Hermitian: max |rho - rho^dag| = {herm:.3e} exceeds {HERMITICITY_TOL:.0e}"
+        )
+    tr = complex(np.trace(data))
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValidationError(
+            f"trace must be 1: |tr(rho) - 1| = {abs(tr - 1.0):.3e} exceeds {TRACE_TOL:.0e}"
+        )
+    evals = np.linalg.eigvalsh(data) if spectrum is None else spectrum
+    lo = float(evals[0])  # ascending, so evals[0] is the minimum
+    if lo < -PSD_TOL:
+        raise ValidationError(
+            f"not positive semidefinite: min eigenvalue {lo:.3e} is below -{PSD_TOL:.0e}"
+        )
+
+    evals.setflags(write=False)
+    object.__setattr__(state, "data", _readonly(data))
+    object.__setattr__(state, "dims", dims)
+    object.__setattr__(state, "_eigenvalues", evals)
 
 
 @dataclass(frozen=True)
@@ -423,15 +441,24 @@ def tensor_power(a: DensityMatrix, n: int, max_dim: int | None = None) -> Densit
     """``n``-fold tensor power of a state.
 
     The intermediate products are plain arrays, bit-identical to a chain of
-    ``np.kron``; only the power returned is built, and validated, as a
-    :class:`DensityMatrix` (``a`` itself when ``n`` is 1).
+    ``np.kron``; only the power returned is built as a
+    :class:`DensityMatrix` (``a`` itself when ``n`` is 1).  Its Hermiticity
+    and trace are checked on its ``data`` as for any state, but nothing of
+    size ``d**n x d**n`` is diagonalized: the spectrum of ``a^(x n)`` is the
+    ``n``-fold products of ``a``'s kept eigenvalues, so the positivity check
+    and the entropy read those products, sorted ascending.
     """
     n = _positive_integer(n, "tensor power n")
     check_capacity(a.dim ** n, max_dim)
-    data = a.data
+    if n == 1:
+        return a
+    data, spectrum = a.data, a._eigenvalues
     for _ in range(n - 1):
         data = _kron(data, a.data)
-    return a if n == 1 else DensityMatrix(data, a.dims * n)
+        spectrum = (spectrum[:, None] * a._eigenvalues[None, :]).reshape(-1)
+    power = object.__new__(DensityMatrix)
+    _validate(power, data, a.dims * n, np.sort(spectrum))
+    return power
 
 
 def _partial_trace_raw(data: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
@@ -454,7 +481,7 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     subsystems in their original order.  Tracing out everything is an
     argument error, because the result would be a scalar, not a state.
     """
-    keep_sorted = sorted(set(int(k) for k in keep))
+    keep_sorted = sorted(set(_integers(keep, "partial trace keep indices")))
     if not keep_sorted:
         raise ValueError("keep set must name at least one subsystem")
     if keep_sorted[0] < 0 or keep_sorted[-1] >= rho.n_subsystems:
@@ -522,6 +549,7 @@ def measure_computational(rho: DensityMatrix, subsystem: int) -> list[Measuremen
     to 1 within tolerance.
     """
     n = rho.n_subsystems
+    subsystem = _integer(subsystem, "measured subsystem index")
     if not 0 <= subsystem < n:
         raise ValueError(f"subsystem index {subsystem} out of range for {n} subsystems")
     d_s = rho.dims[subsystem]
@@ -568,8 +596,9 @@ def entropy_from_eigenvalues(values: np.ndarray | Sequence[float]) -> float:
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Von Neumann entropy ``-tr(rho log2 rho)`` in bits.
 
-    It reads the spectrum that validated ``rho``, computed once at
-    construction and equal bit for bit to ``eigvalsh(rho.data)``.
+    It reads the spectrum that validated ``rho``, kept at construction:
+    ``eigvalsh`` of a matrix given to :class:`DensityMatrix`, or the sorted
+    products of the letter's spectrum for a :func:`tensor_power`.
     """
     return entropy_from_eigenvalues(rho._eigenvalues)
 

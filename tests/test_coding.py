@@ -238,12 +238,12 @@ class TestBlocking:
         assert chi2 <= 2 * chi1 + 1e-12
 
     def test_blocking_diagonalizes_each_state_once(self, natural_ctx, monkeypatch):
-        """block_alphabet(., 6) then tradeoff_point: one eigvalsh per state built.
+        """block_alphabet(., 6) then tradeoff_point: one eigvalsh, of the blocked ensemble state.
 
-        Each letter's sixth power is validated once (its intermediate
-        products are arrays), and the blocked ensemble state once; every
-        entropy, including the blocked-entropy self-check, reads a spectrum
-        its state already holds.
+        Each letter's sixth power takes its spectrum from the letter's (its
+        intermediate products are arrays), so only the blocked ensemble
+        state is diagonalized; every entropy, including the blocked-entropy
+        self-check, reads a spectrum its state already holds.
         """
         ab = zero_plus_alphabet()
         calls = []
@@ -251,7 +251,7 @@ class TestBlocking:
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             lambda a: calls.append(np.shape(a)[0]) or eigvalsh(a))
         tradeoff_point(block_alphabet(ab, 6), natural_ctx)
-        assert calls == [64, 64, 64]
+        assert calls == [64]
 
     def test_block_capacity_guard(self):
         with pytest.raises(CapacityError):
@@ -411,6 +411,24 @@ class TestTypicalSubspace:
             qubit_capture_curve(0.8, [1000, 0], 0.1)
         with pytest.raises(ValidationError, match="block length n must be an integer"):
             block_alphabet(zero_plus_alphabet(), 2.5)
+
+    @pytest.mark.parametrize("delta", [0.0, -0.1, math.nan, math.inf])
+    def test_capture_curve_refuses_the_delta_typical_subspace_refuses(self, delta):
+        rho = make_density(np.diag([0.7, 0.3]).astype(complex), 2)
+        with pytest.raises(ValidationError, match="delta must be positive and finite"):
+            typical_subspace(rho, 10, delta)
+        with pytest.raises(ValidationError, match="delta must be positive and finite"):
+            qubit_capture_curve(0.7, [10], delta)
+
+    @pytest.mark.parametrize("L", [True, np.True_], ids=["bool", "numpy-bool"])
+    def test_boolean_block_lengths_are_refused(self, L):
+        rho = make_density(np.diag([0.7, 0.3]).astype(complex), 2)
+        with pytest.raises(ValidationError, match="block length in lengths must be an integer"):
+            qubit_capture_curve(0.7, [L], 0.1)
+        with pytest.raises(ValidationError, match="block length L must be an integer"):
+            typical_subspace(rho, L, 0.1)
+        with pytest.raises(ValidationError, match="block length n must be an integer"):
+            block_alphabet(zero_plus_alphabet(), L)
 
     def test_capture_curve_tends_to_one(self):
         curve = qubit_capture_curve(0.9, [24, 400, 2000], 0.2)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qihe import qcore
 from qihe.qcore import (
     PSD_TOL,
     CapacityError,
@@ -38,6 +39,14 @@ from qihe.qcore import (
 def tensor(a, b):
     """Test-local oracle: ``a (x) b`` by ``np.kron``, with concatenated signatures."""
     return DensityMatrix(np.kron(a.data, b.data), a.dims + b.dims)
+
+
+def product_spectrum(evals, n):
+    """Test-local oracle: ``np.sort`` of the ``n``-fold outer-product chain of a spectrum."""
+    out = evals
+    for _ in range(n - 1):
+        out = np.outer(out, evals).ravel()
+    return np.sort(out)
 
 
 def computational_dephasing(dim, target):
@@ -199,6 +208,21 @@ class TestTensorAndPartialTrace:
         with pytest.raises(ValueError):
             partial_trace(rho, [])
 
+    @pytest.mark.parametrize("keep", [[1.9], [True], [np.True_], [0, 1.0]],
+                             ids=["float", "bool", "numpy-bool", "integral-float"])
+    def test_partial_trace_refuses_non_integer_keep(self, keep):
+        """``int()`` would keep qubit 1 for both 1.9 and ``True``; both are refused."""
+        rho = make_density(np.eye(4, dtype=complex) / 4, (2, 2))
+        with pytest.raises(ValidationError, match="partial trace keep indices must be integers"):
+            partial_trace(rho, keep)
+
+    def test_partial_trace_accepts_numpy_integers(self, random_density):
+        rho = DensityMatrix(random_density(np.random.default_rng(37), 4).data, (2, 2))
+        got = partial_trace(rho, [np.int64(1)])
+        assert np.array_equal(got.data, partial_trace(rho, [1]).data)
+        with pytest.raises(ValueError, match="out of range"):
+            partial_trace(rho, [np.int64(2)])
+
     def test_tensor_power_matches_repeated_kron(self, random_density):
         rng = np.random.default_rng(17)
         a = random_density(rng, 2)
@@ -211,8 +235,9 @@ class TestTensorAndPartialTrace:
     @given(d=st.integers(1, 3), n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
            layout=st.sampled_from(["C", "F", "strided"]))
     def test_tensor_power_is_the_kron_chain_bit_for_bit(self, d, n, seed, layout):
-        """The array products equal a chain of ``np.kron`` exactly, and the
-        kept spectrum is ``eigvalsh`` of the returned data, for any input layout."""
+        """The array products equal a chain of ``np.kron`` exactly, for any input
+        layout; the kept spectrum is the sorted product chain of the letter's,
+        bit for bit, and agrees with ``eigvalsh`` of the returned data."""
         rng = np.random.default_rng(seed)
         g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         m = g @ g.conj().T
@@ -229,20 +254,64 @@ class TestTensorAndPartialTrace:
         for _ in range(n - 1):
             expect = np.kron(expect, m)
         assert np.array_equal(power.data, expect)
-        assert np.array_equal(power._eigenvalues, np.linalg.eigvalsh(power.data))
+        assert np.array_equal(power._eigenvalues, product_spectrum(a._eigenvalues, n))
+        assert np.max(np.abs(power._eigenvalues - np.linalg.eigvalsh(power.data))) <= 1e-13
         assert power.dims == (d,) * n
 
     @pytest.mark.parametrize("n, built", [(1, 0), (2, 1), (6, 1)])
     def test_tensor_power_builds_only_the_state_it_returns(self, n, built, monkeypatch,
                                                            random_density):
+        """The spy sits on the one validation body, which both the constructor
+        and the power's spectrum-from-the-letter path run."""
         a = random_density(np.random.default_rng(23), 2)
         calls = []
-        post_init = DensityMatrix.__post_init__
-        monkeypatch.setattr(DensityMatrix, "__post_init__",
-                            lambda self: calls.append(self) or post_init(self))
+        validate = qcore._validate
+        monkeypatch.setattr(qcore, "_validate",
+                            lambda state, *args: calls.append(state) or validate(state, *args))
         power = tensor_power(a, n)
         assert len(calls) == built
         assert power is (a if n == 1 else calls[0])
+
+    def test_tensor_power_diagonalizes_nothing(self, monkeypatch):
+        """The letter is diagonalized once, at construction; its powers are not."""
+        a = make_density(np.diag([0.5, 0.3, 0.2]).astype(complex))
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda m: calls.append(np.shape(m)) or eigvalsh(m))
+        for n in range(2, 6):
+            von_neumann_entropy(tensor_power(a, n))
+        assert calls == []
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("letter, lowest", [
+        (np.outer([1.0, 1.0], [1.0, 1.0]) / 2, 0.0),
+        (np.diag([-1e-14, 0.3, 0.7 + 1e-14]), -1e-14),
+        (np.diag([-PSD_TOL, 0.3, 0.7 + PSD_TOL]), -PSD_TOL),
+    ], ids=["pure", "round-off-negative", "tolerance-negative"])
+    def test_tensor_power_accepts_boundary_letters(self, n, letter, lowest):
+        """A pure letter, and letters whose kept spectrum dips into [-PSD_TOL, 0),
+        give powers that validate, with n times the letter's entropy.
+
+        The clamped entropies drop the negative eigenvalue, so the letter's
+        positive part sums to ``1 - lowest`` and the power's entropy moves
+        from ``n S`` by about ``n |lowest| S``.  That is within 1e-12 for
+        round-off; at the tolerance itself only the validation is checked.
+        """
+        a = make_density(letter.astype(complex))
+        assert a._eigenvalues[0] == lowest
+        power = tensor_power(a, n)
+        assert power._eigenvalues[0] >= -PSD_TOL
+        if lowest > -1e-13:
+            assert abs(von_neumann_entropy(power) - n * von_neumann_entropy(a)) <= 1e-12
+
+    def test_tensor_power_refuses_a_product_spectrum_below_the_tolerance(self):
+        """A letter at the edge of the positivity tolerance passes, but its
+        square holds the eigenvalue -PSD_TOL * (1 + PSD_TOL), which does not."""
+        a = DensityMatrix(np.diag([-PSD_TOL, 1.0 + PSD_TOL]).astype(complex), (2,))
+        assert a._eigenvalues[0] == -PSD_TOL
+        with pytest.raises(ValidationError, match="not positive semidefinite"):
+            tensor_power(a, 2)
 
     def test_tensor_power_validates_the_returned_power(self):
         """A letter inside the trace tolerance whose square falls outside it
@@ -380,6 +449,23 @@ class TestMeasurement:
                 records = measure_computational(rho, sub)
                 total = sum(r.probability for r in records)
                 assert abs(total - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("subsystem", [0.5, 1.0, True, np.True_, "0", None],
+                             ids=["float", "integral-float", "bool", "numpy-bool", "string",
+                                  "none"])
+    def test_non_integer_subsystem_refused(self, subsystem):
+        rho = make_density(np.eye(4, dtype=complex) / 4, (2, 2))
+        with pytest.raises(ValidationError, match="measured subsystem index must be an integer"):
+            measure_computational(rho, subsystem)
+
+    def test_numpy_integer_subsystem_accepted(self):
+        rho = make_density(np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex), (2, 2))
+        got = measure_computational(rho, np.int64(1))
+        want = measure_computational(rho, 1)
+        assert [(r.outcome, r.probability) for r in got] == [(r.outcome, r.probability)
+                                                             for r in want]
+        with pytest.raises(ValueError, match="out of range"):
+            measure_computational(rho, np.int64(2))
 
     def test_last_subsystem_measurement_leaves_no_post_state(self):
         rho = make_density(np.diag([0.25, 0.75]).astype(complex), 2)
