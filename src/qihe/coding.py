@@ -18,8 +18,9 @@ a permutation-style unitary, and run the emptied carriers through the
 engine (Schumacher compression).  :func:`typical_subspace` counts the
 subspace from the spectrum of ``rho_B`` alone, by a multinomial census
 over eigenvalue type classes, so it needs no ``d**L``-sized matrix for
-any source.  One census loop weighs only the classes the typicality
-window can hold, not all ``C(L + d - 1, d - 1)``.  The eigenvector basis
+any source.  The census walks only the prefixes of counts, and weighs
+only the classes, that the typicality window can hold, not all
+``C(L + d - 1, d - 1)`` classes.  The eigenvector basis
 and projector are built only on request, within the dense cap; the list of
 typical classes is built only for the basis.
 :func:`refactorization_ledger` turns capture statistics into a net
@@ -282,30 +283,18 @@ def block_alphabet(alphabet: Alphabet, n: int, max_dim: int | None = None) -> Al
     for let, s_single in zip(alphabet.letters, letter_entropies(alphabet)):
         power = tensor_power(let, n, max_dim)
         s_block = von_neumann_entropy(power)
-        if abs(s_block - n * s_single) > 1e-9:
+        # n sigma**(n-1) S, where sigma, 1 up to the tolerances, is the clamped spectrum's mass
+        sigma = sum(lam for lam in let._eigenvalues.tolist() if lam > 0.0)
+        expected = n * sigma ** (n - 1) * s_single
+        if abs(s_block - expected) > 1e-9:
             raise ValidationError(
-                f"blocked letter entropy {s_block} deviates from n * S = {n * s_single}"
+                f"blocked letter entropy {s_block} deviates from n * sigma**(n-1) * S = {expected}"
             )
         blocked.append(power)
     out = Alphabet(tuple(blocked), alphabet.probs)
     if abs(out.capacity_bits - n * alphabet.capacity_bits) > 1e-12:
         raise ValidationError("blocked capacity is not n times the letter capacity")
     return out
-
-
-def _prefixes(total: int, parts: int):
-    """Every ``parts``-tuple of non-negative counts summing to at most ``total``.
-
-    Tuples come in lexicographic order, each with what is left of ``total``
-    and its multinomial ``total! / (c_1! ... c_parts! left!)``.
-    """
-    if parts == 0:
-        yield (), total, 1
-        return
-    for first in range(total + 1):
-        head = math.comb(total, first)
-        for rest, left, mult in _prefixes(total - first, parts - 1):
-            yield (first,) + rest, left, head * mult
 
 
 @dataclass(frozen=True)
@@ -402,29 +391,65 @@ def _typical_window(evals: np.ndarray, L: int, delta: float) -> tuple[float, flo
     return entropy, -L * (entropy + delta), -L * (entropy - delta)
 
 
-def _window_solver(logs: Sequence[float], L: int, lo: float, hi: float):
-    """Solve ``lo <= base + m * slope <= hi`` for the integer count ``m``.
+def _window_solver(lams: Sequence[float], logs: Sequence[float], L: int, lo: float, hi: float):
+    """Solve for the counts on one letter whose classes can pass ``lo <= w <= hi``.
 
-    Returns ``solve(base, slope, n)``, a range within ``0..n`` that holds
-    every ``m`` whose weight can pass the window test.  The weight is a
-    float sum of ``len(logs)`` terms ``m_i * logs[i]`` with ``sum m_i = L``,
-    so the solved interval is widened by a bound on its rounding error,
-    plus one count: the caller's own ``lo <= w <= hi`` test, not this
-    solve, decides every class.  A flat or nearly flat weight gets the
-    whole range.
+    Returns ``solve(j, base, n)``: a range within ``0..n`` holding every
+    count ``c`` on letter ``j`` of a passing class whose counts before ``j``
+    weigh ``base`` and whose other ``n - c`` counts follow ``j``.  Its weight
+    lies within ``base + c * logs[j]`` plus ``n - c`` times the smallest and
+    the largest positive letter's log to come, linear in ``c``; at the last
+    letter but one they meet.  A zero eigenvalue (0 in ``logs``) gets no
+    count, which would make the weight ``-inf``.  The weight is a float sum
+    of ``len(logs)`` terms ``m_i * logs[i]`` with ``sum m_i = L``, so each
+    end is widened by a bound on its rounding error, plus one count: the
+    caller's own ``lo <= w <= hi`` test, not this solve, decides every
+    class.  A flat or nearly flat bound gives no end.
     """
     err = 4 * (len(logs) + 2) * _EPS * (L * max(map(abs, logs)) + abs(lo) + abs(hi))
+    after, bounds = [], None  # the smallest and largest positive log after each letter
+    for lam, lg in zip(lams[:0:-1], logs[:0:-1]):
+        if lam > 0.0:
+            bounds = (min(bounds[0], lg), max(bounds[1], lg)) if bounds else (lg, lg)
+        after.insert(0, bounds)
 
-    def solve(base: float, slope: float, n: int) -> range:
-        pad = err / abs(slope) + 1.0 if slope else math.inf
-        if pad >= n:
-            return range(n + 1)
-        ends = ((lo - base) / slope, (hi - base) / slope)
-        first = max(min(ends) - pad, 0.0)
-        last = min(max(ends) + pad, float(n))
+    def solve(j: int, base: float, n: int) -> range:
+        bounds = after[j]
+        if not lams[j] > 0.0:  # no count here; the rest must fit the positive letters after j
+            return range(1 if bounds or not n else 0)
+        if not bounds:
+            return range(n, n + 1)
+        first, last = 0.0, float(n)
+        # the largest weight must reach lo, and the smallest must stay under hi
+        for edge, lg, sign in ((lo, bounds[1], 1.0), (hi, bounds[0], -1.0)):
+            slope = logs[j] - lg
+            pad = err / abs(slope) + 1.0 if slope else math.inf
+            if pad < n:
+                end = (edge - (base + n * lg)) / slope
+                if slope * sign > 0.0:
+                    first = max(first, end - pad)
+                else:
+                    last = min(last, end + pad)
         return range(math.floor(first), math.ceil(last) + 1)
 
     return solve
+
+
+def _walk(solve, logs: Sequence[float], rest: int, j: int = 0,
+          prefix: tuple[int, ...] = (), head: int = 1, pw: float = 0.0):
+    """Every prefix of the first ``d - 2`` counts whose classes can reach the window.
+
+    Prefixes come in lexicographic order, each with what is left of ``L``,
+    its multinomial ``L! / (c_1! ... c_{d-2}! rest!)`` and its weight
+    ``sum c_i log2(lam_i)``; each count is walked only over its ``solve``
+    span, so a prefix that cannot reach the window is never built.
+    """
+    if j == len(logs) - 2:
+        yield prefix, rest, head, pw
+        return
+    for c in solve(j, pw, rest):
+        yield from _walk(solve, logs, rest - c, j + 1, prefix + (c,),
+                         head * math.comb(rest, c), pw + c * logs[j] if c else pw)
 
 
 class _Powers(dict):
@@ -438,6 +463,9 @@ class _Powers(dict):
         return power
 
 
+_FLOAT_TERM = 1 << 999  # a multinomial below this takes its capture term in floats
+
+
 def _combinatorial_census(
     evals: np.ndarray, L: int, delta: float, classes: list | None = None
 ) -> tuple[int, float, float]:
@@ -445,14 +473,15 @@ def _combinatorial_census(
 
     Returns ``(dim, capture, entropy)``, and appends the counts of every
     typical class, in lexicographic order, to ``classes`` if given (only
-    ``basis`` gives a list).  One loop weighs each prefix of the first
-    ``d - 2`` counts once; the weight is then linear in the next count
-    ``m``, the last being ``rest - m``, so only the solved span of ``m`` is
-    walked, with ``C(rest, m)`` stepped by its exact recurrence and each
-    class weighed inline, in letter order, from ``log2(lam_i)`` taken once
-    per census, prefix powers once per prefix and the last two letters'
-    powers once per count.  The cost is the ``C(L + d - 2, d - 2)``
-    prefixes plus the classes near the window.
+    ``basis`` gives a list).  :func:`_walk` yields each prefix of the first
+    ``d - 2`` counts that can reach the window (``d = 2`` has only the empty
+    one); the weight is then linear in the next count ``m``, the last being
+    ``rest - m``, so only the solved span of ``m`` is walked, with the
+    multinomial stepped by its exact recurrence and each class weighed
+    inline, in letter order, from ``log2(lam_i)`` taken once per census,
+    prefix powers once per prefix and the last two letters' powers once per
+    count.  The cost is one solve per prefix near the window, plus the
+    classes near it.
     """
     entropy, lo, hi = _typical_window(evals, L, delta)
     lams = [float(x) for x in np.real(evals)]
@@ -465,44 +494,32 @@ def _combinatorial_census(
     dim = 0
     capture = 0.0
     logs = [math.log2(lam) if lam > 0.0 else 0.0 for lam in lams]
-    # a count on a zero eigenvalue sends the prefix weight to -inf
-    head_logs = [lg if lam > 0.0 else -math.inf for lam, lg in zip(lams, logs)]
     a, b = logs[-2], logs[-1]
     pa, pb = _Powers(lams[-2]), _Powers(lams[-1])
-    solve = _window_solver(logs, L, lo, hi)
-    for prefix, rest, head in _prefixes(L, len(lams) - 2):
-        pw = 0.0
-        for c, lg in zip(prefix, head_logs):
-            if c:
-                pw += c * lg
-        if pw == -math.inf:
-            continue
-        if not lams[-2] > 0.0:
-            span = range(1 if lams[-1] > 0.0 or not rest else 0)
-        elif not lams[-1] > 0.0:
-            span = range(rest, rest + 1)
-        else:
-            span = solve(pw + rest * b, a - b, rest)
+    solve = _window_solver(lams, logs, L, lo, hi)
+    last = len(lams) - 2
+    prefixes = _walk(solve, logs, L) if last else (((), L, 1, 0.0),)
+    for prefix, rest, head, pw in prefixes:
+        span = solve(last, pw, rest)
         if not span:
             continue
         head_powers = [lam ** c for lam, c in zip(lams, prefix)]
-        binom = math.comb(rest, span.start)
+        mult = head * math.comb(rest, span.start)
         for m in span:
             k = rest - m
             w = pw + m * a + k * b
             if lo <= w <= hi:
                 if classes is not None:
                     classes.append(prefix + (m, k))
-                mult = head * binom
                 dim += mult
-                if mult.bit_length() < 1000:
+                if mult < _FLOAT_TERM:
                     term = float(mult)
                     for power in head_powers:
                         term *= power
                     capture += term * pa[m] * pb[k]
                 else:
                     capture += 2.0 ** (math.log2(mult) + w)
-            binom = binom * k // (m + 1)
+            mult = mult * k // (m + 1)
     return dim, capture, entropy
 
 
@@ -517,9 +534,9 @@ def typical_subspace(
     The eigenvalues of ``rho_B^(x L)`` are products of the ``d`` eigenvalues
     of ``rho_b``, so one ``d x d`` diagonalization and a multinomial census
     over type classes give the exact ``dim`` and capture probability for
-    any source, diagonal or not, at any integer block length.  One census
-    loop over the ``C(L + d - 2, d - 2)`` prefixes of ``d - 2`` counts
-    weighs, inline, only the classes near the window and keeps none.
+    any source, diagonal or not, at any integer block length.  The census
+    walks only the prefixes of ``d - 2`` counts that can reach the window
+    and weighs, inline, only the classes near it, and keeps none.
     Nothing of size ``d**L`` is allocated here; ``basis`` and ``projector``
     are built on first access when ``d**L`` is within ``max_dim``
     (default: the configured dense cap).
@@ -556,8 +573,8 @@ def qubit_capture_curve(
         entropy, lo, hi = _typical_window(evals, L, delta)
         capture = 0.0
         lp, lq = math.log2(p), math.log2(1.0 - p)
-        solve = _window_solver((lp, lq), L, lo, hi)
-        for k in solve(L * lp, lq - lp, L):
+        solve = _window_solver((1.0 - p, p), (lq, lp), L, lo, hi)
+        for k in solve(0, 0.0, L):
             w = (L - k) * lp + k * lq
             if lo <= w <= hi:
                 log_c = (math.lgamma(L + 1) - math.lgamma(k + 1)

@@ -216,9 +216,12 @@ def _validate(state: DensityMatrix, data, dims, spectrum: np.ndarray | None = No
         raise ValidationError(f"density matrix must be square, got shape {data.shape}")
     dims = _as_dims(dims, data.shape[0])
 
-    # a NaN or infinite entry reads as a NaN residual, without the
-    # warning that inf - inf would print
-    herm = float(np.abs(data - data.conj().T).max()) if _all_finite(data) else math.nan
+    herm = math.nan  # for a non-finite entry, without the warning inf - inf would print
+    if _all_finite(data):
+        # one D x D complex temporary; |conj(a_ij) - a_ji| is |(rho - rho^dag)_ij| bit for bit
+        residual = data.conj()
+        herm = float(np.abs(np.subtract(residual, data.T, out=residual)).max())
+        del residual  # before eigvalsh and the read-only copy
     if not herm <= HERMITICITY_TOL:
         raise ValidationError(
             f"not Hermitian: max |rho - rho^dag| = {herm:.3e} exceeds {HERMITICITY_TOL:.0e}"

@@ -11,7 +11,9 @@ exactly equal, not merely close: same classes, same ``dim``, and the
 same capture float.  The census appends its classes only to a list its
 caller passes, so each case runs it with and without one.  The draws aim
 at the window edges: zero, exactly degenerate and near-degenerate
-eigenvalues, and widths down to 1e-17.
+eigenvalues, and widths down to 1e-17.  A brute-force oracle of the
+weights each prefix can reach checks that the walk of prefixes builds
+none that cannot reach the window.
 """
 
 import math
@@ -21,10 +23,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qihe.coding import _combinatorial_census, _typical_window, qubit_capture_curve
+from qihe.coding import (
+    _EPS,
+    _combinatorial_census,
+    _typical_window,
+    _walk,
+    _window_solver,
+    qubit_capture_curve,
+)
 
 # Longest block per carrier dimension at which the full enumeration stays quick.
-_MAX_L = {1: 400, 2: 400, 3: 60, 4: 20, 5: 10}
+_MAX_L = {1: 400, 2: 400, 3: 60, 4: 20, 5: 10, 6: 8}
 
 
 def _compositions(total, parts):
@@ -124,7 +133,7 @@ widths = st.floats(-17.0, math.log10(1.5)).map(lambda e: 10.0 ** e)
 
 @st.composite
 def census_inputs(draw):
-    d = draw(st.integers(1, 5))
+    d = draw(st.integers(1, 6))
     kind = draw(st.sampled_from(["random", "zero", "degenerate", "near-degenerate"]))
     evals = spectrum(kind, d, draw(st.integers(0, 2**32 - 1)))
     return evals, draw(st.integers(1, _MAX_L[d])), draw(widths)
@@ -153,20 +162,58 @@ def _multinomial(counts):
     return mult
 
 
-# Blocks past the sweep's lengths.  The first two keep classes whose
+# Blocks past the sweep's lengths.  The first three keep classes whose
 # multinomials reach 1000 bits, where the capture term is taken in the log
-# domain; the last two are the largest censuses the benchmark runs.
+# domain; the flat qubit's include multinomials of exactly 1000 bits, the
+# first that leave the float branch.  The next two are the largest
+# censuses the benchmark runs, and the last walks three prefix levels.
 @pytest.mark.parametrize("evals, L, delta, log_domain", [
     ((0.3, 0.33, 0.37), 700, 0.01, True),
     ((0.25, 0.75), 3000, 0.02, True),
+    ((0.5, 0.5), 1005, 0.1, True),
     ((0.2, 0.3, 0.5), 300, 0.1, False),
     ((0.1, 0.2, 0.3, 0.4), 60, 0.1, False),
+    ((0.05, 0.1, 0.15, 0.3, 0.4), 40, 0.05, False),
 ])
 def test_census_equals_the_full_enumeration_at_long_blocks(evals, L, delta, log_domain):
     census = census_with_classes(np.array(evals), L, delta)
     assert census == full_census(np.array(evals), L, delta)
     classes = census[3]
     assert any(_multinomial(c).bit_length() >= 1000 for c in classes) == log_domain
+
+
+@pytest.mark.parametrize("evals, L, delta", [
+    ((0.1, 0.2, 0.3, 0.4), 60, 0.1),
+    ((0.05, 0.1, 0.15, 0.3, 0.4), 40, 0.05),
+])
+def test_walk_builds_no_prefix_that_cannot_reach_the_window(evals, L, delta):
+    """Every prefix the walk yields can reach the window, by brute force over its completions.
+
+    A prefix of ``d - 2`` counts is completed by the last two counts; the
+    oracle weighs every completion and rules the prefix out when the
+    range of those weights, widened by the solver's rounding bound and two
+    counts at the steepest slope (its one-count pad, and the outward
+    rounding of each solved end), misses ``[lo, hi]``.
+    """
+    d = len(evals)
+    _, lo, hi = _typical_window(np.array(evals), L, delta)
+    logs = [math.log2(lam) for lam in evals]
+    pad = (4 * (d + 2) * _EPS * (L * max(map(abs, logs)) + abs(lo) + abs(hi))
+           + 2 * (max(logs) - min(logs)))
+
+    def reachable(prefix):
+        rest = L - sum(prefix)
+        weights = [sum(c * lg for c, lg in zip(prefix + (m, rest - m), logs))
+                   for m in range(rest + 1)]
+        return min(weights) - pad <= hi and max(weights) + pad >= lo
+
+    walked = [prefix for prefix, *_ in _walk(_window_solver(evals, logs, L, lo, hi), logs, L)]
+    every = [counts[:-1] for counts in _compositions(L, d - 1)]
+    allowed = [prefix for prefix in every if reachable(prefix)]
+    assert walked == sorted(set(walked))  # lexicographic, each prefix once
+    assert set(walked) <= set(allowed)
+    assert {c[:-2] for c in full_census(np.array(evals), L, delta)[3]} <= set(walked)
+    assert len(allowed) < len(every) / 2
 
 
 @settings(max_examples=150, deadline=None)

@@ -19,7 +19,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qihe.qcore import CapacityError, DensityMatrix, ValidationError, make_density
+from qihe.qcore import (
+    CapacityError,
+    DensityMatrix,
+    ValidationError,
+    make_density,
+    tensor_power,
+    von_neumann_entropy,
+)
 from qihe.thermo import ThermalContext
 from qihe.coding import (
     Alphabet,
@@ -256,6 +263,24 @@ class TestBlocking:
     def test_block_capacity_guard(self):
         with pytest.raises(CapacityError):
             block_alphabet(orthogonal_pure_alphabet(4), 8, max_dim=4096)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_letters_at_the_positivity_tolerance_block(self, n):
+        """A letter ``DensityMatrix`` accepts with an eigenvalue at ``-PSD_TOL`` blocks at every n.
+
+        The clamped spectrum keeps a positive mass ``sigma = 1 + 1e-10``, so
+        the power's entropy is ``n sigma**(n-1) S``; from n = 4 on it drifts
+        from ``n S`` by more than the blocked-entropy check's 1e-9.  Below
+        the tolerance the letter itself is refused.
+        """
+        letter = DensityMatrix(np.diag([-1e-10, 0.3, 0.7 + 1e-10]).astype(complex), (3,))
+        s = von_neumann_entropy(letter)
+        blocked = block_alphabet(Alphabet((letter,), (1.0,)), n)
+        assert np.array_equal(blocked.letters[0].data, tensor_power(letter, n).data)
+        assert abs(von_neumann_entropy(blocked.letters[0])
+                   - n * (1.0 + 1e-10) ** (n - 1) * s) <= 1e-12
+        with pytest.raises(ValidationError, match="positive semidefinite"):
+            DensityMatrix(np.diag([-2e-10, 0.3, 0.7 + 2e-10]).astype(complex), (3,))
 
 
 class TestTypicalSubspace:

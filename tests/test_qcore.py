@@ -8,6 +8,7 @@ hand-worked small matrices; random checks use fixed seeds.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,6 +107,24 @@ class TestDensityMatrixValidation:
         assert DensityMatrix(np.eye(2) / 2, np.int64(2)).dims == (2,)
         ch = QuantumChannel((np.eye(2),), (np.int64(1),))
         assert ch.target == (1,) and type(ch.target[0]) is int
+
+    def test_hermiticity_residual_holds_one_matrix_sized_temporary(self):
+        """Validating a D = 1024 state peaks at 1.5x its bytes, not 2x.
+
+        The residual ``data - data^dag`` is taken in place in one complex
+        D x D array, and ``|.|`` adds a real one; both are gone before the
+        read-only copy of ``data`` is made.
+        """
+        g = np.random.default_rng(3).normal(size=(1024, 8, 2)) @ [1.0, 1j]
+        rho = g @ g.conj().T
+        rho /= np.trace(rho).real
+        tracemalloc.start()
+        try:
+            DensityMatrix(rho, (1024,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * rho.nbytes
 
     def test_data_is_read_only(self):
         rho = DensityMatrix(np.eye(2, dtype=complex) / 2, (2,))
