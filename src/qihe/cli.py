@@ -59,9 +59,10 @@ from .verify import run_acceptance, summary
 __all__ = ["RunConfig", "main", "run"]
 
 _KELVIN_KEYS = {"temperature", "t_low", "t_high"}
-_ENERGY_KEYS = {
-    "work", "landauer_reset", "w1", "w_ancilla", "net_per_letter",
-    "lower_bound", "upper_bound",
+_ENERGY_KEYS = {"work", "w1", "w_ancilla", "net_per_letter", "lower_bound", "upper_bound"}
+_BIT_KEYS = {
+    "comm_bits_per_letter", "energy_bits_per_letter", "chi_zero_plus", "chi_eigenvalue_oracle",
+    "chi_error", "worst_identity_residual", "ceiling", "endpoint_error",
 }
 _JOULE_KEYS = {"si_work", "work_per_qubit", "heat_from_hot"}
 _BIT_UNIT_KEYS = {
@@ -94,7 +95,7 @@ class RunConfig:
 def _unit_hint(key: str, energy_unit: str) -> str:
     if key in _KELVIN_KEYS:
         return "K"
-    if key.endswith("_bits") or key == "entropy_delta" or key.endswith("entropy"):
+    if key.endswith("_bits") or key.endswith("entropy") or key in _BIT_KEYS:
         return "bit"
     if key in _ENERGY_KEYS:
         return energy_unit
@@ -347,6 +348,7 @@ def _cmd_refactor(args, cfg: RunConfig) -> tuple[dict, None]:
         "epsilon": ledger.epsilon,
         "success_probability": ledger.success_probability,
         "typical_dim": ledger.subspace.dim,
+        "within_asymptotic_ceiling": ledger.within_asymptotic_ceiling,
     }
     if args.L <= 3 and ledger.subspace.basis is not None:
         check = refactorization_unitary(ledger.subspace, max_dim=cfg.capacity)

@@ -17,9 +17,11 @@ and ``"A1"`` .. ``"An"`` in the n-party ones, where ``A{i+1}`` holds qubit
 Measurement branches in verification paths are enumerated exhaustively;
 random sampling exists only for generating seeded test channels.  GHZ
 unlocking works on the state's amplitudes and parity unlocking on its
-diagonal, so neither builds a ``2**n x 2**n`` matrix.  Every function that
-builds an ``n``-qubit register takes ``max_dim``, the cap on its dimension
-``2**n`` (default: the configured dense cap).
+diagonal, so neither builds a ``2**n x 2**n`` matrix; the no-information
+check applies its channel to the parity diagonal as a plain array, so it
+builds and diagonalizes no state.  Every function that builds an
+``n``-qubit register takes ``max_dim``, the cap on its dimension ``2**n``
+(default: the configured dense cap).
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from .qcore import (
     PureState,
     QuantumChannel,
     ValidationError,
+    _apply_kraus_raw,
     _partial_trace_raw,
-    apply_channel,
     basis_state,
     check_capacity,
     mixture,
@@ -87,11 +89,7 @@ class ProtocolOutcome:
         """JSON-ready report: party ids, bare work numbers, broadcast log."""
 
         def work_entry(wr: WorkReport) -> dict:
-            return {
-                "work": wr.work,
-                "entropy_delta_bits": wr.entropy_delta,
-                "landauer_reset": wr.landauer_reset,
-            }
+            return {"work": wr.work, "entropy_delta_bits": wr.entropy_delta}
 
         return {
             "parties": {pid: work_entry(wr) for pid, wr in self.per_party_work.items()},
@@ -329,9 +327,9 @@ def parity_no_information_check(
             f"got {ch.output_dim} x {ch.input_dim}"
         )
 
-    out, norm = apply_channel(even_parity_state(n, max_dim), ch)
-    unnorm = out.data * norm
     dims = (2,) * n
+    unnorm = _apply_kraus_raw(np.diag(_even_parity_weights(n, max_dim)), dims, ch.target,
+                              ch.kraus)
 
     # Accumulate Kraus operator by operator, each in ascending column order:
     # a vectorised sum changes the last ulp of the reported weights.

@@ -5,7 +5,8 @@ source coding) is built on the validated value types defined here:
 density matrices, pure states, Kraus channels and measurement records.
 States are immutable; every operation returns a fresh, validated object.
 Intermediate results that are never returned stay plain arrays: a tensor
-power multiplies arrays and validates only the power it returns.  A density
+power multiplies arrays and validates only the power it returns, and a
+channel applies each Kraus operator to its target axes only.  A density
 matrix given by its entries is diagonalized once, by its own positivity
 check; a tensor power takes its spectrum from its letter's instead, and
 :func:`von_neumann_entropy` reads whichever spectrum the state keeps.
@@ -477,6 +478,22 @@ def _partial_trace_raw(data: np.ndarray, dims: Sequence[int], keep: Sequence[int
     return arr.reshape(d_keep, d_keep)
 
 
+def _apply_kraus_raw(data: np.ndarray, dims: Sequence[int], target: Sequence[int],
+                     kraus: Sequence[np.ndarray]) -> np.ndarray:
+    """``sum_k K rho K^dag`` on a raw square array, summed in Kraus order.  With the rows
+    viewed as ``(left, d_in, rest)``, one broadcast ``matmul`` applies ``K`` to the row
+    block and a second applies ``conj(K)`` to the column block: nothing outgrows the state."""
+    left = math.prod(dims[: target[0]])
+    rest = math.prod(dims[target[-1] + 1:])
+    d_out, d_in = kraus[0].shape
+    rows = data.reshape(left, d_in, rest * data.shape[1])
+    terms = (np.matmul(k.conj(), np.matmul(k, rows).reshape(-1, d_in, rest)) for k in kraus)
+    acc = next(terms)
+    for term in terms:
+        acc += term
+    return acc.reshape(left * d_out * rest, -1)
+
+
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Reduced state on the subsystems named in ``keep``.
 
@@ -495,22 +512,12 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     return DensityMatrix(reduced, tuple(rho.dims[i] for i in keep_sorted))
 
 
-def _embed_kraus(k: np.ndarray, dims: Sequence[int], target: Sequence[int]) -> np.ndarray:
-    left = math.prod(dims[: target[0]]) if target[0] > 0 else 1
-    right = math.prod(dims[target[-1] + 1:]) if target[-1] + 1 < len(dims) else 1
-    out = k
-    if left > 1:
-        out = np.kron(np.eye(left, dtype=complex), out)
-    if right > 1:
-        out = np.kron(out, np.eye(right, dtype=complex))
-    return out
-
-
 def apply_channel(rho: DensityMatrix, ch: QuantumChannel) -> tuple[DensityMatrix, float]:
     """Apply a Kraus map and return ``(state, normalization)``.
 
-    The normalization is the pre-renormalization trace ``tr(sum K rho
-    K^dag)``; it is 1 (to tolerance) for trace-preserving channels and
+    Each Kraus operator acts on its target axes only, never embedded in a
+    whole-register operator.  The normalization is the pre-renormalization
+    trace ``tr(sum K rho K^dag)``; it is 1 (to tolerance) for trace-preserving channels and
     the branch probability for selective, trace-non-increasing ones.
     It is always reported, never silently absorbed.  A normalization
     below ``NULL_OUTCOME_TOL`` raises :class:`NullOutcomeError`.
@@ -526,11 +533,7 @@ def apply_channel(rho: DensityMatrix, ch: QuantumChannel) -> tuple[DensityMatrix
             f"channel input dimension {ch.input_dim} does not match the target "
             f"block dimension {block}"
         )
-    acc = None
-    for k in ch.kraus:
-        full = _embed_kraus(k, rho.dims, target)
-        term = full @ rho.data @ full.conj().T
-        acc = term if acc is None else acc + term
+    acc = _apply_kraus_raw(rho.data, rho.dims, target, ch.kraus)
     norm = float(np.real(np.trace(acc)))
     if norm < NULL_OUTCOME_TOL:
         raise NullOutcomeError(

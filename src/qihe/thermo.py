@@ -86,12 +86,6 @@ class WorkReport:
     entropy_delta: float
     units: str = "bit-unit"
 
-    @property
-    def landauer_reset(self) -> float:
-        """Cost of undoing the entropy change, the reset bill that comes due
-        elsewhere: always ``|work|``."""
-        return abs(self.work)
-
 
 @dataclass(frozen=True)
 class CarnotReport:

@@ -503,24 +503,26 @@ class TestRefactorizationLedger:
         )
         assert led.lower_bound <= led.net_per_letter <= led.upper_bound
 
-    def test_ledger_rejects_bracket_violations(self):
-        with pytest.raises(ValidationError):
-            RefactorizationLedger(
-                w1=10.0,
-                w_ancilla=0.0,
-                net_per_letter=1.0,
-                lower_bound=-0.5,
-                upper_bound=0.5,
-                epsilon=0.0,
-                success_probability=1.0,
-            )
+    def test_ledger_refuses_the_floor_and_flags_the_ceiling(self):
+        fields = dict(w1=10.0, w_ancilla=0.0, lower_bound=-0.5, upper_bound=0.5,
+                      epsilon=0.0, success_probability=1.0)
+        above = RefactorizationLedger(net_per_letter=1.0, **fields)
+        assert above.within_asymptotic_ceiling is False
+        assert RefactorizationLedger(net_per_letter=0.5 + 1e-12, **fields).within_asymptotic_ceiling
+        with pytest.raises(ValidationError, match="guaranteed floor"):
+            RefactorizationLedger(net_per_letter=-1.0, **fields)
+        with pytest.raises(TypeError):  # derived from the fields, not set by a caller
+            RefactorizationLedger(net_per_letter=0.0, within_asymptotic_ceiling=True, **fields)
 
     def test_small_length_windows_can_outrun_the_asymptotic_ceiling(self, natural_ctx):
         """At L=2 the typical window of the {|0>,|+>} ensemble keeps a single
-        class, the ancilla is free, and the per-letter net would exceed the
-        asymptotic ceiling -- the ledger refuses to certify that."""
-        with pytest.raises(ValidationError):
-            refactorization_ledger(zero_plus_alphabet(), 2, 0.4, natural_ctx)
+        class, the ancilla is free, and the per-letter net exceeds the
+        asymptotic ceiling -- the ledger reports it and still holds its floor."""
+        led = refactorization_ledger(zero_plus_alphabet(), 2, 0.4, natural_ctx)
+        assert led.subspace.dim == 1
+        assert led.net_per_letter > led.upper_bound
+        assert led.within_asymptotic_ceiling is False
+        assert led.lower_bound <= led.net_per_letter
 
     def test_empty_subspace_is_an_error(self, natural_ctx):
         with pytest.raises(ValidationError, match="empty"):

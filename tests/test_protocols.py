@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from qihe import qcore
 from qihe.cli import main
 from qihe.qcore import (
     CapacityError,
@@ -222,6 +223,20 @@ class TestParityNoInformation:
         # trace bookkeeping: the branch weight is the trace of the predicted
         # pair marginal, 2^(1-n) * (2 ce + 2 co)
         assert abs((rep.c_even + rep.c_odd) * 2.0 ** (2 - rep.n) - rep.branch_weight) < 1e-12
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_check_builds_and_diagonalizes_no_state(self, n, monkeypatch):
+        """The check works on plain arrays: no validation body, no ``eigvalsh``."""
+        ch = haar_random_channel(2 ** (n - 2), 2, np.random.default_rng(n), tuple(range(2, n)))
+        calls = []
+        validate, eigvalsh = qcore._validate, np.linalg.eigvalsh
+        monkeypatch.setattr(qcore, "_validate",
+                            lambda state, *args: calls.append("validate") or validate(state, *args))
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda m: calls.append("eigvalsh") or eigvalsh(m))
+        rep = parity_no_information_check(n, ch)
+        assert calls == []
+        assert rep.rho1_deviation < 1e-12 and rep.rho12_deviation < 1e-12
 
     def test_channel_must_avoid_the_first_two_qubits(self):
         ch = QuantumChannel(kraus=(np.eye(2, dtype=complex),), target=(1,))

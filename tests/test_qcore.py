@@ -50,6 +50,13 @@ def product_spectrum(evals, n):
     return np.sort(out)
 
 
+def embed_kraus(k, dims, target):
+    """Test-local oracle: ``I_left (x) K (x) I_right`` on the whole register, by ``np.kron``."""
+    left = math.prod(dims[: target[0]])
+    right = math.prod(dims[target[-1] + 1:])
+    return np.kron(np.kron(np.eye(left, dtype=complex), k), np.eye(right, dtype=complex))
+
+
 def computational_dephasing(dim, target):
     """Test-local oracle: full computational-basis dephasing, one projector per basis state."""
     eye = np.eye(dim, dtype=complex)
@@ -432,6 +439,52 @@ class TestChannels:
             out, norm = apply_channel(rho, ch)
             assert abs(norm - 1.0) < 1e-10
             np.testing.assert_allclose(np.trace(out.data), 1.0, atol=1e-10)
+
+
+    @settings(max_examples=80, deadline=None)
+    @given(dims=st.lists(st.integers(1, 3), min_size=1, max_size=4), data=st.data(),
+           n_kraus=st.integers(1, 3), d_out=st.integers(1, 3), square=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_apply_channel_matches_the_kron_embedding(self, dims, data, n_kraus, d_out, square,
+                                                      seed):
+        """Kraus operators on their target axes agree with the embedded ``D x D``
+        operators within 1e-13, for square and non-square maps on any block."""
+        start = data.draw(st.integers(0, len(dims) - 1))
+        stop = data.draw(st.integers(start, len(dims) - 1))
+        target = tuple(range(start, stop + 1))
+        d_in = math.prod(dims[start: stop + 1])
+        d_out = d_in if square else d_out
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(n_kraus * d_out, d_in)) + 1j * rng.normal(size=(n_kraus * d_out, d_in))
+        g /= np.linalg.norm(g, 2) * rng.uniform(1.0, 2.0)  # sum K^dag K <= I
+        kraus = tuple(g[j * d_out:(j + 1) * d_out] for j in range(n_kraus))
+        total = math.prod(dims)
+        h = rng.normal(size=(total, total)) + 1j * rng.normal(size=(total, total))
+        m = h @ h.conj().T
+        rho = DensityMatrix(m / np.real(np.trace(m)), tuple(dims))
+
+        out, norm = apply_channel(rho, QuantumChannel(kraus, target))
+        expect = sum(embed_kraus(k, rho.dims, target) @ rho.data
+                     @ embed_kraus(k, rho.dims, target).conj().T for k in kraus)
+        expect_norm = float(np.real(np.trace(expect)))
+        assert abs(norm - expect_norm) <= 1e-13
+        assert np.max(np.abs(out.data - expect / expect_norm)) <= 1e-13
+        assert math.prod(out.dims) == out.dim == d_out * total // d_in
+
+    @pytest.mark.parametrize("dims, target, kraus", [
+        ((2, 2), (0, 1), computational_dephasing(4, (0, 1)).kraus),
+        ((2, 3, 2), (1,), (np.eye(3, dtype=complex),)),
+        ((3, 2, 2), (1, 2), (np.eye(2, 4, dtype=complex), np.eye(2, 4, k=2, dtype=complex))),
+    ], ids=["whole-register", "middle", "non-square"])
+    def test_apply_channel_builds_no_kron(self, dims, target, kraus, monkeypatch):
+        rho = DensityMatrix(np.eye(math.prod(dims), dtype=complex) / math.prod(dims), dims)
+        ch = QuantumChannel(kraus, target)
+        calls = []
+        kron = np.kron
+        monkeypatch.setattr(np, "kron", lambda a, b: calls.append((np.shape(a), np.shape(b)))
+                            or kron(a, b))
+        apply_channel(rho, ch)
+        assert calls == []
 
 
 class TestMeasurement:

@@ -68,7 +68,7 @@ class TestCycleWork:
     def test_report_bookkeeping_fields(self):
         rep = cycle_work(-1.5, ThermalContext(units="natural"))
         assert rep.entropy_delta == -1.5
-        assert rep.landauer_reset == abs(rep.work)
+        assert rep.work == -1.5
 
     def test_rejects_non_finite_entropy(self):
         with pytest.raises(ValidationError):
