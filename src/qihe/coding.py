@@ -16,13 +16,13 @@ For long blocks the receiver can concentrate the source onto its
 typical subspace, swap the typical content into a compact ancilla with
 a permutation-style unitary, and run the emptied carriers through the
 engine (Schumacher compression).  :func:`typical_subspace` counts the
-subspace from the spectrum of ``rho_B`` alone, by a multinomial census
-over eigenvalue type classes, so it needs no ``d**L``-sized matrix for
-any source.  The census walks only the prefixes of counts, and weighs
-only the classes, that the typicality window can hold, not all
-``C(L + d - 1, d - 1)`` classes.  The eigenvector basis
-and projector are built only on request, within the dense cap; the list of
-typical classes is built only for the basis.
+subspace from the spectrum that validated ``rho_B``, by a multinomial
+census over eigenvalue type classes, so it diagonalizes nothing and needs
+no ``d**L``-sized matrix for any source.  The census walks only the
+prefixes of counts, and weighs only the classes, that the typicality
+window can hold, not all ``C(L + d - 1, d - 1)`` classes.  The
+eigenvectors, basis and projector are computed only on request, within the
+dense cap; the list of typical classes is built only for the basis.
 :func:`refactorization_ledger` turns capture statistics into a net
 work-per-letter bracket.
 """
@@ -39,6 +39,7 @@ import numpy as np
 
 from .qcore import (
     MAX_DIM_ENV,
+    _EPS,
     DensityMatrix,
     ValidationError,
     _positive_integer,
@@ -78,7 +79,6 @@ __all__ = [
 _IDENTITY_TOL = 1e-12
 _CHI_TOL = 1e-10
 _PROJECTOR_TOL = 1e-9
-_EPS = 2.0 ** -52  # float64 machine epsilon
 
 
 @dataclass(frozen=True)
@@ -304,10 +304,10 @@ class TypicalSubspace:
     ``dim`` counts the retained eigenvectors (an exact integer),
     ``capture_probability`` is ``tr(Pi rho_B^(x L))``, and
     ``source_entropy`` is ``S(rho_B)`` in bits.  The subspace is spanned
-    by the products of the single-letter ``eigenvectors`` whose counts of
-    the ``eigenvalues`` form a typical type class.  ``basis`` lists those
-    classes by a second census; it and ``projector`` are built on first
-    access, and are ``None`` when ``d**L`` exceeds ``max_dim``.
+    by the products of the eigenvectors of ``state``, the source, whose
+    counts of its kept eigenvalues form a typical type class.  ``basis``
+    lists those classes by a second census; it and ``projector`` are built
+    on first access, and are ``None`` when ``d**L`` exceeds ``max_dim``.
     """
 
     L: int
@@ -315,8 +315,7 @@ class TypicalSubspace:
     dim: int
     capture_probability: float
     source_entropy: float
-    eigenvectors: np.ndarray | None = field(default=None, repr=False, compare=False)
-    eigenvalues: np.ndarray | None = field(default=None, repr=False, compare=False)
+    state: DensityMatrix | None = field(default=None, repr=False, compare=False)
     max_dim: int | None = None
 
     def __post_init__(self) -> None:
@@ -336,19 +335,20 @@ class TypicalSubspace:
     def basis(self) -> np.ndarray | None:
         """Orthonormal ``d**L x dim`` columns spanning the subspace.
 
-        Column ``j`` of the product eigenbasis is kept when the multiset of
-        its ``L`` base-``d`` digits is a typical class, in increasing ``j``.
+        Column ``j`` of the product basis of one ``eigh`` of ``state`` is kept,
+        in increasing ``j``, when the multiset of its ``L`` base-``d`` digits is a typical class.
         Each kept column is multiplied out one letter position at a time,
         so memory stays ``O(d**L * dim)``.
         """
-        if self.eigenvectors is None:
+        if self.state is None:
             return None
-        d = self.eigenvectors.shape[0]
+        d = self.state.dim
         total = d ** self.L
         if total > max_dimension(self.max_dim):
             return None
         classes: list[tuple[int, ...]] = []
-        _combinatorial_census(self.eigenvalues, self.L, self.delta, classes)
+        _combinatorial_census(self.state._eigenvalues, self.L, self.delta, classes)
+        eigenvectors = np.linalg.eigh(self.state.data)[1]
         powers = d ** np.arange(self.L - 1, -1, -1)
         digits = (np.arange(total)[:, None] // powers) % d
         # a sorted digit string is itself an index below d**L, so it keys its class
@@ -356,7 +356,7 @@ class TypicalSubspace:
         kept = digits[np.isin(np.sort(digits, axis=1) @ powers, typical)]
         basis = np.ones((1, len(kept)), dtype=complex)
         for k in range(self.L):
-            basis = (basis[:, None, :] * self.eigenvectors[:, kept[:, k]]).reshape(
+            basis = (basis[:, None, :] * eigenvectors[:, kept[:, k]]).reshape(
                 basis.shape[0] * d, len(kept))
         return basis
 
@@ -532,9 +532,9 @@ def typical_subspace(
     """Project ``rho_B^(x L)`` onto eigenvalues within ``2**(-L(S +/- delta))``.
 
     The eigenvalues of ``rho_B^(x L)`` are products of the ``d`` eigenvalues
-    of ``rho_b``, so one ``d x d`` diagonalization and a multinomial census
-    over type classes give the exact ``dim`` and capture probability for
-    any source, diagonal or not, at any integer block length.  The census
+    of ``rho_b``, so a multinomial census over type classes of the spectrum that
+    validated ``rho_b``, with no diagonalization, gives the exact ``dim`` and capture
+    probability for any source, diagonal or not, at any integer block length.  The census
     walks only the prefixes of ``d - 2`` counts that can reach the window
     and weighs, inline, only the classes near it, and keeps none.
     Nothing of size ``d**L`` is allocated here; ``basis`` and ``projector``
@@ -543,14 +543,12 @@ def typical_subspace(
     """
     L = _positive_integer(L, "block length L")
     _check_delta(delta)
-    evals, evecs = np.linalg.eigh(rho_b.data)
-    dim, capture, entropy = _combinatorial_census(evals, L, delta)
+    dim, capture, entropy = _combinatorial_census(rho_b._eigenvalues, L, delta)
     return TypicalSubspace(
         L=L, delta=delta, dim=dim,
         capture_probability=min(max(capture, 0.0), 1.0),
         source_entropy=entropy,
-        eigenvectors=evecs,
-        eigenvalues=evals,
+        state=rho_b,
         max_dim=max_dimension(max_dim),
     )
 

@@ -18,10 +18,10 @@ Measurement branches in verification paths are enumerated exhaustively;
 random sampling exists only for generating seeded test channels.  GHZ
 unlocking works on the state's amplitudes and parity unlocking on its
 diagonal, so neither builds a ``2**n x 2**n`` matrix; the no-information
-check applies its channel to the parity diagonal as a plain array, so it
-builds and diagonalizes no state.  Every function that builds an
-``n``-qubit register takes ``max_dim``, the cap on its dimension ``2**n``
-(default: the configured dense cap).
+check applies its channel to the four nonzero blocks of the parity
+diagonal as plain arrays, so it builds and diagonalizes no state.  Every
+function that builds an ``n``-qubit register takes ``max_dim``, the cap on
+its dimension ``2**n`` (default: the configured dense cap).
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .qcore import (
     PureState,
     QuantumChannel,
     ValidationError,
-    _apply_kraus_raw,
     _partial_trace_raw,
     basis_state,
     check_capacity,
@@ -327,9 +326,16 @@ def parity_no_information_check(
             f"got {ch.output_dim} x {ch.input_dim}"
         )
 
-    dims = (2,) * n
-    unnorm = _apply_kraus_raw(np.diag(_even_parity_weights(n, max_dim)), dims, ch.target,
-                              ch.kraus)
+    # K acts on qubits 2..n-1 only, so sum_k K diag(w) K^dag has just the four diagonal
+    # blocks sum_k K diag(w_l) K^dag, one per value l of qubits 0 and 1.  K diag(w_l) is K
+    # with its columns scaled; conj(K) is applied to each of its rows, and each block traced
+    # qubit by qubit, as the dense product and partial trace did, so no number moves.
+    weights = _even_parity_weights(n, max_dim).reshape(4, 1, block)
+    terms = (np.matmul(k.conj(), (k * weights)[..., None])[..., 0] for k in ch.kraus)
+    blocks = next(terms)
+    for term in terms:
+        blocks += term
+    rho12 = np.diag([_partial_trace_raw(b, (2,) * (n - 2), ())[0, 0] for b in blocks])
 
     # Accumulate Kraus operator by operator, each in ascending column order:
     # a vectorised sum changes the last ulp of the reported weights.
@@ -349,10 +355,9 @@ def parity_no_information_check(
     predicted12 = scale * np.diag(
         [c_even, c_odd, c_odd, c_even]
     ).astype(complex)
-    rho12 = _partial_trace_raw(unnorm, dims, [0, 1])
     dev12 = float(np.max(np.abs(rho12 - predicted12)))
 
-    rho1 = _partial_trace_raw(unnorm, dims, [0])
+    rho1 = _partial_trace_raw(rho12, (2, 2), [0])
     weight = float(np.real(np.trace(rho1)))
     if weight < 1e-14:
         raise NullOutcomeError("channel branch annihilated the parity state")

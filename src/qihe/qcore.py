@@ -66,6 +66,7 @@ KRAUS_TOL = 1e-10
 NULL_OUTCOME_TOL = 1e-14
 PROBABILITY_TOL = 1e-10
 
+_EPS = 2.0 ** -52  # float64 machine epsilon
 DEFAULT_MAX_DIM = 2 ** 14
 MAX_DIM_ENV = "QIHE_MAX_DIM"
 
@@ -205,12 +206,14 @@ class DensityMatrix:
         return len(self.dims)
 
 
-def _validate(state: DensityMatrix, data, dims, spectrum: np.ndarray | None = None) -> None:
+def _validate(state: DensityMatrix, data, dims, spectrum: np.ndarray | None = None,
+              trace_tol: float = TRACE_TOL) -> None:
     """Check ``data`` as a density matrix and set ``state``'s fields: the one validation body.
 
     The positivity check reads ``spectrum``, ascending; when it is ``None``,
     as for every matrix given to :class:`DensityMatrix`, that spectrum is
-    ``eigvalsh(data)``, computed after the cheaper checks have passed.
+    ``eigvalsh(data)``, computed after the cheaper checks have passed.  The
+    trace may be off by ``trace_tol``.
     """
     data = np.asarray(data, dtype=complex)
     if data.ndim != 2 or data.shape[0] != data.shape[1]:
@@ -228,9 +231,9 @@ def _validate(state: DensityMatrix, data, dims, spectrum: np.ndarray | None = No
             f"not Hermitian: max |rho - rho^dag| = {herm:.3e} exceeds {HERMITICITY_TOL:.0e}"
         )
     tr = complex(np.trace(data))
-    if abs(tr - 1.0) > TRACE_TOL:
+    if abs(tr - 1.0) > trace_tol:
         raise ValidationError(
-            f"trace must be 1: |tr(rho) - 1| = {abs(tr - 1.0):.3e} exceeds {TRACE_TOL:.0e}"
+            f"trace must be 1: |tr(rho) - 1| = {abs(tr - 1.0):.3e} exceeds {trace_tol:.0e}"
         )
     evals = np.linalg.eigvalsh(data) if spectrum is None else spectrum
     lo = float(evals[0])  # ascending, so evals[0] is the minimum
@@ -447,10 +450,13 @@ def tensor_power(a: DensityMatrix, n: int, max_dim: int | None = None) -> Densit
     The intermediate products are plain arrays, bit-identical to a chain of
     ``np.kron``; only the power returned is built as a
     :class:`DensityMatrix` (``a`` itself when ``n`` is 1).  Its Hermiticity
-    and trace are checked on its ``data`` as for any state, but nothing of
-    size ``d**n x d**n`` is diagonalized: the spectrum of ``a^(x n)`` is the
-    ``n``-fold products of ``a``'s kept eigenvalues, so the positivity check
-    and the entropy read those products, sorted ascending.
+    and trace are checked on its ``data`` as for any state, the trace to
+    ``(1 + TRACE_TOL)**n - 1``, the most that ``tr(a)**n`` can be off for an
+    accepted ``a``, plus ``2 n d`` machine epsilons for rounding the letter's
+    trace, the products and their sum.  Nothing of size ``d**n x d**n`` is
+    diagonalized: the spectrum of ``a^(x n)`` is the ``n``-fold products of
+    ``a``'s kept eigenvalues, so the positivity check and the entropy read
+    those products, sorted ascending.
     """
     n = _positive_integer(n, "tensor power n")
     check_capacity(a.dim ** n, max_dim)
@@ -461,7 +467,8 @@ def tensor_power(a: DensityMatrix, n: int, max_dim: int | None = None) -> Densit
         data = _kron(data, a.data)
         spectrum = (spectrum[:, None] * a._eigenvalues[None, :]).reshape(-1)
     power = object.__new__(DensityMatrix)
-    _validate(power, data, a.dims * n, np.sort(spectrum))
+    trace_tol = (1.0 + TRACE_TOL) ** n - 1.0 + 2 * n * a.dim * _EPS
+    _validate(power, data, a.dims * n, np.sort(spectrum), trace_tol)
     return power
 
 

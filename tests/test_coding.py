@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from qihe.qcore import (
+    TRACE_TOL,
     CapacityError,
     DensityMatrix,
     ValidationError,
@@ -46,6 +47,7 @@ from qihe.coding import (
     tradeoff_point,
     typical_subspace,
     zero_plus_alphabet,
+    _combinatorial_census,
 )
 
 
@@ -282,6 +284,18 @@ class TestBlocking:
         with pytest.raises(ValidationError, match="positive semidefinite"):
             DensityMatrix(np.diag([-2e-10, 0.3, 0.7 + 2e-10]).astype(complex), (3,))
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_letters_at_the_trace_tolerance_block(self, n):
+        """A letter ``DensityMatrix`` accepts with its trace off by 0.99e-10 blocks
+        at every n, although its power's trace is off by n times as much; off by
+        1.01e-10 the letter itself is refused."""
+        letter = DensityMatrix(np.diag([0.3, 0.7 + 0.99e-10]).astype(complex), (2,))
+        blocked = block_alphabet(Alphabet((letter,), (1.0,)), n)
+        assert np.array_equal(blocked.letters[0].data, tensor_power(letter, n).data)
+        assert abs(np.trace(blocked.letters[0].data) - 1.0) > TRACE_TOL
+        with pytest.raises(ValidationError, match="trace must be 1"):
+            DensityMatrix(np.diag([0.3, 0.7 + 1.01e-10]).astype(complex), (2,))
+
 
 class TestTypicalSubspace:
     def test_capture_matches_binomial_oracle_both_methods(self):
@@ -410,6 +424,42 @@ class TestTypicalSubspace:
         got = qubit_capture_curve(0.8, [np.int64(1000)], 0.1)
         assert got == qubit_capture_curve(0.8, [1000], 0.1)
         assert type(got[0][0]) is int
+
+    def test_the_census_diagonalizes_nothing(self, monkeypatch, natural_ctx):
+        """The census reads the spectrum that validated ``rho_B``; ``basis`` makes
+        one ``eigh`` of it, on first access only; the ledger diagonalizes only
+        the ensemble state, by its own validation."""
+        ab = zero_plus_alphabet()
+        rho = ensemble_state(ab)
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            spied = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda a, *args, name=name, spied=spied, **kw:
+                                calls.append(name) or spied(a, *args, **kw))
+        sub = typical_subspace(rho, 6, 0.2)
+        assert calls == []
+        assert sub.basis.shape == (64, sub.dim)
+        assert calls == ["eigh"]
+        assert sub.basis is sub.basis and sub.projector.shape == (64, 64)
+        assert calls == ["eigh"]
+        calls.clear()
+        refactorization_ledger(ab, 6, 0.2, natural_ctx)
+        assert calls == ["eigvalsh"]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 4])
+    def test_one_spectrum_per_state(self, seed, random_alphabet):
+        """On non-diagonal d = 3 sources, ``S(rho_B)`` is the float
+        ``von_neumann_entropy`` gives, and ``dim`` and the capture are the
+        census of the spectrum that validated ``rho_B``, as are the basis
+        columns where the block is within the cap."""
+        rho = ensemble_state(random_alphabet(np.random.default_rng(seed), 3))
+        for L, delta in ((2, 0.3), (5, 0.2), (40, 0.1)):
+            sub = typical_subspace(rho, L, delta)
+            assert sub.source_entropy == von_neumann_entropy(rho)
+            dim, capture, _ = _combinatorial_census(rho._eigenvalues, L, delta)
+            assert (sub.dim, sub.capture_probability) == (dim, min(max(capture, 0.0), 1.0))
+            if L < 40:
+                assert sub.basis.shape == (3 ** L, dim)
 
     def test_census_keeps_no_class_list(self):
         """The typical classes are listed only for ``basis``; the census keeps

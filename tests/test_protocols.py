@@ -238,6 +238,23 @@ class TestParityNoInformation:
         assert calls == []
         assert rep.rho1_deviation < 1e-12 and rep.rho12_deviation < 1e-12
 
+    @pytest.mark.parametrize("n, n_kraus", [(3, 1), (5, 3), (7, 4)])
+    def test_blocks_give_the_numbers_of_the_dense_product(self, n, n_kraus):
+        """The four nonzero blocks give, bit for bit, the weight and deviations
+        of applying the channel to the dense parity diagonal and tracing it."""
+        ch = haar_random_channel(2 ** (n - 2), n_kraus, np.random.default_rng(n),
+                                 tuple(range(2, n)))
+        rep = parity_no_information_check(n, ch)
+        dims = (2,) * n
+        dense = qcore._apply_kraus_raw(even_parity_state(n).data, dims, ch.target, ch.kraus)
+        rho12 = qcore._partial_trace_raw(dense, dims, [0, 1])
+        rho1 = qcore._partial_trace_raw(dense, dims, [0])
+        weight = float(np.real(np.trace(rho1)))
+        predicted12 = 2.0 ** (1 - n) * np.diag([rep.c_even, rep.c_odd, rep.c_odd, rep.c_even])
+        assert rep.branch_weight == weight
+        assert rep.rho1_deviation == float(np.max(np.abs(rho1 / weight - np.eye(2) / 2.0)))
+        assert rep.rho12_deviation == float(np.max(np.abs(rho12 - predicted12)))
+
     def test_channel_must_avoid_the_first_two_qubits(self):
         ch = QuantumChannel(kraus=(np.eye(2, dtype=complex),), target=(1,))
         with pytest.raises(ValidationError):

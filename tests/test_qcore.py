@@ -340,9 +340,13 @@ class TestTensorAndPartialTrace:
             tensor_power(a, 2)
 
     def test_tensor_power_validates_the_returned_power(self):
-        """A letter inside the trace tolerance whose square falls outside it
-        is still refused, now at the power that is returned."""
-        a = DensityMatrix(np.diag([0.5 + 4e-11, 0.5 + 4e-11]).astype(complex), (2,))
+        """The power's trace is still checked, at the power that is returned,
+        against what its letter's trace allows: ``tr(a)**n``, off by at most
+        ``(1 + TRACE_TOL)**n - 1`` plus rounding.  A letter held to a looser
+        trace tolerance than ``DensityMatrix`` keeps gives a square outside it."""
+        a = object.__new__(DensityMatrix)
+        qcore._validate(a, np.diag([0.5 + 2e-10, 0.5 + 2e-10]).astype(complex), (2,),
+                        None, 1e-9)
         assert tensor_power(a, 1) is a
         with pytest.raises(ValidationError, match="trace must be 1"):
             tensor_power(a, 2)
