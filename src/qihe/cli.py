@@ -2,10 +2,13 @@
 
 Subcommands map one-to-one onto the library surface: ``work``,
 ``carnot``, ``protocol {bell,classical,ghz,parity}``, ``holevo``,
-``tradeoff``, ``typical``, ``refactor`` and ``verify``.  Reports are
+``tradeoff``, ``typical``, ``refactor`` and ``verify``.  Each offers only
+the run-wide flags its handler reads (``--units``, ``--temperature``,
+``--capacity``, ``--seed``), so any other is a usage error; a subcommand
+without ``--units`` reports energies in natural bit-units.  Reports are
 emitted as JSON by default (sorted keys, compact separators, so a fixed
 configuration and seed reproduce byte-identical output), with ``pretty``
-for humans and ``csv`` for tradeoff sweeps.  Every numeric field in a
+for humans and ``csv`` for ``tradeoff`` alone.  Every numeric field in a
 JSON report carries a ``<name>_units`` sibling, attached by ``_annotate``
 from the field's name alone.
 
@@ -17,11 +20,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +57,7 @@ from .qcore import (
 from .thermo import ThermalContext, cycle_work, remote_carnot
 from .verify import run_acceptance, summary
 
-__all__ = ["RunConfig", "main", "run"]
+__all__ = ["main", "run"]
 
 _KELVIN_KEYS = {"temperature", "t_low", "t_high"}
 _ENERGY_KEYS = {"work", "w1", "w_ancilla", "net_per_letter", "lower_bound", "upper_bound"}
@@ -68,28 +69,6 @@ _JOULE_KEYS = {"si_work", "work_per_qubit", "heat_from_hot"}
 _BIT_UNIT_KEYS = {
     "natural_work", "bell_work", "interceptor_work", "classical_work",
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run-wide settings shared by every subcommand."""
-
-    units: str = "natural"
-    temperature: float = 300.0
-    capacity: int = 2 ** 14
-    seed: int = 0
-    output: str = "json"
-
-    def __post_init__(self) -> None:
-        ThermalContext(self.temperature, self.units)  # re-use its validation
-        if self.capacity < 4:
-            raise ValidationError(f"capacity must be at least 4, got {self.capacity}")
-        if self.output not in ("json", "csv", "pretty"):
-            raise ValidationError(f"output must be json, csv or pretty, got {self.output!r}")
-
-    @property
-    def context(self) -> ThermalContext:
-        return ThermalContext(self.temperature, self.units)
 
 
 def _unit_hint(key: str, energy_unit: str) -> str:
@@ -146,58 +125,54 @@ def _pretty_lines(obj, indent: int = 0) -> list[str]:
     return lines
 
 
-def _emit(report: dict, cfg: RunConfig, csv_table: tuple[list[str], list[list]] | None = None) -> None:
-    energy_unit = cfg.context.energy_unit
+def _emit(report: dict, output: str, energy_unit: str,
+          csv_table: tuple[list[str], list[list]] | None = None) -> None:
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()  # Python 3.11+
     if limit is not None:
         sys.set_int_max_str_digits(0)  # so an exact typical dim prints at any size
     try:
-        if cfg.output == "json":
+        if output == "json":
             print(json.dumps(_annotate(report, energy_unit), sort_keys=True,
                              separators=(",", ":")))
-        elif cfg.output == "pretty":
+        elif output == "pretty":
             print("\n".join(_pretty_lines(_annotate(report, energy_unit))))
-        else:
-            if csv_table is None:
-                raise ValidationError("csv output is only available for tradeoff sweeps")
+        else:  # csv, offered by tradeoff alone
             header, rows = csv_table
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
+            writer = csv.writer(sys.stdout, lineterminator="\n")
             writer.writerow(header)
             writer.writerows(rows)
-            sys.stdout.write(buf.getvalue())
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
 
 
-def _cmd_work(args, cfg: RunConfig) -> tuple[dict, None]:
+def _cmd_work(args, ctx: ThermalContext) -> tuple[dict, None]:
     if args.state == "pure-qubit":
         dim, entropy = basis_state(0, 2).dim, 0.0
     elif args.state == "maximally-mixed":
         dim = args.d
         if dim < 1:
             raise ValidationError(f"--d must be at least 1, got {dim}")
-        check_capacity(dim, cfg.capacity)
+        check_capacity(dim, args.capacity)
         entropy = entropy_from_eigenvalues(np.full(dim, 1.0 / dim))
     elif args.state == "bell-pair":
         dim, entropy = bell_pair().dim, 0.0
     else:  # classical-pair
         state = classical_pair()
         dim, entropy = state.dim, von_neumann_entropy(state)
-    wr = cycle_work(math.log2(dim) - entropy, cfg.context)
+    wr = cycle_work(math.log2(dim) - entropy, ctx)
     report = {
         "state": args.state,
         "dimension": dim,
         "entropy_bits": entropy,
         "work_bits": wr.entropy_delta,
         "work": wr.work,
-        "temperature": cfg.temperature,
+        "temperature": ctx.temperature,
     }
     return report, None
 
 
-def _cmd_carnot(args, cfg: RunConfig) -> tuple[dict, None]:
+def _cmd_carnot(args, ctx: ThermalContext) -> tuple[dict, None]:
     rep = remote_carnot(args.t_low, args.t_high)
     report = {
         "t_low": rep.t_low,
@@ -225,8 +200,7 @@ def _parse_reveal(items: list[str] | None) -> dict[int, int]:
     return revealed
 
 
-def _cmd_protocol(args, cfg: RunConfig) -> tuple[dict, None]:
-    ctx = cfg.context
+def _cmd_protocol(args, ctx: ThermalContext) -> tuple[dict, None]:
     if args.which == "bell":
         outcome = bell_protocol(ctx, intercepted=args.intercept)
         report = {"protocol": "bell", "intercepted": args.intercept}
@@ -236,31 +210,31 @@ def _cmd_protocol(args, cfg: RunConfig) -> tuple[dict, None]:
         report = {"protocol": "classical"}
         report.update(outcome.to_dict())
     elif args.which == "ghz":
-        outcome = ghz_unlock(args.n, args.initiator, ctx, max_dim=cfg.capacity)
+        outcome = ghz_unlock(args.n, args.initiator, ctx, max_dim=args.capacity)
         report = {"protocol": "ghz", "n": args.n, "initiator": args.initiator}
         report.update(outcome.to_dict())
     else:  # parity
         revealed = _parse_reveal(args.reveal)
         if revealed:
-            outcome = parity_unlock(args.n, revealed, ctx, max_dim=cfg.capacity)
+            outcome = parity_unlock(args.n, revealed, ctx, max_dim=args.capacity)
             report = {"protocol": "parity", "mode": "unlock", "n": args.n}
             report.update(outcome.to_dict())
         else:
-            reports = parity_no_information_trials(args.n, args.trials, seed=cfg.seed,
-                                                   max_dim=cfg.capacity)
+            reports = parity_no_information_trials(args.n, args.trials, seed=args.seed,
+                                                   max_dim=args.capacity)
             report = {
                 "protocol": "parity",
                 "mode": "no-information-check",
                 "n": args.n,
                 "trials": args.trials,
-                "seed": cfg.seed,
+                "seed": args.seed,
                 "worst_rho1_deviation": max(r.rho1_deviation for r in reports),
                 "worst_rho12_deviation": max(r.rho12_deviation for r in reports),
             }
     return report, None
 
 
-def _cmd_holevo(args, cfg: RunConfig) -> tuple[dict, None]:
+def _cmd_holevo(args, ctx: ThermalContext) -> tuple[dict, None]:
     alphabet = load_alphabet(args.alphabet)
     point, s_b = _entropy_budget(alphabet)
     report = {
@@ -274,8 +248,7 @@ def _cmd_holevo(args, cfg: RunConfig) -> tuple[dict, None]:
     return report, None
 
 
-def _cmd_tradeoff(args, cfg: RunConfig) -> tuple[dict, tuple[list[str], list[list]]]:
-    ctx = cfg.context
+def _cmd_tradeoff(args, ctx: ThermalContext) -> tuple[dict, tuple[list[str], list[list]]]:
     if args.block < 0:
         raise ValidationError(f"--block must be non-negative, got {args.block}")
     alphabet = load_alphabet(args.alphabet)
@@ -297,7 +270,7 @@ def _cmd_tradeoff(args, cfg: RunConfig) -> tuple[dict, tuple[list[str], list[lis
     if args.block:
         sweep = []
         for n in range(1, args.block + 1):
-            blocked = block_alphabet(alphabet, n, max_dim=cfg.capacity)
+            blocked = block_alphabet(alphabet, n, max_dim=args.capacity)
             bp = tradeoff_point(blocked, ctx)
             sweep.append({
                 "n": n,
@@ -314,11 +287,11 @@ def _cmd_tradeoff(args, cfg: RunConfig) -> tuple[dict, tuple[list[str], list[lis
     return report, (header, rows)
 
 
-def _cmd_typical(args, cfg: RunConfig) -> tuple[dict, None]:
+def _cmd_typical(args, ctx: ThermalContext) -> tuple[dict, None]:
     if not 0.0 < args.p < 1.0:
         raise ValidationError(f"--p must lie strictly between 0 and 1, got {args.p}")
     rho = DensityMatrix(np.diag([args.p, 1.0 - args.p]).astype(complex), (2,))
-    sub = typical_subspace(rho, args.L, args.delta, max_dim=cfg.capacity)
+    sub = typical_subspace(rho, args.L, args.delta)
     report = {
         "p": args.p,
         "L": sub.L,
@@ -331,11 +304,10 @@ def _cmd_typical(args, cfg: RunConfig) -> tuple[dict, None]:
     return report, None
 
 
-def _cmd_refactor(args, cfg: RunConfig) -> tuple[dict, None]:
-    ctx = cfg.context
+def _cmd_refactor(args, ctx: ThermalContext) -> tuple[dict, None]:
     alphabet = load_alphabet(args.alphabet)
     ledger = refactorization_ledger(alphabet, args.L, args.delta, ctx,
-                                    max_dim=cfg.capacity)
+                                    max_dim=args.capacity)
     report = {
         "alphabet": args.alphabet,
         "L": args.L,
@@ -351,19 +323,19 @@ def _cmd_refactor(args, cfg: RunConfig) -> tuple[dict, None]:
         "within_asymptotic_ceiling": ledger.within_asymptotic_ceiling,
     }
     if args.L <= 3 and ledger.subspace.basis is not None:
-        check = refactorization_unitary(ledger.subspace, max_dim=cfg.capacity)
+        check = refactorization_unitary(ledger.subspace, max_dim=args.capacity)
         report["unitarity_residual"] = check.unitarity_residual
         report["mapping_residual"] = check.mapping_residual
     return report, None
 
 
-def _cmd_verify(args, cfg: RunConfig) -> tuple[dict, None]:
-    results = run_acceptance(cfg.seed)
-    stream = sys.stdout if cfg.output == "pretty" else sys.stderr
+def _cmd_verify(args, ctx: ThermalContext) -> tuple[dict, None]:
+    results = run_acceptance(args.seed)
+    stream = sys.stdout if args.output == "pretty" else sys.stderr
     for r in results:
         stream.write(f"{'PASS' if r.passed else 'FAIL'} criterion {r.number}: {r.name}\n")
     report = summary(results)
-    report["seed"] = cfg.seed
+    report["seed"] = args.seed
     return report, None
 
 
@@ -388,17 +360,26 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(64)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--units", choices=("natural", "SI"), default="natural",
-                        help="energy unit system (default: natural bit-units)")
-    parser.add_argument("--temperature", type=float, default=300.0,
-                        help="reservoir temperature in kelvin (default: 300)")
-    parser.add_argument("--capacity", type=int, default=None,
-                        help="dense dimension cap (default: env or 2^14)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized demo modes (default: 0)")
-    parser.add_argument("--output", choices=("json", "csv", "pretty"),
-                        default="json", help="report format (default: json)")
+_RUN_FLAGS = {
+    "--units": dict(choices=("natural", "SI"), default="natural",
+                    help="energy unit system (default: natural bit-units)"),
+    "--temperature": dict(type=float, default=300.0,
+                          help="reservoir temperature in kelvin (default: 300)"),
+    "--capacity": dict(type=int, default=None,
+                       help="dense dimension cap (default: env or 2^14)"),
+    "--seed": dict(type=int, default=0,
+                   help="seed for randomized demo modes (default: 0)"),
+}
+_THERMAL = ("--units", "--temperature")
+
+
+def _add_run_flags(parser: argparse.ArgumentParser, *flags: str,
+                   output: tuple[str, ...] = ("json", "pretty")) -> None:
+    """Declare the run-wide ``flags`` a subcommand reads, then ``--output``."""
+    for flag in flags:
+        parser.add_argument(flag, **_RUN_FLAGS[flag])
+    parser.add_argument("--output", choices=output, default="json",
+                        help="report format (default: json)")
 
 
 def build_parser() -> _Parser:
@@ -408,7 +389,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     p = sub.add_parser("work", help="extractable work of a built-in state")
-    _add_common(p)
+    _add_run_flags(p, *_THERMAL, "--capacity")
     p.add_argument("--state", default="pure-qubit",
                    choices=("pure-qubit", "maximally-mixed", "bell-pair",
                             "classical-pair"))
@@ -416,55 +397,56 @@ def build_parser() -> _Parser:
                    help="dimension for --state maximally-mixed (default: 2)")
 
     p = sub.add_parser("carnot", help="remote two-reservoir Carnot ledger")
-    _add_common(p)
+    _add_run_flags(p)
     p.add_argument("--t-low", type=float, required=True, dest="t_low")
     p.add_argument("--t-high", type=float, required=True, dest="t_high")
 
     proto = sub.add_parser("protocol", help="run a distribution protocol")
     psub = proto.add_subparsers(dest="which", required=True, metavar="NAME")
     p = psub.add_parser("bell", help="Bell-pair distribution")
-    _add_common(p)
+    _add_run_flags(p, *_THERMAL)
     p.add_argument("--intercept", action="store_true",
                    help="let an interceptor grab the flying qubit")
     p = psub.add_parser("classical", help="classically correlated pair benchmark")
-    _add_common(p)
+    _add_run_flags(p, *_THERMAL)
     p = psub.add_parser("ghz", help="GHZ broadcast unlocking")
-    _add_common(p)
+    _add_run_flags(p, *_THERMAL, "--capacity")
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--initiator", type=int, default=0)
     p = psub.add_parser("parity", help="even-parity sharing")
-    _add_common(p)
+    _add_run_flags(p, *_THERMAL, "--capacity", "--seed")
     p.add_argument("--n", type=int, default=3)
-    p.add_argument("--reveal", action="append", metavar="INDEX:BIT",
-                   help="announce a measurement outcome (repeatable)")
-    p.add_argument("--trials", type=int, default=20,
-                   help="random channels for the no-information check (default: 20)")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--reveal", action="append", metavar="INDEX:BIT",
+                      help="announce a measurement outcome (repeatable)")
+    mode.add_argument("--trials", type=int, default=20,
+                      help="random channels for the no-information check (default: 20)")
 
     p = sub.add_parser("holevo", help="Holevo communication bound of an alphabet")
-    _add_common(p)
+    _add_run_flags(p)
     p.add_argument("--alphabet", required=True, help="alphabet JSON file")
 
     p = sub.add_parser("tradeoff", help="energy/communication tradeoff of an alphabet")
-    _add_common(p)
+    _add_run_flags(p, "--capacity", output=("json", "csv", "pretty"))
     p.add_argument("--alphabet", required=True, help="alphabet JSON file")
     p.add_argument("--block", type=int, default=0,
                    help="also sweep blocked super-letters up to this length")
 
     p = sub.add_parser("typical", help="typical-subspace census of a qubit source")
-    _add_common(p)
+    _add_run_flags(p)
     p.add_argument("--p", type=float, required=True,
                    help="ground-state weight of the diagonal source")
     p.add_argument("--L", type=int, required=True, help="block length")
     p.add_argument("--delta", type=float, required=True, help="typicality width")
 
     p = sub.add_parser("refactor", help="refactorization energy ledger for a block")
-    _add_common(p)
+    _add_run_flags(p, *_THERMAL, "--capacity")
     p.add_argument("--alphabet", required=True, help="alphabet JSON file")
     p.add_argument("--L", type=int, required=True, help="block length")
     p.add_argument("--delta", type=float, required=True, help="typicality width")
 
     p = sub.add_parser("verify", help="run the acceptance checks")
-    _add_common(p)
+    _add_run_flags(p, "--seed")
 
     return parser
 
@@ -477,11 +459,15 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = RunConfig(units=args.units, temperature=args.temperature,
-                        capacity=max_dimension(args.capacity), seed=args.seed,
-                        output=args.output)
-        report, csv_table = _HANDLERS[args.command](args, cfg)
-        _emit(report, cfg, csv_table)
+        # natural units where the subcommand offers no thermal flags
+        ctx = ThermalContext(**{k: v for k, v in vars(args).items()
+                                if k in ("temperature", "units")})
+        if hasattr(args, "capacity"):
+            args.capacity = max_dimension(args.capacity)
+            if args.capacity < 4:
+                raise ValidationError(f"capacity must be at least 4, got {args.capacity}")
+        report, csv_table = _HANDLERS[args.command](args, ctx)
+        _emit(report, args.output, ctx.energy_unit, csv_table)
     except (CapacityError, MemoryError) as exc:
         sys.stderr.write(f"qihe: capacity error: {exc}\n")
         return 3

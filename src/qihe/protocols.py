@@ -39,6 +39,7 @@ from .qcore import (
     PureState,
     QuantumChannel,
     ValidationError,
+    _integer,
     _partial_trace_raw,
     basis_state,
     check_capacity,
@@ -155,6 +156,7 @@ def classical_pair_protocol(ctx: ThermalContext) -> ProtocolOutcome:
 
 def ghz_state(n: int, max_dim: int | None = None) -> PureState:
     """The n-qubit state ``(|0...0> + |1...1>)/sqrt(2)`` for ``n >= 2``."""
+    n = _integer(n, "number of qubits n")
     if n < 2:
         raise ValidationError(f"a GHZ state needs at least 2 qubits, got {n}")
     check_capacity(2 ** n, max_dim)
@@ -191,10 +193,13 @@ def ghz_unlock(
     normalized remainder ``M`` must pass the :class:`PureState` norm check,
     and a remote party's marginal is ``M M^H`` with that party's axis first.
     """
+    n, initiator = _integer(n, "number of parties n"), _integer(initiator, "initiator index")
     if not 0 <= initiator < n:
         raise ValidationError(f"initiator index {initiator} out of range for {n} parties")
-    if outcome is not None and outcome not in (0, 1):
-        raise ValidationError(f"measurement outcome must be 0 or 1, got {outcome}")
+    if outcome is not None:
+        outcome = _integer(outcome, "measurement outcome")
+        if outcome not in (0, 1):
+            raise ValidationError(f"measurement outcome must be 0 or 1, got {outcome}")
     amp = ghz_state(n, max_dim).amplitudes.reshape((2,) * n)
     branches = [outcome] if outcome is not None else [0, 1]
 
@@ -234,6 +239,7 @@ def _odd_parity(n: int) -> np.ndarray:
 
 def _even_parity_weights(n: int, max_dim: int | None) -> np.ndarray:
     """Diagonal of the n-qubit even-parity state, in basis-index order."""
+    n = _integer(n, "number of qubits n")
     if n < 2:
         raise ValidationError(f"an even-parity state needs n >= 2 qubits, got {n}")
     check_capacity(2 ** n, max_dim)
@@ -267,6 +273,7 @@ def haar_random_channel(
     on the same ``Generator``, real parts drawn before imaginary ones: the
     ``verify`` report depends on them, and the tests compare the two.
     """
+    dim, n_kraus = _integer(dim, "dim"), _integer(n_kraus, "n_kraus")
     if dim < 1 or n_kraus < 1:
         raise ValidationError(f"need dim >= 1 and n_kraus >= 1, got {dim}, {n_kraus}")
     n = dim * n_kraus
@@ -312,6 +319,7 @@ def parity_no_information_check(
     theorem is about what the *other* parties can do.  Works for any
     Kraus map, including selective (trace-non-increasing) branches.
     """
+    n = _integer(n, "number of qubits n")
     if n < 3:
         raise ValidationError(f"the no-information check needs n >= 3, got {n}")
     expected_target = tuple(range(2, n))
@@ -380,6 +388,7 @@ def parity_no_information_trials(
     max_dim: int | None = None,
 ) -> list[ParityCheckReport]:
     """Run the no-information check against seeded Haar-random channels."""
+    n, trials = _integer(n, "number of qubits n"), _integer(trials, "trials")
     if n < 3:
         raise ValidationError(f"the no-information check needs n >= 3, got {n}")
     if trials < 1:
@@ -412,9 +421,11 @@ def parity_unlock(
     with odd parity) raises :class:`ImpossibleEvidenceError`.  Conditioning
     slices the ``2**n`` diagonal, and each marginal is an axis sum of it.
     """
+    n = _integer(n, "number of qubits n")
     if n < 2:
         raise ValidationError(f"the parity protocol needs n >= 2 qubits, got {n}")
-    outcomes = {int(q): int(b) for q, b in revealed.items()}
+    outcomes = {_integer(q, "revealed qubit index"): _integer(b, "revealed outcome")
+                for q, b in revealed.items()}
     if len(outcomes) != len(revealed):
         raise ValidationError("revealed qubit indices must be distinct")
     for q, b in outcomes.items():

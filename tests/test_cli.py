@@ -13,6 +13,8 @@ import hashlib
 import json
 import math
 import os
+import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -30,6 +32,28 @@ from qihe.coding import (
     zero_plus_alphabet,
 )
 from qihe.qcore import basis_state, make_density
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# The run-wide flags, each with a value that is valid wherever it is offered.
+COMMON_FLAGS = {"--units": "SI", "--temperature": "250", "--capacity": "4096",
+                "--seed": "3", "--output": "pretty"}
+THERMAL = {"--units", "--temperature"}
+# A valid command line per subcommand, and the run-wide flags its handler reads.
+SUBCOMMANDS = {
+    "work": ("work", THERMAL | {"--capacity", "--output"}),
+    "carnot": ("carnot --t-low 300 --t-high 600", {"--output"}),
+    "protocol-bell": ("protocol bell", THERMAL | {"--output"}),
+    "protocol-classical": ("protocol classical", THERMAL | {"--output"}),
+    "protocol-ghz": ("protocol ghz --n 3", THERMAL | {"--capacity", "--output"}),
+    "protocol-parity": ("protocol parity --n 3 --trials 2", set(COMMON_FLAGS)),
+    "holevo": ("holevo --alphabet {alphabet}", {"--output"}),
+    "tradeoff": ("tradeoff --alphabet {alphabet}", {"--capacity", "--output"}),
+    "typical": ("typical --p 0.9 --L 8 --delta 0.2", {"--output"}),
+    "refactor": ("refactor --alphabet {alphabet} --L 3 --delta 0.5",
+                 THERMAL | {"--capacity", "--output"}),
+    "verify": ("verify", {"--seed", "--output"}),
+}
 
 
 def run_cli(capsys, *argv):
@@ -68,6 +92,27 @@ def unit_table(node, table=None):
         for value in node:
             unit_table(value, table)
     return table
+
+
+def subcommand_argv(name, tmp_path):
+    """``SUBCOMMANDS[name]``'s command line, with a saved {|0>,|+>} alphabet."""
+    path = tmp_path / "zp.json"
+    if not path.exists():
+        save_alphabet(zero_plus_alphabet(), str(path))
+    return SUBCOMMANDS[name][0].format(alphabet=path).split()
+
+
+def readme_blocks(language):
+    """The ``language`` code blocks of README's "Command-line usage" section."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Command-line usage\n", 1)[1].split("\n## ", 1)[0]
+    return [block[len(language) + 1:] for block in section.split("```")[1::2]
+            if block.startswith(language + "\n")]
+
+
+# The argv of each ``qihe`` line in those blocks, its comment dropped.
+README_COMMANDS = [shlex.split(line, comments=True)[1:] for block in readme_blocks("bash")
+                   for line in block.splitlines() if line.startswith("qihe ")]
 
 
 def _protocol_units(energy, **extra):
@@ -120,6 +165,7 @@ UNIT_TABLES = [
      _refactor_units("bit-unit")),
     ("refactor-si", "refactor --alphabet {alphabet} --L 3 --delta 0.5 --units SI",
      _refactor_units("J")),
+    # verify offers no --units, so criterion 8's energies are always bit-units
     ("verify", "verify --seed 7",
      {"bell_work": "bit-unit", "ceiling": "bit", "channels_per_n": "dimensionless",
       "chi_eigenvalue_oracle": "bit", "chi_error": "bit",
@@ -304,6 +350,12 @@ class TestProtocolCommands:
         assert out == ""
         assert "n >= 3" in err
 
+    def test_parity_reveal_and_trials_exclude_each_other(self, capsys):
+        code, out, err = run_cli(capsys, "protocol", "parity", "--n", "3",
+                                 "--reveal", "0:1", "--trials", "2")
+        assert (code, out) == (64, "")
+        assert "not allowed with argument" in err
+
     def test_parity_contradictory_evidence(self, capsys):
         code, _, _ = run_cli(
             capsys,
@@ -413,9 +465,11 @@ class TestCodingCommands:
         assert out == ""
         assert "--block" in err
 
-    def test_csv_refused_for_scalar_reports(self, capsys):
-        code, _, _ = run_cli(capsys, "work", "--output", "csv")
-        assert code == 2
+    def test_csv_refused_for_scalar_reports(self, capsys, tmp_path):
+        for name in SUBCOMMANDS.keys() - {"tradeoff"}:
+            code, out, err = run_cli(capsys, *subcommand_argv(name, tmp_path), "--output", "csv")
+            assert (code, out) == (64, ""), name
+            assert "invalid choice: 'csv'" in err
 
     def test_typical_subspace_command(self, capsys):
         _, out, _ = run_cli(
@@ -506,6 +560,45 @@ class TestCodingCommands:
             if limit:
                 sys.set_int_max_str_digits(limit)
         assert got == want
+
+    def test_reports_print_without_the_int_digit_limit(self, capsys, monkeypatch):
+        """CPython before 3.10.7 has no ``sys.get_int_max_str_digits``."""
+        argv = ("typical", "--p", "0.9", "--L", "8", "--delta", "0.2", "--output", "pretty")
+        expected = run_cli(capsys, *argv)
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        assert run_cli(capsys, *argv) == expected
+        assert expected[0] == 0
+
+
+class TestFlagsPerSubcommand:
+    @pytest.mark.parametrize("name, flag", [(n, f) for n in SUBCOMMANDS for f in COMMON_FLAGS],
+                             ids=[f"{n}{f}" for n in SUBCOMMANDS for f in COMMON_FLAGS])
+    def test_a_flag_runs_where_it_is_read_and_is_refused_elsewhere(self, capsys, tmp_path,
+                                                                   name, flag):
+        argv = subcommand_argv(name, tmp_path) + [flag, COMMON_FLAGS[flag]]
+        code, out, err = run_cli(capsys, *argv)
+        if flag in SUBCOMMANDS[name][1]:
+            assert code == 0, err
+            assert out
+        else:
+            assert (code, out) == (64, "")
+            assert "usage" in err
+            assert f"unrecognized arguments: {flag}" in err
+
+
+class TestReadmeExamples:
+    def test_examples_are_found(self):
+        assert len(README_COMMANDS) >= 10
+        assert len(readme_blocks("json")) == 1
+
+    @pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+    def test_command_line_example_exits_zero(self, capsys, tmp_path, monkeypatch, argv):
+        """Each ``qihe`` line of the usage block, run beside README's alphabet file."""
+        (tmp_path / "alphabet.json").write_text(readme_blocks("json")[0], encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert out
 
 
 class TestUsageAndDeterminism:

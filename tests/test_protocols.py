@@ -322,6 +322,30 @@ def test_unlocking_builds_no_matrix_above_2x2(natural_ctx, monkeypatch, unlock):
     assert shapes and set(shapes) == {(2, 2)}
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda ctx: parity_unlock(3, {0: 1.7, 1: 0}, ctx), "revealed outcome"),
+    (lambda ctx: parity_unlock(3, {0.5: 1, 1: 0}, ctx), "revealed qubit index"),
+    (lambda ctx: parity_unlock(3, {0: "1", 1: 0}, ctx), "revealed outcome"),
+    (lambda ctx: parity_unlock(3.0, {0: 1}, ctx), "n"),
+    (lambda ctx: ghz_state(2.5), "n"),
+    (lambda ctx: ghz_unlock(3, True, ctx), "initiator index"),
+    (lambda ctx: ghz_unlock(3.0, 0, ctx), "n"),
+    (lambda ctx: ghz_unlock(3, 0, ctx, outcome=1.0), "outcome"),
+    (lambda ctx: even_parity_state(3.5), "n"),
+    (lambda ctx: parity_no_information_trials(3, 2.5), "trials"),
+    (lambda ctx: parity_no_information_trials(3.0, 2), "n"),
+    (lambda ctx: parity_no_information_check(
+        3.0, haar_random_channel(2, 1, np.random.default_rng(0), (2,))), "n"),
+    (lambda ctx: haar_random_channel(2.0, 1, np.random.default_rng(0), (0,)), "dim"),
+    (lambda ctx: haar_random_channel(2, True, np.random.default_rng(0), (0,)), "n_kraus"),
+], ids=["reveal-outcome-float", "reveal-index-float", "reveal-outcome-str", "parity-n",
+        "ghz-state-n", "ghz-initiator-bool", "ghz-n", "ghz-outcome-float", "even-parity-n",
+        "trials-float", "trials-n", "check-n", "haar-dim", "haar-n-kraus"])
+def test_integer_arguments_are_not_truncated(natural_ctx, call, name):
+    with pytest.raises(ValidationError, match=rf"\b{name} must be an integer, got"):
+        call(natural_ctx)
+
+
 class TestHaarRandomChannels:
     @pytest.mark.parametrize("seed", range(5))
     def test_kraus_operators_are_blocks_of_the_scipy_draw(self, seed):
