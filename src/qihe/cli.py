@@ -322,7 +322,7 @@ def _cmd_refactor(args, ctx: ThermalContext) -> tuple[dict, None]:
         "typical_dim": ledger.subspace.dim,
         "within_asymptotic_ceiling": ledger.within_asymptotic_ceiling,
     }
-    if args.L <= 3 and ledger.subspace.basis is not None:
+    if args.L <= 3:
         check = refactorization_unitary(ledger.subspace, max_dim=args.capacity)
         report["unitarity_residual"] = check.unitarity_residual
         report["mapping_residual"] = check.mapping_residual

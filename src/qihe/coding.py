@@ -38,7 +38,6 @@ from typing import Sequence
 import numpy as np
 
 from .qcore import (
-    MAX_DIM_ENV,
     _EPS,
     DensityMatrix,
     ValidationError,
@@ -48,7 +47,6 @@ from .qcore import (
     entropy_from_eigenvalues,
     matrix_from_pairs,
     matrix_to_pairs,
-    max_dimension,
     mixture,
     tensor_power,
     von_neumann_entropy,
@@ -278,7 +276,6 @@ def block_alphabet(alphabet: Alphabet, n: int, max_dim: int | None = None) -> Al
     per-letter energy toward its ``M - <S_a>`` ceiling.
     """
     n = _positive_integer(n, "block length n")
-    check_capacity(alphabet.d ** n, max_dim)
     blocked = []
     for let, s_single in zip(alphabet.letters, letter_entropies(alphabet)):
         power = tensor_power(let, n, max_dim)
@@ -307,7 +304,8 @@ class TypicalSubspace:
     by the products of the eigenvectors of ``state``, the source, whose
     counts of its kept eigenvalues form a typical type class.  ``basis``
     lists those classes by a second census; it and ``projector`` are built
-    on first access, and are ``None`` when ``d**L`` exceeds ``max_dim``.
+    on first access, and raise :class:`CapacityError` when ``d**L`` exceeds
+    ``max_dim``, the caller's cap, read only then.
     """
 
     L: int
@@ -315,7 +313,7 @@ class TypicalSubspace:
     dim: int
     capture_probability: float
     source_entropy: float
-    state: DensityMatrix | None = field(default=None, repr=False, compare=False)
+    state: DensityMatrix = field(repr=False, compare=False)
     max_dim: int | None = None
 
     def __post_init__(self) -> None:
@@ -332,7 +330,7 @@ class TypicalSubspace:
                 )
 
     @cached_property
-    def basis(self) -> np.ndarray | None:
+    def basis(self) -> np.ndarray:
         """Orthonormal ``d**L x dim`` columns spanning the subspace.
 
         Column ``j`` of the product basis of one ``eigh`` of ``state`` is kept,
@@ -340,12 +338,9 @@ class TypicalSubspace:
         Each kept column is multiplied out one letter position at a time,
         so memory stays ``O(d**L * dim)``.
         """
-        if self.state is None:
-            return None
         d = self.state.dim
         total = d ** self.L
-        if total > max_dimension(self.max_dim):
-            return None
+        check_capacity(total, self.max_dim)
         classes: list[tuple[int, ...]] = []
         _combinatorial_census(self.state._eigenvalues, self.L, self.delta, classes)
         eigenvectors = np.linalg.eigh(self.state.data)[1]
@@ -361,12 +356,9 @@ class TypicalSubspace:
         return basis
 
     @cached_property
-    def projector(self) -> np.ndarray | None:
+    def projector(self) -> np.ndarray:
         """``basis @ basis^H``, checked for idempotency and trace ``dim``."""
-        basis = self.basis
-        if basis is None:
-            return None
-        p = basis @ basis.conj().T
+        p = self.basis @ self.basis.conj().T
         idem = float(np.max(np.abs(p @ p - p)))
         if idem > _PROJECTOR_TOL:
             raise ValidationError(
@@ -537,9 +529,9 @@ def typical_subspace(
     probability for any source, diagonal or not, at any integer block length.  The census
     walks only the prefixes of ``d - 2`` counts that can reach the window
     and weighs, inline, only the classes near it, and keeps none.
-    Nothing of size ``d**L`` is allocated here; ``basis`` and ``projector``
-    are built on first access when ``d**L`` is within ``max_dim``
-    (default: the configured dense cap).
+    Nothing of size ``d**L`` is allocated here, and ``max_dim`` is kept as
+    given; ``basis`` and ``projector`` are built on first access when
+    ``d**L`` is within it (default: the configured dense cap, read then).
     """
     L = _positive_integer(L, "block length L")
     _check_delta(delta)
@@ -549,7 +541,7 @@ def typical_subspace(
         capture_probability=min(max(capture, 0.0), 1.0),
         source_entropy=entropy,
         state=rho_b,
-        max_dim=max_dimension(max_dim),
+        max_dim=max_dim,
     )
 
 
@@ -700,21 +692,15 @@ def refactorization_unitary(
 
     Only sensible for small blocks: the unitary lives on the product of
     the full carrier block and the ancilla, so its dimension is
-    ``d**L * dim``, and must be within ``max_dim``.  Raises
-    :class:`ValidationError` if the subspace has no basis because its
-    block was above the cap it was built under.
+    ``d**L * dim``.  That side is checked against ``max_dim`` before the
+    basis is built, and the basis's ``d**L`` against the subspace's own
+    cap; either raises :class:`CapacityError`.
     """
     if sub.dim < 1:
         raise ValidationError("cannot build a swap unitary for an empty subspace")
-    if sub.basis is None:
-        raise ValidationError(
-            f"no eigenvector basis: the L = {sub.L} block is above the cap "
-            f"{sub.max_dim} the subspace was built under; raise --capacity or "
-            f"{MAX_DIM_ENV}"
-        )
+    check_capacity(sub.state.dim ** sub.L * sub.dim, max_dim)
     d_block, d_anc = sub.basis.shape
     total = d_block * d_anc
-    check_capacity(total, max_dim)
 
     e0 = np.zeros((d_anc, 1), dtype=complex)
     e0[0, 0] = 1.0

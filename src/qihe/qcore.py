@@ -94,7 +94,7 @@ class ImpossibleEvidenceError(ValidationError):
 def max_dimension(override: int | None = None) -> int:
     """Return the dense-dimension cap: explicit override, env var, or default."""
     if override is not None:
-        return int(override)
+        return _integer(override, "max_dim")
     raw = os.environ.get(MAX_DIM_ENV)
     if raw is None:
         return DEFAULT_MAX_DIM
@@ -104,13 +104,19 @@ def max_dimension(override: int | None = None) -> int:
         raise ValidationError(f"{MAX_DIM_ENV} must be an integer, got {raw!r}") from None
 
 
+def _size(n: int) -> str:
+    """``n`` in digits up to 64 bits, else as ``2**k or more``: no huge int becomes a string."""
+    bits = int(n).bit_length()
+    return str(n) if bits <= 64 else f"2**{bits - 1} or more"
+
+
 def check_capacity(dim: int, max_dim: int | None = None) -> None:
-    """Raise :class:`CapacityError` if ``dim`` exceeds the configured cap."""
+    """Raise :class:`CapacityError` if ``dim`` exceeds the cap: the one "too big" check."""
     cap = max_dimension(max_dim)
     if dim > cap:
         raise CapacityError(
-            f"total dimension {dim} exceeds the configured cap {cap}; "
-            f"raise it explicitly or via the {MAX_DIM_ENV} environment variable"
+            f"total dimension {_size(dim)} exceeds the cap {_size(cap)}; raise it with "
+            f"--capacity, the max_dim argument or the {MAX_DIM_ENV} environment variable"
         )
 
 
@@ -233,7 +239,7 @@ def _validate(state: DensityMatrix, data, dims, spectrum: np.ndarray | None = No
     tr = complex(np.trace(data))
     if abs(tr - 1.0) > trace_tol:
         raise ValidationError(
-            f"trace must be 1: |tr(rho) - 1| = {abs(tr - 1.0):.3e} exceeds {trace_tol:.0e}"
+            f"trace must be 1: |tr(rho) - 1| = {abs(tr - 1.0):.3e} exceeds {trace_tol!r}"
         )
     evals = np.linalg.eigvalsh(data) if spectrum is None else spectrum
     lo = float(evals[0])  # ascending, so evals[0] is the minimum

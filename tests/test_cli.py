@@ -586,6 +586,27 @@ class TestFlagsPerSubcommand:
             assert f"unrecognized arguments: {flag}" in err
 
 
+class TestCapacityAnswers:
+    @pytest.mark.parametrize("argv", [
+        "protocol ghz --n 20000",
+        "protocol parity --n 20000 --trials 1",
+        "protocol parity --n 20000 --reveal 0:1",
+        "refactor --alphabet {alphabet} --L 3 --delta 0.1",
+    ])
+    def test_every_request_above_the_cap_exits_3(self, capsys, tmp_path, argv):
+        """Each names the flag that fixes it on one short line: a 2**20000
+        register is not printed in digits, and the swap of a d = 26 block,
+        whose 26**3 basis is itself above the cap, is not silently left out."""
+        path = tmp_path / "d26.json"
+        save_alphabet(Alphabet((basis_state(0, 26).density(),), (1.0,)), str(path))
+        code, out, err = run_cli(capsys, *argv.format(alphabet=path).split())
+        assert (code, out) == (3, "")
+        assert err.startswith("qihe: capacity error: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert len(err) <= 300
+        assert "--capacity" in err
+
+
 class TestReadmeExamples:
     def test_examples_are_found(self):
         assert len(README_COMMANDS) >= 10
@@ -626,6 +647,18 @@ class TestUsageAndDeterminism:
         assert out == ""
         assert "QIHE_MAX_DIM" in err
         assert "Traceback" not in err
+
+    def test_malformed_capacity_environment_reaches_only_dense_requests(self, capsys,
+                                                                        monkeypatch):
+        """``typical`` reads only the census, which needs no cap; ``verify``
+        builds swap unitaries and tensor powers under the default cap."""
+        monkeypatch.setenv("QIHE_MAX_DIM", "abc")
+        code, out, _ = run_cli(capsys, "typical", "--p", "0.9", "--L", "8", "--delta", "0.2")
+        assert code == 0
+        assert json.loads(out)["dim"] == 8
+        code, out, err = run_cli(capsys, "verify", "--seed", "1")
+        assert (code, out) == (2, "")
+        assert "QIHE_MAX_DIM" in err
 
     def test_capacity_environment_is_the_default_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("QIHE_MAX_DIM", "8")

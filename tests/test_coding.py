@@ -376,21 +376,54 @@ class TestTypicalSubspace:
                 capture += 2.0 ** (math.log2(math.comb(L, k)) + w)
         assert sub.dim == dim
         np.testing.assert_allclose(sub.capture_probability, capture, rtol=1e-12)
-        assert sub.basis is None  # 2**2000 is far above the cap
+        with pytest.raises(CapacityError):  # 2**2000 is far above the cap
+            sub.basis
 
     def test_basis_is_withheld_above_the_capacity_cap(self):
         rho = make_density(np.diag([0.9, 0.1]).astype(complex), 2)
         capped = typical_subspace(rho, L=8, delta=0.2, max_dim=128)
         assert capped.dim == 8  # the census does not depend on the cap
-        assert capped.basis is None
-        assert capped.projector is None
+        with pytest.raises(CapacityError):
+            capped.basis
+        with pytest.raises(CapacityError):
+            capped.projector
         with pytest.raises(CapacityError):
             refactorization_unitary(typical_subspace(rho, L=8, delta=0.2), max_dim=128)
+
+    def test_every_dense_request_above_the_cap_is_a_capacity_error(self):
+        """The census of a 2**2000 block needs no cap; its basis, its projector
+        and its swap unitary each raise, without printing a 600-digit number."""
+        rho = make_density(np.diag([0.9, 0.1]).astype(complex), 2)
+        sub = typical_subspace(rho, 2000, 0.1)
+        assert sub.dim > 0
+        for build in (lambda: sub.basis, lambda: sub.projector,
+                      lambda: refactorization_unitary(sub)):
+            with pytest.raises(CapacityError, match=r"2\*\*\d+ or more"):
+                build()
+
+    @pytest.mark.parametrize("max_dim", [2.5, True])
+    def test_a_non_integer_cap_is_refused_when_the_basis_is_built(self, max_dim):
+        rho = make_density(np.diag([0.9, 0.1]).astype(complex), 2)
+        sub = typical_subspace(rho, 8, 0.2, max_dim=max_dim)
+        assert sub.dim == 8 and sub.max_dim is max_dim
+        with pytest.raises(ValidationError, match="max_dim must be an integer"):
+            sub.basis
+
+    def test_the_cap_is_read_when_the_basis_is_built(self, monkeypatch):
+        rho = make_density(np.diag([0.9, 0.1]).astype(complex), 2)
+        monkeypatch.setenv("QIHE_MAX_DIM", "abc")
+        sub = typical_subspace(rho, 8, 0.2)
+        assert sub.dim == 8
+        with pytest.raises(ValidationError, match="QIHE_MAX_DIM"):
+            sub.basis
+        monkeypatch.setenv("QIHE_MAX_DIM", "256")
+        assert sub.basis.shape == (256, 8)
 
     def test_auto_falls_back_to_census_for_long_blocks(self):
         rho = make_density(np.diag([0.9, 0.1]).astype(complex), 2)
         sub = typical_subspace(rho, L=40, delta=0.2, max_dim=2**14)
-        assert sub.projector is None
+        with pytest.raises(CapacityError):
+            sub.projector
         assert 0.0 <= sub.capture_probability <= 1.0
         # dimension is an exact integer census of the typical classes
         expect_dim = sum(
@@ -420,7 +453,9 @@ class TestTypicalSubspace:
             if L == 6:
                 assert np.array_equal(got.basis, want.basis)
             else:  # 3**100 is above the cap
-                assert got.basis is None and want.basis is None
+                for sub in (got, want):
+                    with pytest.raises(CapacityError):
+                        sub.basis
         got = qubit_capture_curve(0.8, [np.int64(1000)], 0.1)
         assert got == qubit_capture_curve(0.8, [1000], 0.1)
         assert type(got[0][0]) is int
@@ -472,8 +507,10 @@ class TestTypicalSubspace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sub.dim > 0 and sub.basis is None
+        assert sub.dim > 0
         assert peak < 0.5 * 2 ** 20
+        with pytest.raises(CapacityError):
+            sub.basis
 
     def test_non_integer_block_lengths_are_refused(self):
         rho = make_density(np.diag([0.9, 0.1]).astype(complex), 2)
@@ -605,5 +642,5 @@ class TestRefactorizationUnitary:
     def test_census_only_subspace_cannot_build_the_matrix(self, natural_ctx):
         rho = make_density(np.diag([0.9, 0.1]).astype(complex), 2)
         sub = typical_subspace(rho, L=40, delta=0.2)
-        with pytest.raises(ValidationError):
+        with pytest.raises(CapacityError):
             refactorization_unitary(sub)

@@ -8,6 +8,7 @@ hand-worked small matrices; random checks use fixed seeds.
 """
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -84,6 +85,22 @@ class TestDensityMatrixValidation:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValidationError, match="positive semidefinite"):
             DensityMatrix(np.diag([1.5, -0.5]).astype(complex), (2,))
+
+    def test_default_trace_bound_prints_as_before(self):
+        with pytest.raises(ValidationError) as err:
+            DensityMatrix(np.diag([0.5, 0.5 + 2e-10]).astype(complex), (2,))
+        assert str(err.value).endswith("exceeds 1e-10")
+
+    def test_a_trace_just_above_a_non_round_bound_prints_two_numbers(self):
+        """Printed to one digit, the bound 2.0000001e-10 read as 2e-10, equal
+        to the refused trace deviation, 2.000e-10 to four digits."""
+        a = object.__new__(DensityMatrix)
+        with pytest.raises(ValidationError) as err:
+            qcore._validate(a, np.diag([0.3, 0.7 + 2.0002e-10]).astype(complex), (2,),
+                            None, 2.0000001e-10)
+        measured, bound = re.search(r"= (\S+) exceeds (\S+)$", str(err.value)).groups()
+        assert measured == "2.000e-10"
+        assert float(measured) != float(bound) == 2.0000001e-10
 
     def test_rejects_dims_product_mismatch(self):
         with pytest.raises(ValidationError, match="subsystem dimensions"):
@@ -368,6 +385,28 @@ class TestTensorAndPartialTrace:
         a = random_density(rng, 8)
         with pytest.raises(CapacityError):
             tensor_power(a, 2, max_dim=32)
+
+
+class TestCapacity:
+    """``check_capacity`` is the one "too big" answer: a :class:`CapacityError`."""
+
+    @pytest.mark.parametrize("dim, shown", [(17, "17"), (2 ** 64 - 1, str(2 ** 64 - 1)),
+                                            (2 ** 64, "2**64 or more"),
+                                            (2 ** 20000 + 5, "2**20000 or more")],
+                             ids=["17", "2**64-1", "2**64", "2**20000+5"])
+    def test_message_names_every_knob_and_prints_no_huge_integer(self, dim, shown):
+        with pytest.raises(CapacityError) as err:
+            qcore.check_capacity(dim, 16)
+        message = str(err.value)
+        assert message.startswith(f"total dimension {shown} exceeds the cap 16;")
+        for knob in ("--capacity", "max_dim", "QIHE_MAX_DIM"):
+            assert knob in message
+        assert len(message) < 200
+
+    @pytest.mark.parametrize("override", [2.9, True, np.True_, "64"])
+    def test_a_non_integer_override_is_refused(self, override):
+        with pytest.raises(ValidationError, match="max_dim must be an integer"):
+            qcore.max_dimension(override)
 
 
 class TestChannels:
