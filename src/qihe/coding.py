@@ -18,9 +18,13 @@ a permutation-style unitary, and run the emptied carriers through the
 engine (Schumacher compression).  :func:`typical_subspace` counts the
 subspace from the spectrum that validated ``rho_B``, by a multinomial
 census over eigenvalue type classes, so it diagonalizes nothing and needs
-no ``d**L``-sized matrix for any source.  The census walks only the
+no ``d**L``-sized matrix for any source.  The census solves only the
 prefixes of counts, and weighs only the classes, that the typicality
-window can hold, not all ``C(L + d - 1, d - 1)`` classes.  The
+window can hold, not all ``C(L + d - 1, d - 1)`` classes.  A source of
+three or more letters is counted in numpy blocks of prefixes and classes,
+with Python left only the exact multinomial steps; a qubit source has no
+prefix and a big-integer step per class, so it is counted class by class.
+Both give the floats of a class-by-class loop, bit for bit.  The
 eigenvectors, basis and projector are computed only on request, within the
 dense cap; the list of typical classes is built only for the basis.
 :func:`refactorization_ledger` turns capture statistics into a net
@@ -33,6 +37,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress, repeat
 from typing import Sequence
 
 import numpy as np
@@ -383,79 +388,240 @@ def _typical_window(evals: np.ndarray, L: int, delta: float) -> tuple[float, flo
     return entropy, -L * (entropy + delta), -L * (entropy - delta)
 
 
-def _window_solver(lams: Sequence[float], logs: Sequence[float], L: int, lo: float, hi: float):
+class _WindowSolver:
     """Solve for the counts on one letter whose classes can pass ``lo <= w <= hi``.
 
-    Returns ``solve(j, base, n)``: a range within ``0..n`` holding every
-    count ``c`` on letter ``j`` of a passing class whose counts before ``j``
-    weigh ``base`` and whose other ``n - c`` counts follow ``j``.  Its weight
-    lies within ``base + c * logs[j]`` plus ``n - c`` times the smallest and
-    the largest positive letter's log to come, linear in ``c``; at the last
+    :meth:`span` returns a range within ``0..n`` holding every count ``c``
+    on letter ``j`` of a passing class whose counts before ``j`` weigh
+    ``base`` and whose other ``n - c`` counts follow ``j``.  Its weight lies
+    within ``base + c * logs[j]`` plus ``n - c`` times the smallest and the
+    largest positive letter's log to come, linear in ``c``; at the last
     letter but one they meet.  A zero eigenvalue (0 in ``logs``) gets no
     count, which would make the weight ``-inf``.  The weight is a float sum
     of ``len(logs)`` terms ``m_i * logs[i]`` with ``sum m_i = L``, so each
     end is widened by a bound on its rounding error, plus one count: the
     caller's own ``lo <= w <= hi`` test, not this solve, decides every
-    class.  A flat or nearly flat bound gives no end.
+    class.  A flat or nearly flat bound gives no end.  :meth:`spans` solves
+    many ``(base, n)`` pairs at once by the same float expressions.
     """
-    err = 4 * (len(logs) + 2) * _EPS * (L * max(map(abs, logs)) + abs(lo) + abs(hi))
-    after, bounds = [], None  # the smallest and largest positive log after each letter
-    for lam, lg in zip(lams[:0:-1], logs[:0:-1]):
-        if lam > 0.0:
-            bounds = (min(bounds[0], lg), max(bounds[1], lg)) if bounds else (lg, lg)
-        after.insert(0, bounds)
 
-    def solve(j: int, base: float, n: int) -> range:
-        bounds = after[j]
-        if not lams[j] > 0.0:  # no count here; the rest must fit the positive letters after j
+    def __init__(self, lams: Sequence[float], logs: Sequence[float], L: int,
+                 lo: float, hi: float) -> None:
+        self.lams, self.logs, self.lo, self.hi = lams, logs, lo, hi
+        self.err = 4 * (len(logs) + 2) * _EPS * (L * max(map(abs, logs)) + abs(lo) + abs(hi))
+        self.after, bounds = [], None  # the smallest and largest positive log after each letter
+        for lam, lg in zip(lams[:0:-1], logs[:0:-1]):
+            if lam > 0.0:
+                bounds = (min(bounds[0], lg), max(bounds[1], lg)) if bounds else (lg, lg)
+            self.after.insert(0, bounds)
+
+    def _ends(self, j: int):
+        """``(edge, log, slope, is_first, pad)`` for each end that can cut letter ``j``'s span."""
+        bounds = self.after[j]
+        # the largest weight must reach lo, and the smallest must stay under hi
+        for edge, lg, sign in ((self.lo, bounds[1], 1.0), (self.hi, bounds[0], -1.0)):
+            slope = self.logs[j] - lg
+            if slope:
+                yield edge, lg, slope, slope * sign > 0.0, self.err / abs(slope) + 1.0
+
+    def span(self, j: int, base: float, n: int) -> range:
+        bounds = self.after[j]
+        if not self.lams[j] > 0.0:  # no count here; the rest must fit the positive letters after j
             return range(1 if bounds or not n else 0)
         if not bounds:
             return range(n, n + 1)
         first, last = 0.0, float(n)
-        # the largest weight must reach lo, and the smallest must stay under hi
-        for edge, lg, sign in ((lo, bounds[1], 1.0), (hi, bounds[0], -1.0)):
-            slope = logs[j] - lg
-            pad = err / abs(slope) + 1.0 if slope else math.inf
+        for edge, lg, slope, is_first, pad in self._ends(j):
             if pad < n:
                 end = (edge - (base + n * lg)) / slope
-                if slope * sign > 0.0:
+                if is_first:
                     first = max(first, end - pad)
                 else:
                     last = min(last, end + pad)
         return range(math.floor(first), math.ceil(last) + 1)
 
-    return solve
+    def spans(self, j: int, base: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`span` of each ``(base, n)`` pair, as its first count and its width."""
+        bounds = self.after[j]
+        if not self.lams[j] > 0.0:
+            return np.zeros_like(n), np.ones_like(n) if bounds else (n == 0).astype(n.dtype)
+        if not bounds:
+            return n, np.ones_like(n)
+        first, last = np.zeros(len(n)), n.astype(float)
+        for edge, lg, slope, is_first, pad in self._ends(j):
+            cut = pad < n
+            end = (edge - (base + n * lg)) / slope
+            if is_first:
+                first = np.where(cut, np.maximum(first, end - pad), first)
+            else:
+                last = np.where(cut, np.minimum(last, end + pad), last)
+        # clipped to -1..n + 1, which keeps the counts of each range and fits int64
+        start = np.floor(np.minimum(first, n + 1)).astype(np.int64)
+        stop = np.ceil(np.maximum(last, -1.0)).astype(np.int64) + 1
+        return start, np.maximum(stop - start, 0)
 
 
-def _walk(solve, logs: Sequence[float], rest: int, j: int = 0,
-          prefix: tuple[int, ...] = (), head: int = 1, pw: float = 0.0):
+_CHUNK = 1 << 10  # classes, or prefixes of one level, that the census of d >= 3 holds at once
+
+
+def _expand(starts: np.ndarray, widths: np.ndarray):
+    """The children of a block of parents, at most ``_CHUNK`` at a time.
+
+    Parent ``i`` has the children ``starts[i] .. starts[i] + widths[i] - 1``.
+    All children are cut into blocks by their index in that order, and
+    each block comes as its children's parent indices and counts.
+    """
+    ends = np.cumsum(widths)
+    shift = starts - ends + widths  # a child's count less its index
+    total = int(ends[-1])
+    for first in range(0, total, _CHUNK):
+        child = np.arange(first, min(first + _CHUNK, total))
+        parent = np.searchsorted(ends, child, side="right")
+        yield parent, shift[parent] + child
+
+
+def _prefixes(window: _WindowSolver, L: int):
     """Every prefix of the first ``d - 2`` counts whose classes can reach the window.
 
-    Prefixes come in lexicographic order, each with what is left of ``L``,
-    its multinomial ``L! / (c_1! ... c_{d-2}! rest!)`` and its weight
-    ``sum c_i log2(lam_i)``; each count is walked only over its ``solve``
-    span, so a prefix that cannot reach the window is never built.
+    Yields blocks ``(counts, rest, weight)``: one row of counts per prefix,
+    what is left of ``L``, and the weight ``sum c_i log2(lam_i)``.  The
+    prefixes come in lexicographic order, each once.  Each count is taken
+    only over its solved span, so a prefix that cannot reach the window is
+    never built, and each level is expanded depth-first a block of
+    :func:`_expand` at a time, so at most ``d - 2`` blocks are held.
     """
-    if j == len(logs) - 2:
-        yield prefix, rest, head, pw
-        return
-    for c in solve(j, pw, rest):
-        yield from _walk(solve, logs, rest - c, j + 1, prefix + (c,),
-                         head * math.comb(rest, c), pw + c * logs[j] if c else pw)
+    def level(j, counts, rest, weight):
+        if j == len(window.logs) - 2:
+            yield counts, rest, weight
+            return
+        for parent, c in _expand(*window.spans(j, weight, rest)):
+            yield from level(j + 1, np.column_stack((counts[parent], c)), rest[parent] - c,
+                             weight[parent] + c * window.logs[j])
 
-
-class _Powers(dict):
-    """``lam ** m`` by count ``m``, each power taken once."""
-
-    def __init__(self, lam: float) -> None:
-        self.lam = lam
-
-    def __missing__(self, m: int) -> float:
-        self[m] = power = self.lam ** m
-        return power
+    # a zero count adds 0.0 to a weight that is never -0.0, so it is added like any other
+    return level(0, np.zeros((1, 0), dtype=np.int64), np.array([L]), np.zeros(1))
 
 
 _FLOAT_TERM = 1 << 999  # a multinomial below this takes its capture term in floats
+_COMB_REST = 128  # from this many counts left, the run before seeds a run sooner than math.comb
+
+
+def _powers(lam: float, counts: np.ndarray) -> np.ndarray:
+    """``lam ** c`` for each count ``c``, by Python's ``**`` as a class-by-class
+    loop takes it (numpy's power may round differently).
+
+    The table spans only the counts given, so it stays as small as the block
+    of classes, whatever ``L`` is.
+    """
+    first = int(counts.min())
+    table = np.array(list(map(lam.__pow__, range(first, int(counts.max()) + 1))))
+    return table[counts - first]
+
+
+def _scalar_census(window: _WindowSolver, L: int, classes: list | None) -> tuple[int, float]:
+    """``(dim, capture)`` of a two-letter source, one class at a time.
+
+    The span of the first count ``m`` is walked with the binomial stepped by
+    its exact recurrence, and each class is weighed inline from the two
+    ``log2(lam_i)``; each count, and so each power, comes once.
+    """
+    a, b = window.logs
+    pa, pb = window.lams
+    lo, hi = window.lo, window.hi
+    dim, capture = 0, 0.0
+    span = window.span(0, 0.0, L)
+    mult = math.comb(L, span.start)
+    for m in span:
+        k = L - m
+        w = m * a + k * b
+        if lo <= w <= hi:
+            if classes is not None:
+                classes.append((m, k))
+            dim += mult
+            if mult < _FLOAT_TERM:
+                capture += float(mult) * pa ** m * pb ** k
+            else:
+                capture += 2.0 ** (math.log2(mult) + w)
+        mult = mult * k // (m + 1)
+    return dim, capture
+
+
+def _batched_census(window: _WindowSolver, L: int, classes: list | None) -> tuple[int, float]:
+    """``(dim, capture)`` of a source of three or more letters, a block of classes at a time.
+
+    The prefixes come from :func:`_prefixes`.  The weight is then linear in
+    the next count ``m``, the last being ``rest - m``, so only the solved
+    span of ``m`` is taken, cut into blocks of at most ``_CHUNK`` classes.
+    Python steps only the exact multinomials, along each run of one
+    prefix's counts.  A run is seeded by ``math.comb``, or, past
+    ``_COMB_REST`` counts left, where ``math.comb`` costs more, from the
+    seed of the run before when one count moved from the last letter to the
+    last prefix letter between them.  The window test
+    and the capture products are numpy's, in the order of operations of a
+    class-by-class loop, and the terms are summed in class order, so every
+    float is the one that loop gives.
+    """
+    lams, lo, hi = window.lams, window.lo, window.hi
+    a, b = window.logs[-2:]
+
+    def weighted(raw, counts, m, k):
+        """``raw`` times each class's powers, in letter order."""
+        for lam, c in zip(lams, counts.T):
+            raw = raw * _powers(lam, c)
+        return raw * _powers(lams[-2], m) * _powers(lams[-1], k)
+
+    dim, capture = 0, 0.0
+    before = (None, 0, 0)
+    for counts, rest, weight in _prefixes(window, L):
+        for p, m in _expand(*window.spans(len(lams) - 2, weight, rest)):
+            k = rest[p] - m
+            w = weight[p] + m * a + k * b
+            keep = (lo <= w) & (w <= hi)
+            # the classes of one prefix form one run, and each run is stepped from its seed
+            cuts = [0, *(np.flatnonzero(p[1:] != p[:-1]) + 1).tolist(), len(p)]
+            q = p[cuts[:-1]]
+            mults = []
+            append = mults.append
+            for head, r, start, first, stop in zip(counts[q].tolist(), rest[q].tolist(),
+                                                   m[cuts[:-1]].tolist(), cuts, cuts[1:]):
+                if r >= _COMB_REST and before[0] == head and before[1] <= r:
+                    # the run before's seed, with one count moved from the last letter to
+                    # the last prefix letter, stepped from its first count to this start
+                    _, low, mult = before
+                    mult = mult * (r + 1 - low) // head[-1]
+                    for i in range(low, start):
+                        mult = mult * (r - i) // (i + 1)
+                    for i in range(low, start, -1):
+                        mult = mult * i // (r - i + 1)
+                else:  # L! / (c_1! ... c_{d-2}! start! (r - start)!)
+                    mult, n = math.comb(r, start), L
+                    for c in head:
+                        mult *= math.comb(n, c)
+                        n -= c
+                head[-1] += 1
+                before = (head, start, mult)  # the prefix after this run's, and this seed
+                for i in range(start, start + stop - first):
+                    append(mult)
+                    mult = mult * (r - i) // (i + 1)
+            mults = list(compress(mults, keep.tolist()))
+            if not mults:
+                continue
+            dim += sum(mults)
+            p, m, k, w = p[keep], m[keep], k[keep], w[keep]
+            if classes is not None:
+                classes.extend(map(tuple, np.column_stack((counts[p], m, k)).tolist()))
+            if mults[0] < _FLOAT_TERM and max(mults) < _FLOAT_TERM:  # every term in floats
+                term = weighted(np.array(mults, dtype=float), counts[p], m, k)
+            else:
+                bits = np.array(list(map(math.log2, mults)))
+                if bits.min() >= 1000.0:  # every multinomial past 2**999: all in the log domain
+                    term = np.array(list(map(pow, repeat(2.0), (bits + w).tolist())))
+                else:  # a log-domain term comes whole, negated to mark it
+                    raw = np.array([float(x) if x < _FLOAT_TERM else -2.0 ** (lg + wx)
+                                    for x, lg, wx in zip(mults, bits.tolist(), w.tolist())])
+                    term = np.where(np.signbit(raw), -raw, weighted(raw, counts[p], m, k))
+            capture = float(np.add.accumulate(np.concatenate(([capture], term)))[-1])
+    return dim, capture
 
 
 def _combinatorial_census(
@@ -465,15 +631,18 @@ def _combinatorial_census(
 
     Returns ``(dim, capture, entropy)``, and appends the counts of every
     typical class, in lexicographic order, to ``classes`` if given (only
-    ``basis`` gives a list).  :func:`_walk` yields each prefix of the first
-    ``d - 2`` counts that can reach the window (``d = 2`` has only the empty
-    one); the weight is then linear in the next count ``m``, the last being
-    ``rest - m``, so only the solved span of ``m`` is walked, with the
-    multinomial stepped by its exact recurrence and each class weighed
-    inline, in letter order, from ``log2(lam_i)`` taken once per census,
-    prefix powers once per prefix and the last two letters' powers once per
-    count.  The cost is one solve per prefix near the window, plus the
-    classes near it.
+    ``basis`` gives a list).  Only the classes near the window are weighed:
+    the counts of each letter are solved for by :class:`_WindowSolver`, and
+    each multinomial is stepped by its exact recurrence.  The number of
+    letters ``d`` picks the route.  Three or more letters take
+    :func:`_batched_census`, which solves each level of prefixes for all of
+    them at once and weighs blocks of classes in numpy, leaving Python only
+    the big-integer steps.  Two letters have no prefix, and each class
+    costs a big-integer step and a term that numpy cannot take from a big
+    integer, so :func:`_scalar_census` weighs them one by one, free of
+    numpy's fixed cost per call, which would dominate short blocks.  The
+    cost is a few numpy calls per block plus one big-integer step per class
+    near the window.
     """
     entropy, lo, hi = _typical_window(evals, L, delta)
     lams = [float(x) for x in np.real(evals)]
@@ -483,36 +652,9 @@ def _combinatorial_census(
                 classes.append((L,))
             return 1, lams[0] ** L, entropy
         return 0, 0.0, entropy
-    dim = 0
-    capture = 0.0
     logs = [math.log2(lam) if lam > 0.0 else 0.0 for lam in lams]
-    a, b = logs[-2], logs[-1]
-    pa, pb = _Powers(lams[-2]), _Powers(lams[-1])
-    solve = _window_solver(lams, logs, L, lo, hi)
-    last = len(lams) - 2
-    prefixes = _walk(solve, logs, L) if last else (((), L, 1, 0.0),)
-    for prefix, rest, head, pw in prefixes:
-        span = solve(last, pw, rest)
-        if not span:
-            continue
-        head_powers = [lam ** c for lam, c in zip(lams, prefix)]
-        mult = head * math.comb(rest, span.start)
-        for m in span:
-            k = rest - m
-            w = pw + m * a + k * b
-            if lo <= w <= hi:
-                if classes is not None:
-                    classes.append(prefix + (m, k))
-                dim += mult
-                if mult < _FLOAT_TERM:
-                    term = float(mult)
-                    for power in head_powers:
-                        term *= power
-                    capture += term * pa[m] * pb[k]
-                else:
-                    capture += 2.0 ** (math.log2(mult) + w)
-            mult = mult * k // (m + 1)
-    return dim, capture, entropy
+    census = _batched_census if len(lams) > 2 else _scalar_census
+    return (*census(_WindowSolver(lams, logs, L, lo, hi), L, classes), entropy)
 
 
 def typical_subspace(
@@ -527,8 +669,9 @@ def typical_subspace(
     of ``rho_b``, so a multinomial census over type classes of the spectrum that
     validated ``rho_b``, with no diagonalization, gives the exact ``dim`` and capture
     probability for any source, diagonal or not, at any integer block length.  The census
-    walks only the prefixes of ``d - 2`` counts that can reach the window
-    and weighs, inline, only the classes near it, and keeps none.
+    solves only the prefixes of ``d - 2`` counts that can reach the window
+    and weighs only the classes near it, in blocks of at most ``_CHUNK``
+    for ``d >= 3``, and keeps none.
     Nothing of size ``d**L`` is allocated here, and ``max_dim`` is kept as
     given; ``basis`` and ``projector`` are built on first access when
     ``d**L`` is within it (default: the configured dense cap, read then).
@@ -563,8 +706,7 @@ def qubit_capture_curve(
         entropy, lo, hi = _typical_window(evals, L, delta)
         capture = 0.0
         lp, lq = math.log2(p), math.log2(1.0 - p)
-        solve = _window_solver((1.0 - p, p), (lq, lp), L, lo, hi)
-        for k in solve(0, 0.0, L):
+        for k in _WindowSolver((1.0 - p, p), (lq, lp), L, lo, hi).span(0, 0.0, L):
             w = (L - k) * lp + k * lq
             if lo <= w <= hi:
                 log_c = (math.lgamma(L + 1) - math.lgamma(k + 1)

@@ -363,14 +363,15 @@ class MeasurementRecord:
 
 def basis_state(index: int, dims: int | Sequence[int]) -> PureState:
     """Computational-basis ket ``|index>`` on the given subsystem layout."""
-    if isinstance(dims, (int, np.integer)):
-        dims = (int(dims),)
+    dims = _integers(dims if np.iterable(dims) else (dims,), "subsystem dimensions")
     total = math.prod(dims)
+    dims = _as_dims(dims, total)  # every dimension positive, before the index is read against them
+    index = _integer(index, "basis index")
     if not 0 <= index < total:
-        raise ValueError(f"basis index {index} out of range for dimension {total}")
+        raise ValidationError(f"basis index {index} out of range for dimension {total}")
     amp = np.zeros(total, dtype=complex)
     amp[index] = 1.0
-    return PureState(amp, tuple(dims))
+    return PureState(amp, dims)
 
 
 def _is_weighted_pair(item) -> bool:

@@ -11,24 +11,28 @@ exactly equal, not merely close: same classes, same ``dim``, and the
 same capture float.  The census appends its classes only to a list its
 caller passes, so each case runs it with and without one.  The draws aim
 at the window edges: zero, exactly degenerate and near-degenerate
-eigenvalues, and widths down to 1e-17.  A brute-force oracle of the
-weights each prefix can reach checks that the walk of prefixes builds
-none that cannot reach the window.
+eigenvalues, and widths down to 1e-17.  The long blocks run again with
+the census of three or more letters cut into blocks of one and seven
+classes, so that a prefix's run of classes straddles blocks.  A
+brute-force oracle of the weights each prefix can reach checks that the
+frontier of prefixes builds none that cannot reach the window.
 """
 
 import math
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qihe import coding
 from qihe.coding import (
     _EPS,
+    _WindowSolver,
     _combinatorial_census,
+    _prefixes,
     _typical_window,
-    _walk,
-    _window_solver,
     qubit_capture_curve,
 )
 
@@ -162,11 +166,20 @@ def _multinomial(counts):
     return mult
 
 
+@lru_cache(maxsize=None)
+def full_census_of(evals: tuple, L: int, delta: float):
+    """:func:`full_census`, taken once for each block-size case."""
+    return full_census(np.array(evals), L, delta)
+
+
 # Blocks past the sweep's lengths.  The first three keep classes whose
 # multinomials reach 1000 bits, where the capture term is taken in the log
 # domain; the flat qubit's include multinomials of exactly 1000 bits, the
 # first that leave the float branch.  The next two are the largest
 # censuses the benchmark runs, and the last walks three prefix levels.
+# Blocks of one and of seven classes put a block boundary inside the run of
+# classes of many prefixes, where the multinomial is seeded again.
+@pytest.mark.parametrize("chunk", [1, 7, coding._CHUNK], ids=["chunk1", "chunk7", "default"])
 @pytest.mark.parametrize("evals, L, delta, log_domain", [
     ((0.3, 0.33, 0.37), 700, 0.01, True),
     ((0.25, 0.75), 3000, 0.02, True),
@@ -175,9 +188,11 @@ def _multinomial(counts):
     ((0.1, 0.2, 0.3, 0.4), 60, 0.1, False),
     ((0.05, 0.1, 0.15, 0.3, 0.4), 40, 0.05, False),
 ])
-def test_census_equals_the_full_enumeration_at_long_blocks(evals, L, delta, log_domain):
+def test_census_equals_the_full_enumeration_at_long_blocks(evals, L, delta, log_domain, chunk,
+                                                           monkeypatch):
+    monkeypatch.setattr(coding, "_CHUNK", chunk)
     census = census_with_classes(np.array(evals), L, delta)
-    assert census == full_census(np.array(evals), L, delta)
+    assert census == full_census_of(evals, L, delta)
     classes = census[3]
     assert any(_multinomial(c).bit_length() >= 1000 for c in classes) == log_domain
 
@@ -187,7 +202,7 @@ def test_census_equals_the_full_enumeration_at_long_blocks(evals, L, delta, log_
     ((0.05, 0.1, 0.15, 0.3, 0.4), 40, 0.05),
 ])
 def test_walk_builds_no_prefix_that_cannot_reach_the_window(evals, L, delta):
-    """Every prefix the walk yields can reach the window, by brute force over its completions.
+    """Every prefix the frontier yields can reach the window, by brute force over its completions.
 
     A prefix of ``d - 2`` counts is completed by the last two counts; the
     oracle weighs every completion and rules the prefix out when the
@@ -207,7 +222,8 @@ def test_walk_builds_no_prefix_that_cannot_reach_the_window(evals, L, delta):
                    for m in range(rest + 1)]
         return min(weights) - pad <= hi and max(weights) + pad >= lo
 
-    walked = [prefix for prefix, *_ in _walk(_window_solver(evals, logs, L, lo, hi), logs, L)]
+    window = _WindowSolver(evals, logs, L, lo, hi)
+    walked = [tuple(prefix) for counts, _, _ in _prefixes(window, L) for prefix in counts.tolist()]
     every = [counts[:-1] for counts in _compositions(L, d - 1)]
     allowed = [prefix for prefix in every if reachable(prefix)]
     assert walked == sorted(set(walked))  # lexicographic, each prefix once

@@ -179,6 +179,27 @@ class TestStateConstruction:
         expect[2, 2] = 1.0
         assert np.array_equal(rho.data, expect)
 
+    @pytest.mark.parametrize("index, dims, message", [
+        (1.5, 2, "basis index must be an integer, got 1.5"),
+        (True, 2, "basis index must be an integer, got True"),
+        (np.True_, 2, "basis index must be an integer"),
+        (0, 2.5, "subsystem dimensions must be integers"),
+        (0, (2, 2.0), "subsystem dimensions must be integers"),
+        (0, (2, 0), "subsystem dimensions must be positive"),
+        (2, 2, "basis index 2 out of range for dimension 2"),
+        (-1, (2, 2), "basis index -1 out of range for dimension 4"),
+    ])
+    def test_basis_state_reads_its_arguments_like_the_rest_of_qcore(self, index, dims, message):
+        """A non-integer index or dimension is refused by name, not as an
+        ``IndexError``, a ``TypeError`` or a misleading norm error."""
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            basis_state(index, dims)
+
+    def test_basis_state_accepts_numpy_integers(self):
+        got = basis_state(np.int64(3), (np.int64(2), 2))
+        assert got.dims == (2, 2) and all(type(d) is int for d in got.dims)
+        assert np.array_equal(got.amplitudes, basis_state(3, (2, 2)).amplitudes)
+
     def test_make_density_from_amplitudes(self):
         rho = make_density([1.0, 0.0], 2)
         assert np.array_equal(rho.data, np.diag([1.0, 0.0]).astype(complex))
