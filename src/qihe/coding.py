@@ -37,7 +37,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -503,19 +503,23 @@ def _prefixes(window: _WindowSolver, L: int):
 
 
 _FLOAT_TERM = 1 << 999  # a multinomial below this takes its capture term in floats
-_COMB_REST = 128  # from this many counts left, the run before seeds a run sooner than math.comb
 
 
 def _powers(lam: float, counts: np.ndarray) -> np.ndarray:
     """``lam ** c`` for each count ``c``, by Python's ``**`` as a class-by-class
     loop takes it (numpy's power may round differently).
 
-    The table spans only the counts given, so it stays as small as the block
-    of classes, whatever ``L`` is.
+    The table is never longer than the block of classes: it spans the
+    block's range of counts where that range is no longer, as it is when the
+    block's prefixes lie close (sorting out the distinct counts would add a
+    fifth or more to a d = 3 census), and holds only the distinct counts
+    otherwise.
     """
-    first = int(counts.min())
-    table = np.array(list(map(lam.__pow__, range(first, int(counts.max()) + 1))))
-    return table[counts - first]
+    first, last = int(counts.min()), int(counts.max())
+    if last - first < len(counts):
+        return np.array(list(map(lam.__pow__, range(first, last + 1))))[counts - first]
+    distinct, index = np.unique(counts, return_inverse=True)
+    return np.array(list(map(lam.__pow__, distinct.tolist())), dtype=float)[index]
 
 
 def _scalar_census(window: _WindowSolver, L: int, classes: list | None) -> tuple[int, float]:
@@ -553,10 +557,7 @@ def _batched_census(window: _WindowSolver, L: int, classes: list | None) -> tupl
     the next count ``m``, the last being ``rest - m``, so only the solved
     span of ``m`` is taken, cut into blocks of at most ``_CHUNK`` classes.
     Python steps only the exact multinomials, along each run of one
-    prefix's counts.  A run is seeded by ``math.comb``, or, past
-    ``_COMB_REST`` counts left, where ``math.comb`` costs more, from the
-    seed of the run before when one count moved from the last letter to the
-    last prefix letter between them.  The window test
+    prefix's counts, each run seeded by ``math.comb``.  The window test
     and the capture products are numpy's, in the order of operations of a
     class-by-class loop, and the terms are summed in class order, so every
     float is the one that loop gives.
@@ -571,35 +572,22 @@ def _batched_census(window: _WindowSolver, L: int, classes: list | None) -> tupl
         return raw * _powers(lams[-2], m) * _powers(lams[-1], k)
 
     dim, capture = 0, 0.0
-    before = (None, 0, 0)
     for counts, rest, weight in _prefixes(window, L):
         for p, m in _expand(*window.spans(len(lams) - 2, weight, rest)):
             k = rest[p] - m
             w = weight[p] + m * a + k * b
             keep = (lo <= w) & (w <= hi)
-            # the classes of one prefix form one run, and each run is stepped from its seed
+            # the classes of one prefix form one run, stepped from its first count
             cuts = [0, *(np.flatnonzero(p[1:] != p[:-1]) + 1).tolist(), len(p)]
             q = p[cuts[:-1]]
             mults = []
             append = mults.append
             for head, r, start, first, stop in zip(counts[q].tolist(), rest[q].tolist(),
                                                    m[cuts[:-1]].tolist(), cuts, cuts[1:]):
-                if r >= _COMB_REST and before[0] == head and before[1] <= r:
-                    # the run before's seed, with one count moved from the last letter to
-                    # the last prefix letter, stepped from its first count to this start
-                    _, low, mult = before
-                    mult = mult * (r + 1 - low) // head[-1]
-                    for i in range(low, start):
-                        mult = mult * (r - i) // (i + 1)
-                    for i in range(low, start, -1):
-                        mult = mult * i // (r - i + 1)
-                else:  # L! / (c_1! ... c_{d-2}! start! (r - start)!)
-                    mult, n = math.comb(r, start), L
-                    for c in head:
-                        mult *= math.comb(n, c)
-                        n -= c
-                head[-1] += 1
-                before = (head, start, mult)  # the prefix after this run's, and this seed
+                mult, n = math.comb(r, start), L  # L! / (c_1! ... c_{d-2}! start! (r - start)!)
+                for c in head:
+                    mult *= math.comb(n, c)
+                    n -= c
                 for i in range(start, start + stop - first):
                     append(mult)
                     mult = mult * (r - i) // (i + 1)
@@ -612,14 +600,13 @@ def _batched_census(window: _WindowSolver, L: int, classes: list | None) -> tupl
                 classes.extend(map(tuple, np.column_stack((counts[p], m, k)).tolist()))
             if mults[0] < _FLOAT_TERM and max(mults) < _FLOAT_TERM:  # every term in floats
                 term = weighted(np.array(mults, dtype=float), counts[p], m, k)
-            else:
-                bits = np.array(list(map(math.log2, mults)))
-                if bits.min() >= 1000.0:  # every multinomial past 2**999: all in the log domain
-                    term = np.array(list(map(pow, repeat(2.0), (bits + w).tolist())))
-                else:  # a log-domain term comes whole, negated to mark it
-                    raw = np.array([float(x) if x < _FLOAT_TERM else -2.0 ** (lg + wx)
-                                    for x, lg, wx in zip(mults, bits.tolist(), w.tolist())])
-                    term = np.where(np.signbit(raw), -raw, weighted(raw, counts[p], m, k))
+            else:  # a term past 2**999 comes whole from the log domain, negated to mark it
+                raw = np.array([float(x) if x < _FLOAT_TERM else -2.0 ** (math.log2(x) + wx)
+                                for x, wx in zip(mults, w.tolist())])
+                near = ~np.signbit(raw)
+                term = np.abs(raw)
+                if near.any():
+                    term[near] = weighted(raw[near], counts[p[near]], m[near], k[near])
             capture = float(np.add.accumulate(np.concatenate(([capture], term)))[-1])
     return dim, capture
 

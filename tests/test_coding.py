@@ -500,14 +500,18 @@ class TestTypicalSubspace:
         ((0.3, 0.33, 0.37), 700, 0.01),
         ((0.1, 0.12, 0.15, 0.18, 0.2, 0.25), 40, 0.005),
         ((1e-6, 2e-6, 1 - 3e-6), 10 ** 6, 1e-5),
-    ], ids=["many-classes", "many-prefixes", "long-block"])
+        ((1e-3, 0.4993, 0.4997), 20000, 1e-7),
+    ], ids=["many-classes", "many-prefixes", "long-block", "spread-counts"])
     def test_census_keeps_no_class_list(self, evals, L, delta):
         """The typical classes are listed only for ``basis``; the census keeps
         none, so its peak memory does not grow with their number (the d = 3,
         L = 700 census has 3 MiB of them), nor with the number of prefixes
         it solves (22 106 at d = 6, L = 40), nor with ``L`` where few classes
         are typical (a table of powers up to ``L = 10**6`` would take 8 MiB
-        a letter)."""
+        a letter), nor with how far apart the counts of one block lie (at
+        L = 20 000 one step of the first count moves the second by about
+        7 800, so a table over a block's whole range of counts would span
+        most of ``L``)."""
         rho = make_density(np.diag(evals).astype(complex), len(evals))
         tracemalloc.start()
         try:
