@@ -10,17 +10,21 @@ carrier's capacity ``M = log2 d`` bits per letter:
 * the average letter entropy ``<S_a>`` itself.
 
 The bookkeeping identity ``E + chi + <S_a> = M`` is enforced wherever
-these numbers are produced together.
+these numbers are produced together.  They are read from values each
+frozen object derives once, on first request: an :class:`Alphabet` keeps
+``rho_B`` and every state its entropy, so however many budgets, ledgers
+and blocks read one alphabet, ``rho_B`` is mixed and diagonalized once.
 
 For long blocks the receiver can concentrate the source onto its
 typical subspace, swap the typical content into a compact ancilla with
 a permutation-style unitary, and run the emptied carriers through the
 engine (Schumacher compression).  :func:`typical_subspace` counts the
-subspace from the spectrum that validated ``rho_B``, by a multinomial
-census over eigenvalue type classes, so it diagonalizes nothing and needs
-no ``d**L``-sized matrix for any source.  The census solves only the
-prefixes of counts, and weighs only the classes, that the typicality
-window can hold, not all ``C(L + d - 1, d - 1)`` classes.  A source of
+subspace from the spectrum that validated ``rho_B``, and the entropy it
+keeps, by a multinomial census over eigenvalue type classes, so it
+diagonalizes nothing and needs no ``d**L``-sized matrix for any source.
+The census solves only the prefixes of counts, and weighs only the
+classes, that the typicality window can hold, not all
+``C(L + d - 1, d - 1)`` classes.  A source of
 three or more letters is counted in numpy blocks of prefixes and classes,
 with Python left only the exact multinomial steps; a qubit source has no
 prefix and a big-integer step per class, so it is counted class by class.
@@ -47,6 +51,7 @@ from .qcore import (
     DensityMatrix,
     ValidationError,
     _positive_integer,
+    _real,
     basis_state,
     check_capacity,
     entropy_from_eigenvalues,
@@ -86,7 +91,13 @@ _PROJECTOR_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Alphabet:
-    """A finite quantum source: letter states plus emission probabilities."""
+    """A finite quantum source: letter states plus emission probabilities.
+
+    It keeps its validated ensemble state ``rho_B``, built on first request,
+    as each letter keeps its entropy.  That is safe because an alphabet
+    never changes: it is frozen, and holds tuples of floats and of frozen,
+    read-only letters.
+    """
 
     letters: tuple[DensityMatrix, ...]
     probs: tuple[float, ...]
@@ -122,6 +133,11 @@ class Alphabet:
     def capacity_bits(self) -> float:
         return math.log2(self.d)
 
+    @cached_property
+    def _ensemble(self) -> DensityMatrix:
+        """``sum_a p_a rho_a``, validated: what :func:`ensemble_state` returns."""
+        return mixture(list(zip(self.probs, self.letters)))
+
     def to_dict(self) -> dict:
         return {
             "dims": self.d,
@@ -141,16 +157,13 @@ class Alphabet:
                 raise ValidationError(f"alphabet has no {key!r} field")
             try:
                 return parse(obj[key])
-            except ValidationError:
-                raise
-            except (TypeError, ValueError, IndexError) as exc:
+            except (TypeError, ValueError) as exc:  # a ValidationError is a ValueError
                 raise ValidationError(f"malformed alphabet field {key!r}: {exc}") from None
 
         def dimension(value) -> int:
-            # int() would truncate 2.7 to 2 and read true as 1
-            if isinstance(value, (bool, np.bool_)) or (
-                    isinstance(value, (float, np.floating)) and not float(value).is_integer()):
-                raise ValidationError(f"alphabet field 'dims' must be an integer, got {value!r}")
+            # 2.0 reads as 2, where int() would also truncate 2.7 and read true or "2"
+            if not _real(value, "the dimension").is_integer():
+                raise ValidationError(f"the dimension must be an integer, got {value!r}")
             return int(value)
 
         d = field("dims", dimension)
@@ -164,7 +177,8 @@ class Alphabet:
             return DensityMatrix(m, (d,))
 
         letters = field("letters", lambda entries: tuple(letter(e) for e in entries))
-        return cls(letters, field("probs", lambda probs: tuple(float(p) for p in probs)))
+        return cls(letters, field("probs", lambda probs: tuple(
+            _real(p, "each probability") for p in probs)))
 
 
 def load_alphabet(path: str) -> Alphabet:
@@ -195,12 +209,16 @@ def zero_plus_alphabet() -> Alphabet:
 
 
 def ensemble_state(alphabet: Alphabet) -> DensityMatrix:
-    """Average emitted state ``rho_B = sum_a p_a rho_a``."""
-    return mixture(list(zip(alphabet.probs, alphabet.letters)))
+    """Average emitted state ``rho_B = sum_a p_a rho_a``.
+
+    It is mixed and validated on the first call for ``alphabet`` only; every
+    later call returns the same read-only state, with its entropy, once taken.
+    """
+    return alphabet._ensemble
 
 
 def letter_entropies(alphabet: Alphabet) -> list[float]:
-    """Von Neumann entropy of each letter, in bits."""
+    """Von Neumann entropy of each letter, in bits, as each letter keeps it."""
     return [von_neumann_entropy(let) for let in alphabet.letters]
 
 
@@ -239,7 +257,7 @@ class TradeoffPoint:
 
 
 def _entropy_budget(alphabet: Alphabet) -> tuple[TradeoffPoint, float]:
-    """The full-communication point and ``S(rho_B)``: the one place both entropies are computed."""
+    """The full-communication point and ``S(rho_B)``, from the entropies the states keep."""
     s_b = von_neumann_entropy(ensemble_state(alphabet))
     avg = sum(p * s for p, s in zip(alphabet.probs, letter_entropies(alphabet)))
     return TradeoffPoint(
@@ -347,7 +365,8 @@ class TypicalSubspace:
         total = d ** self.L
         check_capacity(total, self.max_dim)
         classes: list[tuple[int, ...]] = []
-        _combinatorial_census(self.state._eigenvalues, self.L, self.delta, classes)
+        _combinatorial_census(self.state._eigenvalues, self.L, self.delta, classes,
+                              self.state._entropy)
         eigenvectors = np.linalg.eigh(self.state.data)[1]
         powers = d ** np.arange(self.L - 1, -1, -1)
         digits = (np.arange(total)[:, None] // powers) % d
@@ -383,8 +402,12 @@ def _check_delta(delta: float) -> None:
         raise ValidationError(f"delta must be positive and finite, got {delta}")
 
 
-def _typical_window(evals: np.ndarray, L: int, delta: float) -> tuple[float, float, float]:
-    entropy = entropy_from_eigenvalues(evals)
+def _typical_window(evals: np.ndarray, L: int, delta: float,
+                    entropy: float | None = None) -> tuple[float, float, float]:
+    """``(S, lo, hi)``: the entropy of ``evals``, taken from them unless a state's
+    kept ``entropy`` is given, and the window ``-L(S +/- delta)`` on log-weights."""
+    if entropy is None:
+        entropy = entropy_from_eigenvalues(evals)
     return entropy, -L * (entropy + delta), -L * (entropy - delta)
 
 
@@ -462,10 +485,11 @@ class _WindowSolver:
 
 
 _CHUNK = 1 << 10  # classes, or prefixes of one level, that the census of d >= 3 holds at once
+_CHUNK_BITS = _CHUNK * 2048  # bits of exact multinomials one block of classes holds at most
 
 
-def _expand(starts: np.ndarray, widths: np.ndarray):
-    """The children of a block of parents, at most ``_CHUNK`` at a time.
+def _expand(starts: np.ndarray, widths: np.ndarray, size: int):
+    """The children of a block of parents, at most ``size`` at a time.
 
     Parent ``i`` has the children ``starts[i] .. starts[i] + widths[i] - 1``.
     All children are cut into blocks by their index in that order, and
@@ -474,8 +498,8 @@ def _expand(starts: np.ndarray, widths: np.ndarray):
     ends = np.cumsum(widths)
     shift = starts - ends + widths  # a child's count less its index
     total = int(ends[-1])
-    for first in range(0, total, _CHUNK):
-        child = np.arange(first, min(first + _CHUNK, total))
+    for first in range(0, total, size):
+        child = np.arange(first, min(first + size, total))
         parent = np.searchsorted(ends, child, side="right")
         yield parent, shift[parent] + child
 
@@ -494,7 +518,7 @@ def _prefixes(window: _WindowSolver, L: int):
         if j == len(window.logs) - 2:
             yield counts, rest, weight
             return
-        for parent, c in _expand(*window.spans(j, weight, rest)):
+        for parent, c in _expand(*window.spans(j, weight, rest), _CHUNK):
             yield from level(j + 1, np.column_stack((counts[parent], c)), rest[parent] - c,
                              weight[parent] + c * window.logs[j])
 
@@ -555,7 +579,9 @@ def _batched_census(window: _WindowSolver, L: int, classes: list | None) -> tupl
 
     The prefixes come from :func:`_prefixes`.  The weight is then linear in
     the next count ``m``, the last being ``rest - m``, so only the solved
-    span of ``m`` is taken, cut into blocks of at most ``_CHUNK`` classes.
+    span of ``m`` is taken, cut into blocks of at most ``_CHUNK`` classes,
+    and fewer for long blocks: a multinomial has at most ``L log2 d`` bits,
+    so a block holds at most ``_CHUNK_BITS`` of them whatever ``L``.
     Python steps only the exact multinomials, along each run of one
     prefix's counts, each run seeded by ``math.comb``.  The window test
     and the capture products are numpy's, in the order of operations of a
@@ -564,6 +590,7 @@ def _batched_census(window: _WindowSolver, L: int, classes: list | None) -> tupl
     """
     lams, lo, hi = window.lams, window.lo, window.hi
     a, b = window.logs[-2:]
+    size = max(1, min(_CHUNK, _CHUNK_BITS // math.ceil(L * math.log2(len(lams)))))
 
     def weighted(raw, counts, m, k):
         """``raw`` times each class's powers, in letter order."""
@@ -573,7 +600,7 @@ def _batched_census(window: _WindowSolver, L: int, classes: list | None) -> tupl
 
     dim, capture = 0, 0.0
     for counts, rest, weight in _prefixes(window, L):
-        for p, m in _expand(*window.spans(len(lams) - 2, weight, rest)):
+        for p, m in _expand(*window.spans(len(lams) - 2, weight, rest), size):
             k = rest[p] - m
             w = weight[p] + m * a + k * b
             keep = (lo <= w) & (w <= hi)
@@ -612,13 +639,15 @@ def _batched_census(window: _WindowSolver, L: int, classes: list | None) -> tupl
 
 
 def _combinatorial_census(
-    evals: np.ndarray, L: int, delta: float, classes: list | None = None
+    evals: np.ndarray, L: int, delta: float, classes: list | None = None,
+    entropy: float | None = None,
 ) -> tuple[int, float, float]:
     """Count typical eigenvectors and their captured probability by type class.
 
-    Returns ``(dim, capture, entropy)``, and appends the counts of every
-    typical class, in lexicographic order, to ``classes`` if given (only
-    ``basis`` gives a list).  Only the classes near the window are weighed:
+    Returns ``(dim, capture, entropy)``, the entropy being a state's kept
+    ``entropy`` when given and that of ``evals`` otherwise, and appends the
+    counts of every typical class, in lexicographic order, to ``classes`` if
+    given (only ``basis`` gives a list).  Only the classes near the window are weighed:
     the counts of each letter are solved for by :class:`_WindowSolver`, and
     each multinomial is stepped by its exact recurrence.  The number of
     letters ``d`` picks the route.  Three or more letters take
@@ -631,7 +660,7 @@ def _combinatorial_census(
     cost is a few numpy calls per block plus one big-integer step per class
     near the window.
     """
-    entropy, lo, hi = _typical_window(evals, L, delta)
+    entropy, lo, hi = _typical_window(evals, L, delta, entropy)
     lams = [float(x) for x in np.real(evals)]
     if len(lams) == 1:
         if lams[0] > 0.0 and lo <= L * math.log2(lams[0]) <= hi:
@@ -654,8 +683,9 @@ def typical_subspace(
 
     The eigenvalues of ``rho_B^(x L)`` are products of the ``d`` eigenvalues
     of ``rho_b``, so a multinomial census over type classes of the spectrum that
-    validated ``rho_b``, with no diagonalization, gives the exact ``dim`` and capture
-    probability for any source, diagonal or not, at any integer block length.  The census
+    validated ``rho_b``, with the entropy ``rho_b`` keeps and no
+    diagonalization, gives the exact ``dim`` and capture probability for any
+    source, diagonal or not, at any integer block length.  The census
     solves only the prefixes of ``d - 2`` counts that can reach the window
     and weighs only the classes near it, in blocks of at most ``_CHUNK``
     for ``d >= 3``, and keeps none.
@@ -665,7 +695,8 @@ def typical_subspace(
     """
     L = _positive_integer(L, "block length L")
     _check_delta(delta)
-    dim, capture, entropy = _combinatorial_census(rho_b._eigenvalues, L, delta)
+    dim, capture, entropy = _combinatorial_census(rho_b._eigenvalues, L, delta,
+                                                  entropy=rho_b._entropy)
     return TypicalSubspace(
         L=L, delta=delta, dim=dim,
         capture_probability=min(max(capture, 0.0), 1.0),

@@ -9,7 +9,8 @@ power multiplies arrays and validates only the power it returns, and a
 channel applies each Kraus operator to its target axes only.  A density
 matrix given by its entries is diagonalized once, by its own positivity
 check; a tensor power takes its spectrum from its letter's instead, and
-:func:`von_neumann_entropy` reads whichever spectrum the state keeps.
+:func:`von_neumann_entropy` reads whichever spectrum the state keeps, once
+per state: the entropy is derived on first request and kept.
 
 Conventions
 -----------
@@ -25,9 +26,11 @@ Conventions
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -131,6 +134,17 @@ def _integer(value, name: str) -> int:
         raise ValidationError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _real(value, name: str) -> float:
+    """``value`` as a Python ``float``; a bool, a string or a number past the float
+    range raises a :class:`ValidationError` naming ``name``."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{name} is out of the float range") from None
+
+
 def _integers(values: Iterable[int], name: str) -> tuple[int, ...]:
     """Each of ``values`` read by :func:`_integer`; the error names ``name`` and the whole input."""
     try:
@@ -193,6 +207,11 @@ class DensityMatrix:
     it adds nothing to the validation's peak memory.  A
     :func:`tensor_power` keeps instead the sorted products of its letter's
     kept spectrum, which is the spectrum of the power.
+
+    The entropy of the kept spectrum is likewise derived once, on first
+    request, and kept.  That is safe because a state never changes: the
+    dataclass is frozen, and ``data`` and the spectrum are read-only arrays,
+    so the entropy is a function of fields that cannot move.
     """
 
     data: np.ndarray
@@ -210,6 +229,11 @@ class DensityMatrix:
     @property
     def n_subsystems(self) -> int:
         return len(self.dims)
+
+    @cached_property
+    def _entropy(self) -> float:
+        """The entropy of the kept spectrum, in bits: what :func:`von_neumann_entropy` returns."""
+        return entropy_from_eigenvalues(self._eigenvalues)
 
 
 def _validate(state: DensityMatrix, data, dims, spectrum: np.ndarray | None = None,
@@ -618,9 +642,10 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
     It reads the spectrum that validated ``rho``, kept at construction:
     ``eigvalsh`` of a matrix given to :class:`DensityMatrix`, or the sorted
-    products of the letter's spectrum for a :func:`tensor_power`.
+    products of the letter's spectrum for a :func:`tensor_power`.  The sum
+    runs on the first call for ``rho`` only; later calls return the kept float.
     """
-    return entropy_from_eigenvalues(rho._eigenvalues)
+    return rho._entropy
 
 
 def matrix_to_pairs(m: np.ndarray) -> list[list[list[float]]]:
@@ -629,11 +654,24 @@ def matrix_to_pairs(m: np.ndarray) -> list[list[list[float]]]:
     return [[[float(x.real), float(x.imag)] for x in row] for row in a]
 
 
+def _complex_pair(entry) -> complex:
+    """One ``[re, im]`` entry of a serialized matrix as a complex number."""
+    try:
+        re, im = entry
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"each matrix entry must be a pair [re, im] of numbers, got {entry!r}") from None
+    name = "each part of a matrix entry"
+    return complex(_real(re, name), _real(im, name))
+
+
 def matrix_from_pairs(obj: Sequence[Sequence[Sequence[float]]]) -> np.ndarray:
-    """Inverse of :func:`matrix_to_pairs`."""
-    rows = []
-    for row in obj:
-        rows.append([complex(float(e[0]), float(e[1])) for e in row])
+    """Inverse of :func:`matrix_to_pairs`.
+
+    Each entry must be exactly two real numbers ``[re, im]``; any other
+    entry, a bool or a string included, raises :class:`ValidationError`.
+    """
+    rows = [[_complex_pair(e) for e in row] for row in obj]
     out = np.array(rows, dtype=complex)
     if out.ndim != 2:
         raise ValidationError(f"serialized matrix must be 2-D, got shape {out.shape}")

@@ -18,7 +18,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qihe import coding, qcore
 from qihe.qcore import (
     TRACE_TOL,
     CapacityError,
@@ -101,6 +103,23 @@ class TestAlphabet:
         ({"dims": 2, "probs": []}, "'letters'"),
         ({"dims": 2, "letters": []}, "'probs'"),
         ([1, 2], "JSON object"),
+        # each entry is exactly two numbers, dims an integer and each prob a number
+        ({"dims": 2, "letters": [[[[1, 0, 5], [0, 0]], [[0, 0], [0, 0]]]], "probs": [1.0]},
+         "'letters'"),
+        ({"dims": 2, "letters": [[[["1", 0], [0, 0]], [[0, 0], [0, 0]]]], "probs": [1.0]},
+         "'letters'"),
+        ({"dims": 2, "letters": [[[[True, 0], [0, 0]], [[0, 0], [0, 0]]]], "probs": [1.0]},
+         "'letters'"),
+        ({"dims": 2, "letters": [[[[10 ** 400, 0], [0, 0]], [[0, 0], [0, 0]]]], "probs": [1.0]},
+         "'letters'"),
+        ({"dims": "2", "letters": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]], "probs": [1.0]},
+         "'dims'"),
+        ({"dims": 2, "letters": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]], "probs": ["1.0"]},
+         "'probs'"),
+        ({"dims": 2, "letters": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]], "probs": [True]},
+         "'probs'"),
+        ({"dims": 2, "letters": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]], "probs": [10 ** 400]},
+         "'probs'"),
     ])
     def test_malformed_documents_name_the_field(self, doc, field):
         with pytest.raises(ValidationError, match=field):
@@ -462,8 +481,8 @@ class TestTypicalSubspace:
 
     def test_the_census_diagonalizes_nothing(self, monkeypatch, natural_ctx):
         """The census reads the spectrum that validated ``rho_B``; ``basis`` makes
-        one ``eigh`` of it, on first access only; the ledger diagonalizes only
-        the ensemble state, by its own validation."""
+        one ``eigh`` of it, on first access only; the ledger reads the ensemble
+        state the alphabet keeps, which ``ensemble_state`` has already built."""
         ab = zero_plus_alphabet()
         rho = ensemble_state(ab)
         calls = []
@@ -479,7 +498,7 @@ class TestTypicalSubspace:
         assert calls == ["eigh"]
         calls.clear()
         refactorization_ledger(ab, 6, 0.2, natural_ctx)
-        assert calls == ["eigvalsh"]
+        assert calls == []
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 4])
     def test_one_spectrum_per_state(self, seed, random_alphabet):
@@ -501,7 +520,8 @@ class TestTypicalSubspace:
         ((0.1, 0.12, 0.15, 0.18, 0.2, 0.25), 40, 0.005),
         ((1e-6, 2e-6, 1 - 3e-6), 10 ** 6, 1e-5),
         ((1e-3, 0.4993, 0.4997), 20000, 1e-7),
-    ], ids=["many-classes", "many-prefixes", "long-block", "spread-counts"])
+        ((0.2, 0.3, 0.5), 3000, 0.02),
+    ], ids=["many-classes", "many-prefixes", "long-block", "spread-counts", "long-multinomials"])
     def test_census_keeps_no_class_list(self, evals, L, delta):
         """The typical classes are listed only for ``basis``; the census keeps
         none, so its peak memory does not grow with their number (the d = 3,
@@ -511,7 +531,9 @@ class TestTypicalSubspace:
         a letter), nor with how far apart the counts of one block lie (at
         L = 20 000 one step of the first count moves the second by about
         7 800, so a table over a block's whole range of counts would span
-        most of ``L``)."""
+        most of ``L``), nor with the size of each exact multinomial (at
+        L = 3000 a full block of 1024 of them, about 4 700 bits each, peaks
+        at 0.83 MiB)."""
         rho = make_density(np.diag(evals).astype(complex), len(evals))
         tracemalloc.start()
         try:
@@ -656,3 +678,69 @@ class TestRefactorizationUnitary:
         sub = typical_subspace(rho, L=40, delta=0.2)
         with pytest.raises(CapacityError):
             refactorization_unitary(sub)
+
+
+class TestDerivedOnce:
+    """A state takes its entropy, and an alphabet its ensemble state, once."""
+
+    def test_one_alphabet_is_mixed_and_diagonalized_once(self, monkeypatch, natural_ctx):
+        """Every budget and ledger of one alphabet reads the one ensemble state
+        it keeps, and each state's entropy sum runs once, however often read."""
+        ab = zero_plus_alphabet()
+        shapes, spectra = [], []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args, **kw:
+                            shapes.append(a.shape) or eigvalsh(a, *args, **kw))
+        entropy = qcore.entropy_from_eigenvalues
+        for module in (qcore, coding):
+            monkeypatch.setattr(module, "entropy_from_eigenvalues",
+                                lambda values: spectra.append(values) or entropy(values))
+
+        def every_number():
+            return (holevo_chi(ab), tradeoff_point(ab, natural_ctx),
+                    tradeoff_curve(ab, natural_ctx),
+                    [refactorization_ledger(ab, L, 0.2, natural_ctx) for L in (6, 10)])
+
+        rho = ensemble_state(ab)
+        first = every_number()
+        assert shapes == [(2, 2)]
+        states = (rho, *ab.letters)
+        assert len(spectra) == len(states)
+        assert all(any(v is s._eigenvalues for v in spectra) for s in states)
+        assert every_number() == first and ensemble_state(ab) is rho
+        assert shapes == [(2, 2)] and len(spectra) == len(states)
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(2, 4), k=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+    def test_reused_objects_give_the_numbers_of_fresh_ones(self, d, k, seed):
+        """Each number read again from an alphabet or state that keeps it is
+        ``==`` the number an equal, freshly built one computes."""
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(k, d, d)) + 1j * rng.normal(size=(k, d, d))
+        matrices = [m / np.real(np.trace(m)) for m in g @ g.conj().transpose(0, 2, 1)]
+        raw = rng.random(k) + 0.1
+        probs = tuple(float(x) for x in raw / raw.sum())
+        ctx = ThermalContext(units="natural")
+
+        def fresh():
+            return Alphabet(tuple(DensityMatrix(m, (d,)) for m in matrices), probs)
+
+        def numbers(ab):
+            rho = ensemble_state(ab)
+            out = [rho.data.tolist(), von_neumann_entropy(rho), letter_entropies(ab),
+                   holevo_chi(ab), tradeoff_point(ab, ctx), tradeoff_curve(ab, ctx),
+                   tradeoff_point(block_alphabet(ab, 2), ctx)]
+            for L, delta in ((3, 0.4), (7, 0.3)):
+                sub = typical_subspace(rho, L, delta)
+                out.append(sub)
+                out.append(sub.basis.tolist() if L == 3 else sub.source_entropy)
+                try:
+                    out.append(refactorization_ledger(ab, L, delta, ctx))
+                except ValidationError as exc:  # an empty typical subspace
+                    out.append(str(exc))
+            return out
+
+        reused = fresh()
+        want = numbers(reused)
+        assert numbers(reused) == want
+        assert numbers(fresh()) == want
