@@ -28,7 +28,8 @@ classes, that the typicality window can hold, not all
 three or more letters is counted in numpy blocks of prefixes and classes,
 with Python left only the exact multinomial steps; a qubit source has no
 prefix and a big-integer step per class, so it is counted class by class.
-Both give the floats of a class-by-class loop, bit for bit.  The
+Both take their multinomials from one stepper, seeded once per run of
+classes, and give the floats of a class-by-class loop, bit for bit.  The
 eigenvectors, basis and projector are computed only on request, within the
 dense cap; the list of typical classes is built only for the basis.
 :func:`refactorization_ledger` turns capture statistics into a net
@@ -41,7 +42,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
+from itertools import compress, islice
 from typing import Sequence
 
 import numpy as np
@@ -104,7 +105,7 @@ class Alphabet:
 
     def __post_init__(self) -> None:
         letters = tuple(self.letters)
-        probs = tuple(float(p) for p in self.probs)
+        probs = tuple(_real(p, "each probability") for p in self.probs)
         if not letters:
             raise ValidationError("an alphabet needs at least one letter")
         if len(letters) != len(probs):
@@ -546,20 +547,37 @@ def _powers(lam: float, counts: np.ndarray) -> np.ndarray:
     return np.array(list(map(lam.__pow__, distinct.tolist())), dtype=float)[index]
 
 
+def _multinomials(runs, L: int):
+    """The exact multinomial of each class along ``runs``, in class order.
+
+    A run ``(head, r, start, width)`` holds the ``width`` classes whose
+    counts are ``head``, then ``start + i`` and ``r - start - i``.  Its
+    first multinomial ``L! / (head! start! (r - start)!)`` is seeded by
+    ``math.comb`` once, and each next one is stepped by the exact recurrence.
+    """
+    for head, r, start, width in runs:
+        mult, n = math.comb(r, start), L
+        for c in head:
+            mult *= math.comb(n, c)
+            n -= c
+        for i in range(start, start + width):
+            yield mult
+            mult = mult * (r - i) // (i + 1)
+
+
 def _scalar_census(window: _WindowSolver, L: int, classes: list | None) -> tuple[int, float]:
     """``(dim, capture)`` of a two-letter source, one class at a time.
 
-    The span of the first count ``m`` is walked with the binomial stepped by
-    its exact recurrence, and each class is weighed inline from the two
-    ``log2(lam_i)``; each count, and so each power, comes once.
+    The span of the first count ``m`` is one run of :func:`_multinomials`,
+    and each class is weighed inline from the two ``log2(lam_i)``; each
+    count, and so each power, comes once.
     """
     a, b = window.logs
     pa, pb = window.lams
     lo, hi = window.lo, window.hi
     dim, capture = 0, 0.0
     span = window.span(0, 0.0, L)
-    mult = math.comb(L, span.start)
-    for m in span:
+    for m, mult in zip(span, _multinomials([((), L, span.start, len(span))], L)):
         k = L - m
         w = m * a + k * b
         if lo <= w <= hi:
@@ -570,7 +588,6 @@ def _scalar_census(window: _WindowSolver, L: int, classes: list | None) -> tuple
                 capture += float(mult) * pa ** m * pb ** k
             else:
                 capture += 2.0 ** (math.log2(mult) + w)
-        mult = mult * k // (m + 1)
     return dim, capture
 
 
@@ -582,13 +599,18 @@ def _batched_census(window: _WindowSolver, L: int, classes: list | None) -> tupl
     span of ``m`` is taken, cut into blocks of at most ``_CHUNK`` classes,
     and fewer for long blocks: a multinomial has at most ``L log2 d`` bits,
     so a block holds at most ``_CHUNK_BITS`` of them whatever ``L``.
-    Python steps only the exact multinomials, along each run of one
-    prefix's counts, each run seeded by ``math.comb``.  The window test
-    and the capture products are numpy's, in the order of operations of a
-    class-by-class loop, and the terms are summed in class order, so every
-    float is the one that loop gives.
+    Python steps only the exact multinomials: each block of prefixes is
+    one stream of :func:`_multinomials`, one run per prefix, which the
+    blocks of classes draw from in turn.  The window test and the capture
+    products are numpy's, in the order of operations of a class-by-class
+    loop, and the terms are summed in class order, so every float is the
+    one that loop gives.
     """
     lams, lo, hi = window.lams, window.lo, window.hi
+    if L >= 2 ** 63:
+        raise ValidationError(
+            f"block length L = {L} is too long for a census of {len(lams)} letters, "
+            "whose counts must stay below 2**63")
     a, b = window.logs[-2:]
     size = max(1, min(_CHUNK, _CHUNK_BITS // math.ceil(L * math.log2(len(lams)))))
 
@@ -600,25 +622,15 @@ def _batched_census(window: _WindowSolver, L: int, classes: list | None) -> tupl
 
     dim, capture = 0, 0.0
     for counts, rest, weight in _prefixes(window, L):
-        for p, m in _expand(*window.spans(len(lams) - 2, weight, rest), size):
+        starts, widths = window.spans(len(lams) - 2, weight, rest)
+        run = np.flatnonzero(widths)  # the prefixes that hold a class
+        stream = _multinomials(zip(map(np.ndarray.tolist, counts[run]), map(int, rest[run]),
+                                   map(int, starts[run]), map(int, widths[run])), L)
+        for p, m in _expand(starts, widths, size):
             k = rest[p] - m
             w = weight[p] + m * a + k * b
             keep = (lo <= w) & (w <= hi)
-            # the classes of one prefix form one run, stepped from its first count
-            cuts = [0, *(np.flatnonzero(p[1:] != p[:-1]) + 1).tolist(), len(p)]
-            q = p[cuts[:-1]]
-            mults = []
-            append = mults.append
-            for head, r, start, first, stop in zip(counts[q].tolist(), rest[q].tolist(),
-                                                   m[cuts[:-1]].tolist(), cuts, cuts[1:]):
-                mult, n = math.comb(r, start), L  # L! / (c_1! ... c_{d-2}! start! (r - start)!)
-                for c in head:
-                    mult *= math.comb(n, c)
-                    n -= c
-                for i in range(start, start + stop - first):
-                    append(mult)
-                    mult = mult * (r - i) // (i + 1)
-            mults = list(compress(mults, keep.tolist()))
+            mults = list(compress(islice(stream, len(p)), keep.tolist()))
             if not mults:
                 continue
             dim += sum(mults)
@@ -634,6 +646,7 @@ def _batched_census(window: _WindowSolver, L: int, classes: list | None) -> tupl
                 term = np.abs(raw)
                 if near.any():
                     term[near] = weighted(raw[near], counts[p[near]], m[near], k[near])
+            del mults  # so no block's multinomials stay alive while the next is stepped
             capture = float(np.add.accumulate(np.concatenate(([capture], term)))[-1])
     return dim, capture
 
@@ -661,7 +674,7 @@ def _combinatorial_census(
     near the window.
     """
     entropy, lo, hi = _typical_window(evals, L, delta, entropy)
-    lams = [float(x) for x in np.real(evals)]
+    lams = np.real(evals).tolist()
     if len(lams) == 1:
         if lams[0] > 0.0 and lo <= L * math.log2(lams[0]) <= hi:
             if classes is not None:

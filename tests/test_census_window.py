@@ -13,9 +13,11 @@ caller passes, so each case runs it with and without one.  The draws aim
 at the window edges: zero, exactly degenerate and near-degenerate
 eigenvalues, and widths down to 1e-17.  The long blocks run again with
 the census of three or more letters cut into blocks of one and seven
-classes, so that a prefix's run of classes straddles blocks.  A
-brute-force oracle of the weights each prefix can reach checks that the
-frontier of prefixes builds none that cannot reach the window.
+classes, so that a prefix's run of classes straddles blocks, and a spy
+on ``math.comb`` checks that each run is seeded once however the blocks
+cut it.  A brute-force oracle of the weights each prefix can reach
+checks that the frontier of prefixes builds none that cannot reach the
+window.
 """
 
 import math
@@ -172,14 +174,18 @@ def full_census_of(evals: tuple, L: int, delta: float):
     return full_census(np.array(evals), L, delta)
 
 
+_chunks = pytest.mark.parametrize("chunk", [1, 7, coding._CHUNK],
+                                  ids=["chunk1", "chunk7", "default"])
+
+
 # Blocks past the sweep's lengths.  The first three keep classes whose
 # multinomials reach 1000 bits, where the capture term is taken in the log
 # domain; the flat qubit's include multinomials of exactly 1000 bits, the
 # first that leave the float branch.  The next two are the largest
 # censuses the benchmark runs, and the last walks three prefix levels.
 # Blocks of one and of seven classes put a block boundary inside the run of
-# classes of many prefixes, where the multinomial is seeded again.
-@pytest.mark.parametrize("chunk", [1, 7, coding._CHUNK], ids=["chunk1", "chunk7", "default"])
+# classes of many prefixes, across which the multinomial is stepped on.
+@_chunks
 @pytest.mark.parametrize("evals, L, delta, log_domain", [
     ((0.3, 0.33, 0.37), 700, 0.01, True),
     ((0.25, 0.75), 3000, 0.02, True),
@@ -195,6 +201,29 @@ def test_census_equals_the_full_enumeration_at_long_blocks(evals, L, delta, log_
     assert census == full_census_of(evals, L, delta)
     classes = census[3]
     assert any(_multinomial(c).bit_length() >= 1000 for c in classes) == log_domain
+
+
+@_chunks
+@pytest.mark.parametrize("evals, L, delta", [
+    ((0.2, 0.3, 0.5), 300, 0.1),
+    ((0.3, 0.33, 0.37), 700, 0.01),
+    ((0.0, 0.4, 0.6), 200, 0.05),
+])
+def test_each_run_is_seeded_once(evals, L, delta, chunk, monkeypatch):
+    """A d = 3 census seeds the run of each prefix whose last span holds a
+    class once, by two ``math.comb`` calls, however the blocks cut its run."""
+    _, lo, hi = _typical_window(np.array(evals), L, delta)
+    logs = [math.log2(lam) if lam > 0.0 else 0.0 for lam in evals]
+    window = _WindowSolver(evals, logs, L, lo, hi)
+    runs = sum(int(np.count_nonzero(window.spans(1, weight, rest)[1]))
+               for _, rest, weight in _prefixes(window, L))
+    monkeypatch.setattr(coding, "_CHUNK", chunk)
+    seeds = []
+    comb = math.comb
+    monkeypatch.setattr(math, "comb", lambda n, k: seeds.append((n, k)) or comb(n, k))
+    _combinatorial_census(np.array(evals), L, delta)
+    assert runs > 0
+    assert len(seeds) == 2 * runs
 
 
 @pytest.mark.parametrize("evals, L, delta", [

@@ -527,6 +527,16 @@ class TestCodingCommands:
         assert doc["typical_dim"] == 1024
         assert doc["within_asymptotic_ceiling"] is True
 
+    def test_refactor_refuses_a_qutrit_block_past_int64(self, capsys, tmp_path):
+        path = str(tmp_path / "qutrit.json")
+        save_alphabet(orthogonal_pure_alphabet(3), path)
+        code, out, err = run_cli(capsys, "refactor", "--alphabet", path,
+                                 "--L", str(2 ** 63), "--delta", "0.05")
+        assert code == 2
+        assert out == ""
+        assert f"L = {2 ** 63}" in err and "2**63" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("output", ["json", "pretty"])
     @pytest.mark.parametrize("argv, key, p, L, delta", [
         (("typical", "--p", "0.5"), "dim", 0.5, 20000, 0.1),

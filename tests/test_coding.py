@@ -125,6 +125,19 @@ class TestAlphabet:
         with pytest.raises(ValidationError, match=field):
             Alphabet.from_dict(doc)
 
+    def test_constructor_reads_probs_as_the_file_reader_does(self):
+        """A bool or a string probability is refused, as in the file format;
+        numpy floats, as ``verify`` passes them, are read as Python floats."""
+        letter = make_density(np.diag([1.0, 0.0]).astype(complex), 2)
+        for probs in ((True,), ("1.0",)):
+            with pytest.raises(ValidationError, match="each probability must be a number"):
+                Alphabet((letter,), probs)
+        with pytest.raises(ValidationError, match="each probability must be a number"):
+            Alphabet((letter, letter), ("0.5", "0.5"))
+        alphabet = Alphabet((letter, letter), tuple(np.array([0.25, 0.75])))
+        assert alphabet.probs == (0.25, 0.75)
+        assert all(type(p) is float for p in alphabet.probs)
+
     def test_letters_share_a_dimension(self):
         a = make_density(np.diag([1.0, 0.0]).astype(complex), 2)
         b = make_density(np.eye(3, dtype=complex) / 3, 3)
@@ -545,6 +558,20 @@ class TestTypicalSubspace:
         assert peak < 0.5 * 2 ** 20
         with pytest.raises(CapacityError):
             sub.basis
+
+    def test_counts_past_int64_are_refused_before_the_census(self, monkeypatch):
+        """The census of three or more letters holds its counts in int64, so a
+        block length of 2**63 or more raises, naming it and the limit, before
+        any prefix is solved."""
+        def no_census(*args):
+            raise AssertionError("the census started")
+
+        monkeypatch.setattr(coding, "_prefixes", no_census)
+        for evals in ((0.2, 0.3, 0.5), (0.1, 0.2, 0.3, 0.4)):
+            rho = make_density(np.diag(evals).astype(complex), len(evals))
+            for L in (2 ** 63, 10 ** 30):
+                with pytest.raises(ValidationError, match=rf"L = {L} .*2\*\*63"):
+                    typical_subspace(rho, L, 0.05)
 
     def test_non_integer_block_lengths_are_refused(self):
         rho = make_density(np.diag([0.9, 0.1]).astype(complex), 2)
