@@ -14,6 +14,12 @@ these numbers are produced together.  They are read from values each
 frozen object derives once, on first request: an :class:`Alphabet` keeps
 ``rho_B`` and every state its entropy, so however many budgets, ledgers
 and blocks read one alphabet, ``rho_B`` is mixed and diagonalized once.
+A qubit alphabet that :func:`block_alphabet` made at ``n >= 5`` is not
+diagonalized whole: its ``rho_B = sum_a p_a rho_a^(x n)`` commutes with every
+permutation of the ``n`` qubits, so by Schur-Weyl duality its spectrum is
+that of ``n // 2 + 1`` blocks of sides ``n + 1, n - 1, ...``, block ``k``
+repeated ``C(n, k) - C(n, k - 1)`` times.  Below ``n = 5`` one ``eigvalsh``
+of side ``2**n`` is the faster, and alphabets of ``d >= 3`` keep it.
 
 For long blocks the receiver can concentrate the source onto its
 typical subspace, swap the typical content into a compact ancilla with
@@ -41,18 +47,22 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import compress, islice
+from functools import cached_property, lru_cache, reduce
+from itertools import accumulate, compress, islice
 from typing import Sequence
 
 import numpy as np
 
 from .qcore import (
     _EPS,
+    HERMITICITY_TOL,
+    TRACE_TOL,
     DensityMatrix,
     ValidationError,
+    _mix,
     _positive_integer,
     _real,
+    _validate,
     basis_state,
     check_capacity,
     entropy_from_eigenvalues,
@@ -97,11 +107,16 @@ class Alphabet:
     It keeps its validated ensemble state ``rho_B``, built on first request,
     as each letter keeps its entropy.  That is safe because an alphabet
     never changes: it is frozen, and holds tuples of floats and of frozen,
-    read-only letters.
+    read-only letters.  The spectrum of ``rho_B`` is one ``eigvalsh``, or,
+    for a qubit alphabet that :func:`block_alphabet` made at n >= 5, that
+    of its Schur-Weyl blocks (see the module docstring); below n = 5 the
+    ``eigvalsh`` is the faster.
     """
 
     letters: tuple[DensityMatrix, ...]
     probs: tuple[float, ...]
+    # the block length n when block_alphabet made this alphabet; it picks the Schur-Weyl route
+    _block_length: int = field(default=1, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         letters = tuple(self.letters)
@@ -136,8 +151,17 @@ class Alphabet:
 
     @cached_property
     def _ensemble(self) -> DensityMatrix:
-        """``sum_a p_a rho_a``, validated: what :func:`ensemble_state` returns."""
-        return mixture(list(zip(self.probs, self.letters)))
+        """``sum_a p_a rho_a`` as :func:`mixture` mixes and checks it: what
+        :func:`ensemble_state` returns.  Only the spectrum of a marked qubit
+        block comes from :func:`_schur_weyl_spectrum` in place of ``eigvalsh``."""
+        pairs = list(zip(self.probs, self.letters))
+        n = self._block_length
+        if n < _SCHUR_WEYL_MIN_N or self.d != 2 ** n:
+            return mixture(pairs)
+        data, dims = _mix(pairs)
+        state = object.__new__(DensityMatrix)
+        _validate(state, data, dims, _schur_weyl_spectrum(data, n))
+        return state
 
     def to_dict(self) -> dict:
         return {
@@ -214,6 +238,9 @@ def ensemble_state(alphabet: Alphabet) -> DensityMatrix:
 
     It is mixed and validated on the first call for ``alphabet`` only; every
     later call returns the same read-only state, with its entropy, once taken.
+    Its spectrum is one ``eigvalsh``, or, for a qubit alphabet blocked at
+    ``n >= 5``, that of its Schur-Weyl blocks, of side ``n + 1`` at most,
+    which there cost less than the ``eigvalsh`` of side ``2**n``.
     """
     return alphabet._ensemble
 
@@ -298,6 +325,10 @@ def block_alphabet(alphabet: Alphabet, n: int, max_dim: int | None = None) -> Al
     (verified numerically) while the Holevo quantity grows strictly
     sublinearly for non-orthogonal letters, which is what pushes the
     per-letter energy toward its ``M - <S_a>`` ceiling.
+
+    The output is marked with ``n``: a qubit alphabet blocked at n >= 5
+    takes the spectrum of its ``rho_B`` from the Schur-Weyl blocks, which
+    there cost less than one ``eigvalsh`` of side ``2**n``.
     """
     n = _positive_integer(n, "block length n")
     blocked = []
@@ -315,7 +346,73 @@ def block_alphabet(alphabet: Alphabet, n: int, max_dim: int | None = None) -> Al
     out = Alphabet(tuple(blocked), alphabet.probs)
     if abs(out.capacity_bits - n * alphabet.capacity_bits) > 1e-12:
         raise ValidationError("blocked capacity is not n times the letter capacity")
+    object.__setattr__(out, "_block_length", n)
     return out
+
+
+_SCHUR_WEYL_MIN_N = 5  # below it one eigvalsh of side 2**n beats the blocks
+
+
+@lru_cache(maxsize=None)
+def _schur_weyl_basis(n: int) -> tuple[np.ndarray, tuple[int, ...], np.ndarray, np.ndarray]:
+    """``(V, sizes, weights, off)``: one copy of each irreducible block of ``n`` qubits.
+
+    For each ``k = 0..n // 2`` the real isometry ``V`` has ``n - 2k + 1``
+    columns: ``k`` singlets on the qubit pairs ``(0, 1), ..., (2k - 2, 2k - 1)``
+    tensored with each normalized Dicke state of the other ``n - 2k`` qubits.
+    They span one copy of spin ``n/2 - k``, on which ``M^(x n)`` acts as
+    ``det(M)^k Sym^(n-2k)(M)``, and that spin occurs ``C(n, k) - C(n, k - 1)``
+    times (Schur-Weyl duality).  ``weights`` gives each column its block's
+    multiplicity, and ``off`` marks the entries of ``V^T rho V`` outside its
+    diagonal blocks.  Built on first use for each ``n``, and kept.
+    """
+    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
+    columns, sizes, mults = [], [], []
+    for k in range(n // 2 + 1):
+        m = n - 2 * k
+        weight = ((np.arange(2 ** m)[:, None] >> np.arange(m)) & 1).sum(axis=1)
+        dicke = (weight[:, None] == np.arange(m + 1)) / np.sqrt(
+            [math.comb(m, w) for w in range(m + 1)])
+        pairs = reduce(np.kron, [singlet] * k, np.ones(1))
+        columns.append(np.kron(pairs[:, None], dicke))
+        sizes.append(m + 1)
+        mults.append(math.comb(n, k) - (math.comb(n, k - 1) if k else 0))
+    basis = np.hstack(columns)
+    label = np.repeat(np.arange(len(sizes)), sizes)
+    off = label[:, None] != label
+    weights = np.array(mults)[label]
+    for a in (basis, weights, off):
+        a.setflags(write=False)
+    return basis, tuple(sizes), weights, off
+
+
+def _schur_weyl_spectrum(data: np.ndarray, n: int) -> np.ndarray:
+    """The ascending spectrum of a state of ``n`` qubits that commutes with their permutations.
+
+    ``W = V^T rho V``, with ``V`` from :func:`_schur_weyl_basis`, is block
+    diagonal; each block's ``eigvalsh``, repeated by its multiplicity, is
+    that block's share of the spectrum, sorted as :func:`tensor_power`
+    sorts its products.  The invariance is exact in algebra, so the checks
+    only guard it: the part of ``W`` off its blocks must stay within
+    ``HERMITICITY_TOL``, and the blocks' traces times their multiplicities
+    must add up to ``tr(rho)`` within ``TRACE_TOL``.
+    """
+    basis, sizes, weights, off = _schur_weyl_basis(n)
+    # V is real, so V^T rho is one real product on rho's interleaved (re, im) columns
+    w = (basis.T @ data.view(float)).view(complex) @ basis
+    leak = float(np.abs(w[off]).max())
+    if not leak <= HERMITICITY_TOL:
+        raise ValidationError(
+            f"blocked ensemble is not permutation-invariant: max |V^T rho V| off its "
+            f"blocks = {leak:.3e} exceeds {HERMITICITY_TOL:.0e}")
+    lost = abs(float(w.diagonal().real @ weights) - data.trace().real)
+    if not lost <= TRACE_TOL:
+        raise ValidationError(
+            f"Schur-Weyl blocks lose trace: |sum m_k tr(B_k) - tr(rho)| = {lost:.3e} "
+            f"exceeds {TRACE_TOL:.0e}")
+    spectrum = [np.linalg.eigvalsh(w[end - size:end, end - size:end])
+                for size, end in zip(sizes, accumulate(sizes))]
+    return np.sort(np.repeat(np.concatenate(spectrum), weights))
 
 
 @dataclass(frozen=True)

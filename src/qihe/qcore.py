@@ -445,6 +445,11 @@ def mixture(
     dims: int | Iterable[int] | None = None,
 ) -> DensityMatrix:
     """Convex mixture ``sum_i w_i rho_i`` of states with validated weights."""
+    return DensityMatrix(*_mix(pairs, dims))
+
+
+def _mix(pairs, dims=None) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The checked weights' sum ``sum_i w_i rho_i`` and its dims, not yet validated as a state."""
     if not pairs:
         raise ValidationError("a mixture needs at least one component")
     weights = np.array([float(w) for w, _ in pairs])
@@ -466,7 +471,7 @@ def mixture(
     acc = np.zeros((parts[0][1].dim,) * 2, dtype=complex)
     for w, dm in parts:
         acc += w * dm.data
-    return DensityMatrix(acc, ref_dims)
+    return acc, ref_dims
 
 
 def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ Units
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,10 +106,12 @@ class CarnotReport:
     efficiency: float
 
     def __post_init__(self) -> None:
-        eff = 1.0 - self.t_low / self.t_high
+        # (t_high - t_low) / t_high, not 1 - t_low/t_high, which keeps few
+        # correct digits, or none, when the two temperatures lie close
+        eff = (self.t_high - self.t_low) / self.t_high
         if not np.isclose(self.efficiency, eff, rtol=1e-12, atol=0.0):
             raise ValidationError(
-                f"efficiency {self.efficiency} inconsistent with 1 - t_low/t_high = {eff}"
+                f"efficiency {self.efficiency} inconsistent with (t_high - t_low)/t_high = {eff}"
             )
         if not np.isclose(self.work_per_qubit, self.heat_from_hot * self.efficiency,
                           rtol=1e-12, atol=1e-300):
@@ -158,16 +161,26 @@ def remote_carnot(t1: float, t2: float) -> CarnotReport:
 
     Entropy is pumped into a maximally mixed qubit at ``t1`` and the
     qubit is reset remotely at ``t2``; energies are in joules.  If
-    ``t1 > t2`` the net work per qubit is negative, which is allowed.
+    ``t1 > t2`` the net work per qubit is negative, which is allowed.  A
+    pair whose ratio ``t1/t2`` overflows, or whose ``t2`` is so small that
+    the heat ``k_B ln2 t2`` falls below the normal float range, is refused
+    with a message naming both.
     """
     for name, t in (("t1", t1), ("t2", t2)):
         if not (t > 0 and math.isfinite(t)):
             raise ValidationError(f"{name} must be a positive finite temperature, got {t}")
     scale = BOLTZMANN_SI * LN2
+    if not math.isfinite(t1 / t2):
+        raise ValidationError(
+            f"t1 = {t1} and t2 = {t2} are too far apart: t1/t2 overflows the float range")
+    if scale * t2 < sys.float_info.min:
+        raise ValidationError(
+            f"t2 = {t2} is too small: the heat k_B ln2 t2 underflows the float range "
+            f"(t1 = {t1})")
     return CarnotReport(
         t_low=float(t1),
         t_high=float(t2),
         work_per_qubit=scale * (t2 - t1),
         heat_from_hot=scale * t2,
-        efficiency=1.0 - t1 / t2,
+        efficiency=(t2 - t1) / t2,
     )

@@ -280,6 +280,14 @@ class TestCarnotCommand:
         code, _, err = run_cli(capsys, "carnot", "--t-low", "-5", "--t-high", "600")
         assert code == 2
 
+    @pytest.mark.parametrize("t_low, t_high", [("300", "1e-320"), ("1e300", "1e-10")])
+    def test_temperatures_past_the_float_range_are_named(self, capsys, t_low, t_high):
+        """t1/t2 overflows, or k_B ln2 t2 underflows: exit 2 naming the
+        temperatures, not the report's internal self-check."""
+        code, out, err = run_cli(capsys, "carnot", "--t-low", t_low, "--t-high", t_high)
+        assert code == 2 and out == ""
+        assert "t1" in err and "t2" in err and "inconsistent" not in err
+
 
 class TestProtocolCommands:
     def test_bell_reports_two_bits(self, capsys):

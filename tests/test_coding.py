@@ -279,20 +279,27 @@ class TestBlocking:
         assert chi2 <= 2 * chi1 + 1e-12
 
     def test_blocking_diagonalizes_each_state_once(self, natural_ctx, monkeypatch):
-        """block_alphabet(., 6) then tradeoff_point: one eigvalsh, of the blocked ensemble state.
+        """block_alphabet(., n) then tradeoff_point: only the blocked ensemble state is diagonalized.
 
-        Each letter's sixth power takes its spectrum from the letter's (its
+        Each letter's power takes its spectrum from the letter's (its
         intermediate products are arrays), so only the blocked ensemble
-        state is diagonalized; every entropy, including the blocked-entropy
-        self-check, reads a spectrum its state already holds.
+        state is diagonalized, once; every entropy, including the
+        blocked-entropy self-check, reads a spectrum its state already
+        holds.  At n = 4 that is one eigvalsh of side 16.  From n = 5 on a
+        qubit ensemble takes one eigvalsh per Schur-Weyl block instead, of
+        sides n + 1, n - 1, ..., and none of side 2**n.
         """
         ab = zero_plus_alphabet()
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             lambda a: calls.append(np.shape(a)[0]) or eigvalsh(a))
-        tradeoff_point(block_alphabet(ab, 6), natural_ctx)
-        assert calls == [64]
+        for n, sides in ((4, [16]), (6, [7, 5, 3, 1])):
+            calls.clear()
+            blocked = block_alphabet(ab, n)
+            tradeoff_point(blocked, natural_ctx)
+            tradeoff_point(blocked, natural_ctx)
+            assert calls == sides
 
     def test_block_capacity_guard(self):
         with pytest.raises(CapacityError):
@@ -327,6 +334,91 @@ class TestBlocking:
         assert abs(np.trace(blocked.letters[0].data) - 1.0) > TRACE_TOL
         with pytest.raises(ValidationError, match="trace must be 1"):
             DensityMatrix(np.diag([0.3, 0.7 + 1.01e-10]).astype(complex), (2,))
+
+
+def _qubit_letter(rng: np.random.Generator, kind: str) -> DensityMatrix:
+    """A random qubit letter: ``mixed`` (full rank), ``pure`` (a random ket),
+    or ``exact`` (|0> or |+>, a rank-one letter with exact zeros)."""
+    if kind == "mixed":
+        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        m = g @ g.conj().T
+        return DensityMatrix(m / np.real(np.trace(m)), (2,))
+    if kind == "pure":
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        v /= np.linalg.norm(v)
+        return DensityMatrix(np.outer(v, v.conj()), (2,))
+    return zero_plus_alphabet().letters[int(rng.integers(2))]
+
+
+class TestSchurWeylBlocks:
+    """A qubit alphabet blocked at n >= 5 takes its ensemble spectrum from
+    the Schur-Weyl blocks; every other alphabet keeps one eigvalsh.
+
+    Oracle: ``eigvalsh`` of the blocked ensemble's own dense matrix, and
+    :func:`qcore.mixture` of the blocked letters.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(kinds=st.lists(st.sampled_from(["mixed", "pure", "exact"]), min_size=1, max_size=4),
+           n=st.integers(5, 8), seed=st.integers(0, 2 ** 32 - 1))
+    def test_blocked_qubit_spectrum_is_that_of_eigvalsh(self, kinds, n, seed):
+        rng = np.random.default_rng(seed)
+        raw = rng.random(len(kinds)) + 0.1
+        ab = Alphabet(tuple(_qubit_letter(rng, kind) for kind in kinds),
+                      tuple(float(x) for x in raw / raw.sum()))
+        blocked = block_alphabet(ab, n)
+        rho = ensemble_state(blocked)
+        dense = qcore.mixture(list(zip(blocked.probs, blocked.letters)))
+        assert np.array_equal(rho.data, dense.data)
+        want = np.linalg.eigvalsh(rho.data)
+        assert np.max(np.abs(rho._eigenvalues - want)) <= 1e-12
+        assert abs(von_neumann_entropy(rho) - qcore.entropy_from_eigenvalues(want)) <= 1e-12
+        # sum_k m_k (n - 2k + 1) = 2**n, with m_k = C(n, k) - C(n, k - 1)
+        basis, sizes, weights, _ = coding._schur_weyl_basis(n)
+        mults = [math.comb(n, k) - (math.comb(n, k - 1) if k else 0) for k in range(n // 2 + 1)]
+        assert sizes == tuple(range(n + 1, 0, -2))
+        assert weights.tolist() == [m for m, size in zip(mults, sizes) for _ in range(size)]
+        assert int(weights.sum()) == 2 ** n
+        np.testing.assert_allclose(basis.T @ basis, np.eye(len(weights)), rtol=0, atol=1e-14)
+        # only block_alphabet's mark picks the route: an equal alphabet built directly is dense
+        plain = Alphabet(blocked.letters, blocked.probs)
+        assert plain == blocked
+        assert np.array_equal(ensemble_state(plain)._eigenvalues, dense._eigenvalues)
+
+    @settings(max_examples=20, deadline=None)
+    @given(d=st.sampled_from([2, 3]), k=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+    def test_qutrits_and_short_qubit_blocks_keep_the_dense_numbers(self, d, k, seed):
+        """A qutrit alphabet blocked at n = 3, and a qubit alphabet at n = 4,
+        give numbers ``==`` to those of one eigvalsh of :func:`qcore.mixture`."""
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(k, d, d)) + 1j * rng.normal(size=(k, d, d))
+        matrices = [m / np.real(np.trace(m)) for m in g @ g.conj().transpose(0, 2, 1)]
+        raw = rng.random(k) + 0.1
+        ab = Alphabet(tuple(DensityMatrix(m, (d,)) for m in matrices),
+                      tuple(float(x) for x in raw / raw.sum()))
+        blocked = block_alphabet(ab, 4 if d == 2 else 3)
+        rho = ensemble_state(blocked)
+        dense = qcore.mixture(list(zip(blocked.probs, blocked.letters)))
+        assert np.array_equal(rho.data, dense.data)
+        assert np.array_equal(rho._eigenvalues, dense._eigenvalues)
+        assert von_neumann_entropy(rho) == von_neumann_entropy(dense)
+        ctx = ThermalContext(units="natural")
+        plain = Alphabet(blocked.letters, blocked.probs)
+        assert tradeoff_point(blocked, ctx) == tradeoff_point(plain, ctx)
+
+    @pytest.mark.parametrize("index, match", [(0b01000, "permutation-invariant"),
+                                              (0b11000, "lose trace")])
+    def test_a_state_the_blocks_cannot_hold_is_refused(self, index, match):
+        """The self-checks fire on a basis state that no qubit permutation fixes.
+
+        ``|01000>`` overlaps the Dicke state of block k = 0 and the singlet
+        of block k = 1, which couples them; ``|11000>`` meets only the Dicke
+        state of weight 2, at 1/10 of its trace, so the blocks hold 0.1 of 1.
+        """
+        data = np.zeros((32, 32), dtype=complex)
+        data[index, index] = 1.0
+        with pytest.raises(ValidationError, match=match):
+            coding._schur_weyl_spectrum(data, 5)
 
 
 class TestTypicalSubspace:

@@ -7,9 +7,11 @@ the CODATA value k_B = 1.380649e-23 J/K.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qihe.qcore import DensityMatrix, PureState, ValidationError, make_density
 from qihe.thermo import (
@@ -162,6 +164,27 @@ class TestRemoteCarnot:
         for t1, t2 in ((0.0, 300.0), (300.0, -1.0), (math.inf, 300.0)):
             with pytest.raises(ValidationError):
                 remote_carnot(t1, t2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(t1=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+           t2=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    @example(t1=300.0, t2=1e-320)
+    @example(t1=1e300, t2=1e-10)
+    @example(t1=1e-270, t2=1e-290)
+    @example(t1=6865914.952979124, t2=6865914.952979121)
+    def test_any_positive_pair_reports_or_names_a_temperature(self, t1, t2):
+        """Every positive finite pair, subnormals included, gives a report or
+        a refusal that names t1 or t2, never the report's internal self-check.
+        A report's efficiency is within 2 ulp of the exact ``(t2 - t1) / t2``
+        (rationals), also where the two temperatures lie a few ulp apart."""
+        try:
+            rep = remote_carnot(t1, t2)
+        except ValidationError as exc:
+            assert "t1" in str(exc) or "t2" in str(exc)
+            assert "inconsistent" not in str(exc)
+            return
+        exact = (Fraction(t2) - Fraction(t1)) / Fraction(t2)
+        assert abs(Fraction(rep.efficiency) - exact) <= 2 * abs(exact) * Fraction(2) ** -52
 
     def test_report_self_consistency_enforced(self):
         with pytest.raises(ValidationError):
