@@ -28,7 +28,6 @@ import numpy as np
 
 from .coding import (
     _entropy_budget,
-    block_alphabet,
     load_alphabet,
     refactorization_ledger,
     refactorization_unitary,
@@ -270,8 +269,7 @@ def _cmd_tradeoff(args, ctx: ThermalContext) -> tuple[dict, tuple[list[str], lis
     if args.block:
         sweep = []
         for n in range(1, args.block + 1):
-            blocked = block_alphabet(alphabet, n, max_dim=args.capacity)
-            bp = tradeoff_point(blocked, ctx)
+            bp = _entropy_budget(alphabet, n, args.capacity)[0]
             sweep.append({
                 "n": n,
                 "comm_bits_per_letter": bp.comm_bits / n,

@@ -14,12 +14,18 @@ these numbers are produced together.  They are read from values each
 frozen object derives once, on first request: an :class:`Alphabet` keeps
 ``rho_B`` and every state its entropy, so however many budgets, ledgers
 and blocks read one alphabet, ``rho_B`` is mixed and diagonalized once.
-A qubit alphabet that :func:`block_alphabet` made at ``n >= 5`` is not
-diagonalized whole: its ``rho_B = sum_a p_a rho_a^(x n)`` commutes with every
-permutation of the ``n`` qubits, so by Schur-Weyl duality its spectrum is
-that of ``n // 2 + 1`` blocks of sides ``n + 1, n - 1, ...``, block ``k``
-repeated ``C(n, k) - C(n, k - 1)`` times.  Below ``n = 5`` one ``eigvalsh``
-of side ``2**n`` is the faster, and alphabets of ``d >= 3`` keep it.
+A qubit alphabet taken ``n >= 5`` letters at a time, by :func:`block_alphabet`
+or by the ``tradeoff --block`` sweep, has its budget without any matrix of
+side ``2**n``: by Schur-Weyl duality ``rho_B = sum_a p_a rho_a^(x n)`` has the
+spectrum of ``n // 2 + 1`` spin blocks
+``B_k = sum_a p_a det(rho_a)^k Sym^(n-2k)(rho_a)`` of sides
+``n + 1, n - 1, ...``, block ``k`` repeated ``C(n, k) - C(n, k - 1)`` times,
+and those are built from the ``2 x 2`` letters alone.  Each letter's
+``S(rho_a^(x n))`` comes from its two eigenvalues.  Only
+:func:`ensemble_state` of such a blocked alphabet mixes the dense
+``rho_B``, on request, and reads its spectrum from the blocks.  Below
+``n = 5`` one ``eigvalsh`` of side ``2**n`` is the faster, and alphabets of
+``d >= 3`` keep it.  Every route still checks ``d**n`` against the dense cap.
 
 For long blocks the receiver can concentrate the source onto its
 typical subspace, swap the typical content into a compact ancilla with
@@ -47,15 +53,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
-from itertools import accumulate, compress, islice
+from functools import cached_property, lru_cache
+from itertools import compress, islice
 from typing import Sequence
 
 import numpy as np
 
 from .qcore import (
     _EPS,
-    HERMITICITY_TOL,
     TRACE_TOL,
     DensityMatrix,
     ValidationError,
@@ -109,14 +114,18 @@ class Alphabet:
     never changes: it is frozen, and holds tuples of floats and of frozen,
     read-only letters.  The spectrum of ``rho_B`` is one ``eigvalsh``, or,
     for a qubit alphabet that :func:`block_alphabet` made at n >= 5, that
-    of its Schur-Weyl blocks (see the module docstring); below n = 5 the
+    of the spin blocks of its base alphabet's letters (see the module
+    docstring), which the base keeps for each ``n``; below n = 5 the
     ``eigvalsh`` is the faster.
     """
 
     letters: tuple[DensityMatrix, ...]
     probs: tuple[float, ...]
-    # the block length n when block_alphabet made this alphabet; it picks the Schur-Weyl route
-    _block_length: int = field(default=1, init=False, repr=False, compare=False)
+    # (base alphabet, n) when block_alphabet made this one; a qubit base at n >= 5 picks the spin blocks
+    _blocked_from: tuple[Alphabet, int] | None = field(
+        default=None, init=False, repr=False, compare=False)
+    # _spin_blocks(self, n) by n, each built on first request
+    _spin_spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         letters = tuple(self.letters)
@@ -152,15 +161,14 @@ class Alphabet:
     @cached_property
     def _ensemble(self) -> DensityMatrix:
         """``sum_a p_a rho_a`` as :func:`mixture` mixes and checks it: what
-        :func:`ensemble_state` returns.  Only the spectrum of a marked qubit
-        block comes from :func:`_schur_weyl_spectrum` in place of ``eigvalsh``."""
+        :func:`ensemble_state` returns.  Only the spectrum of a qubit alphabet
+        blocked at n >= 5 comes from :func:`_block_spectrum` in place of ``eigvalsh``."""
         pairs = list(zip(self.probs, self.letters))
-        n = self._block_length
-        if n < _SCHUR_WEYL_MIN_N or self.d != 2 ** n:
+        if self._blocked_from is None or not _spin_route(*self._blocked_from):
             return mixture(pairs)
         data, dims = _mix(pairs)
         state = object.__new__(DensityMatrix)
-        _validate(state, data, dims, _schur_weyl_spectrum(data, n))
+        _validate(state, data, dims, _block_spectrum(*self._blocked_from, data))
         return state
 
     def to_dict(self) -> dict:
@@ -239,8 +247,10 @@ def ensemble_state(alphabet: Alphabet) -> DensityMatrix:
     It is mixed and validated on the first call for ``alphabet`` only; every
     later call returns the same read-only state, with its entropy, once taken.
     Its spectrum is one ``eigvalsh``, or, for a qubit alphabet blocked at
-    ``n >= 5``, that of its Schur-Weyl blocks, of side ``n + 1`` at most,
-    which there cost less than the ``eigvalsh`` of side ``2**n``.
+    ``n >= 5``, that of the spin blocks of the base letters, of side
+    ``n + 1`` at most, checked against the mixed state's trace and purity.
+    The budget of such an alphabet never calls this: only a caller that
+    wants the ``2**n x 2**n`` state builds it.
     """
     return alphabet._ensemble
 
@@ -284,15 +294,38 @@ class TradeoffPoint:
                 (0.0, self.capacity_bits - self.avg_letter_entropy))
 
 
-def _entropy_budget(alphabet: Alphabet) -> tuple[TradeoffPoint, float]:
-    """The full-communication point and ``S(rho_B)``, from the entropies the states keep."""
-    s_b = von_neumann_entropy(ensemble_state(alphabet))
-    avg = sum(p * s for p, s in zip(alphabet.probs, letter_entropies(alphabet)))
+def _entropy_budget(alphabet: Alphabet, n: int | None = None,
+                    max_dim: int | None = None) -> tuple[TradeoffPoint, float]:
+    """The full-communication point and ``S(rho_B)`` of ``alphabet``, or, given
+    ``n``, of ``block_alphabet(alphabet, n, max_dim)``, whose capacity check it keeps.
+
+    A qubit alphabet taken ``n >= 5`` letters at a time, whether given ``n``
+    here or marked so by :func:`block_alphabet`, builds no matrix of side
+    ``2**n``: ``S(rho_B) = sum_k m_k S(B_k)`` over its spin blocks
+    (:func:`_spin_blocks`), and each letter's entropy comes from the letter's
+    spectrum (:func:`_power_entropy`).  Any other alphabet reads the entropies
+    its states keep.
+    """
+    if n is None:
+        if alphabet._blocked_from is not None and _spin_route(*alphabet._blocked_from):
+            alphabet, n = alphabet._blocked_from
+    elif _spin_route(alphabet, n):
+        check_capacity(alphabet.d ** n, max_dim)
+    else:
+        alphabet, n = block_alphabet(alphabet, n, max_dim), None
+    if n is None:
+        s_b = von_neumann_entropy(ensemble_state(alphabet))
+        entropies, capacity = letter_entropies(alphabet), alphabet.capacity_bits
+    else:
+        s_b = sum(m * entropy_from_eigenvalues(mu) for m, mu in _spin_blocks(alphabet, n))
+        entropies = [_power_entropy(let, n) for let in alphabet.letters]
+        capacity = n * alphabet.capacity_bits
+    avg = sum(p * s for p, s in zip(alphabet.probs, entropies))
     return TradeoffPoint(
-        energy_bits=alphabet.capacity_bits - s_b,
+        energy_bits=capacity - s_b,
         comm_bits=s_b - avg,
         avg_letter_entropy=avg,
-        capacity_bits=alphabet.capacity_bits,
+        capacity_bits=capacity,
     ), s_b
 
 
@@ -326,9 +359,11 @@ def block_alphabet(alphabet: Alphabet, n: int, max_dim: int | None = None) -> Al
     sublinearly for non-orthogonal letters, which is what pushes the
     per-letter energy toward its ``M - <S_a>`` ceiling.
 
-    The output is marked with ``n``: a qubit alphabet blocked at n >= 5
-    takes the spectrum of its ``rho_B`` from the Schur-Weyl blocks, which
-    there cost less than one ``eigvalsh`` of side ``2**n``.
+    The letters are dense ``d**n x d**n`` powers, within ``max_dim``.  The
+    output is marked with ``alphabet`` and ``n``: blocked at n >= 5, a qubit
+    alphabet's budget (:func:`tradeoff_point`, :func:`holevo_chi`) comes from
+    the spin blocks of ``alphabet``'s ``2 x 2`` letters, and reads neither the
+    powers nor a mixed ``rho_B``.
     """
     n = _positive_integer(n, "block length n")
     blocked = []
@@ -346,73 +381,140 @@ def block_alphabet(alphabet: Alphabet, n: int, max_dim: int | None = None) -> Al
     out = Alphabet(tuple(blocked), alphabet.probs)
     if abs(out.capacity_bits - n * alphabet.capacity_bits) > 1e-12:
         raise ValidationError("blocked capacity is not n times the letter capacity")
-    object.__setattr__(out, "_block_length", n)
+    object.__setattr__(out, "_blocked_from", (alphabet, n))
     return out
 
 
-_SCHUR_WEYL_MIN_N = 5  # below it one eigvalsh of side 2**n beats the blocks
+_SPIN_MIN_N = 5  # below it one eigvalsh of side 2**n beats the spin blocks
 
 
-@lru_cache(maxsize=None)
-def _schur_weyl_basis(n: int) -> tuple[np.ndarray, tuple[int, ...], np.ndarray, np.ndarray]:
-    """``(V, sizes, weights, off)``: one copy of each irreducible block of ``n`` qubits.
+def _spin_route(alphabet: Alphabet, n: int) -> bool:
+    """Whether ``alphabet`` taken ``n`` letters at a time has its budget from its spin blocks."""
+    return alphabet.d == 2 and n >= _SPIN_MIN_N
 
-    For each ``k = 0..n // 2`` the real isometry ``V`` has ``n - 2k + 1``
-    columns: ``k`` singlets on the qubit pairs ``(0, 1), ..., (2k - 2, 2k - 1)``
-    tensored with each normalized Dicke state of the other ``n - 2k`` qubits.
-    They span one copy of spin ``n/2 - k``, on which ``M^(x n)`` acts as
-    ``det(M)^k Sym^(n-2k)(M)``, and that spin occurs ``C(n, k) - C(n, k - 1)``
-    times (Schur-Weyl duality).  ``weights`` gives each column its block's
-    multiplicity, and ``off`` marks the entries of ``V^T rho V`` outside its
-    diagonal blocks.  Built on first use for each ``n``, and kept.
+
+_STACK = 1 << 16  # entries per letter of the padded blocks that _spin_blocks stacks at once
+
+
+@lru_cache(maxsize=32)
+def _sym_table(n: int, first: int, stop: int) -> tuple[np.ndarray, ...]:
+    """The entries of the spin blocks ``k = first..stop - 1`` of ``n`` qubits
+    that :func:`_spin_blocks` fills.
+
+    Over the lower triangle ``i >= j`` of each block, of side
+    ``m + 1 = n - 2k + 1``: the coefficient ``C(i, j) sqrt(C(m, i) / C(m, j))``,
+    the exponents ``n - k - i``, ``i - j`` and ``j + k`` of ``t11``, ``t21``
+    and ``t22``, and the entry's flat index in a stack of blocks padded to
+    the first one's side, with row ``i`` and, for a flipped letter, row
+    ``m - i``.  That is ``O(n**2)`` entries per block.  The binomials come
+    from Pascal's rule in floats, exact while below ``2**53`` (n <= 56).
+    The tables of the last few stacks are kept.
     """
-    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
-    columns, sizes, mults = [], [], []
-    for k in range(n // 2 + 1):
+    side = n - 2 * first + 1
+    pascal = np.zeros((side, side))
+    pascal[:, 0] = 1.0
+    for r in range(1, side):
+        pascal[r, 1:] = pascal[r - 1, 1:] + pascal[r - 1, :-1]
+    parts = []
+    for k in range(first, stop):
         m = n - 2 * k
-        weight = ((np.arange(2 ** m)[:, None] >> np.arange(m)) & 1).sum(axis=1)
-        dicke = (weight[:, None] == np.arange(m + 1)) / np.sqrt(
-            [math.comb(m, w) for w in range(m + 1)])
-        pairs = reduce(np.kron, [singlet] * k, np.ones(1))
-        columns.append(np.kron(pairs[:, None], dicke))
-        sizes.append(m + 1)
-        mults.append(math.comb(n, k) - (math.comb(n, k - 1) if k else 0))
-    basis = np.hstack(columns)
-    label = np.repeat(np.arange(len(sizes)), sizes)
-    off = label[:, None] != label
-    weights = np.array(mults)[label]
-    for a in (basis, weights, off):
+        i, j = np.tril_indices(m + 1)
+        coef = pascal[i, j] * np.sqrt(pascal[m, i] / pascal[m, j])
+        base = (k - first) * side * side + j
+        parts.append((coef, n - k - i, i - j, j + k, base + i * side, base + (m - i) * side))
+    table = tuple(np.concatenate(column) for column in zip(*parts))
+    for a in table:
         a.setflags(write=False)
-    return basis, tuple(sizes), weights, off
+    return table
 
 
-def _schur_weyl_spectrum(data: np.ndarray, n: int) -> np.ndarray:
-    """The ascending spectrum of a state of ``n`` qubits that commutes with their permutations.
+def _spin_blocks(alphabet: Alphabet, n: int) -> tuple[tuple[int, np.ndarray], ...]:
+    """``(m_k, eigvalsh(B_k))`` for ``k = 0..n // 2``: the spin blocks of a qubit
+    ensemble ``sum_a p_a rho_a^(x n)``, built from the ``2 x 2`` letters alone.
 
-    ``W = V^T rho V``, with ``V`` from :func:`_schur_weyl_basis`, is block
-    diagonal; each block's ``eigvalsh``, repeated by its multiplicity, is
-    that block's share of the spectrum, sorted as :func:`tensor_power`
-    sorts its products.  The invariance is exact in algebra, so the checks
-    only guard it: the part of ``W`` off its blocks must stay within
-    ``HERMITICITY_TOL``, and the blocks' traces times their multiplicities
-    must add up to ``tr(rho)`` within ``TRACE_TOL``.
+    On the ``k``-th spin, of ``n - 2k + 1`` dimensions and repeated
+    ``m_k = C(n, k) - C(n, k - 1)`` times, ``rho^(x n)`` acts as
+    ``det(rho)^k Sym^(n-2k)(rho)`` (Schur-Weyl duality; Harrow,
+    arXiv:quant-ph/0512255), so ``B_k = sum_a p_a det(rho_a)^k Sym^(n-2k)(rho_a)``.
+    Each letter is factored ``rho = T T^dag`` with ``T`` lower-triangular,
+    after a bit flip ``X rho X`` where that puts the larger diagonal entry
+    first.  On the normalized Dicke states ``Sym^m(T)`` then has the entries
+    ``C(i, j) sqrt(C(m, i) / C(m, j)) t11^(m-i) t21^(i-j) t22^j`` for
+    ``i >= j``, and the flip reverses its rows.  With ``det(rho) = (t11 t22)**2``,
+    ``B_k = sum_a p_a S_a S_a^dag``, where ``S_a`` is ``(t11 t22)^k Sym^m(T)``.
+    The blocks of all letters are filled from :func:`_sym_table` and summed
+    a stack at a time: as many blocks as fit ``_STACK`` entries per letter
+    once padded to the stack's largest side (every block up to n = 49), or
+    one block where that alone is larger, so memory stays ``O(n**2)`` past
+    that.  One ``eigvalsh`` of side ``n - 2k + 1`` per block, kept on
+    ``alphabet`` for each ``n``.
     """
-    basis, sizes, weights, off = _schur_weyl_basis(n)
-    # V is real, so V^T rho is one real product on rho's interleaved (re, im) columns
-    w = (basis.T @ data.view(float)).view(complex) @ basis
-    leak = float(np.abs(w[off]).max())
-    if not leak <= HERMITICITY_TOL:
-        raise ValidationError(
-            f"blocked ensemble is not permutation-invariant: max |V^T rho V| off its "
-            f"blocks = {leak:.3e} exceeds {HERMITICITY_TOL:.0e}")
-    lost = abs(float(w.diagonal().real @ weights) - data.trace().real)
-    if not lost <= TRACE_TOL:
-        raise ValidationError(
-            f"Schur-Weyl blocks lose trace: |sum m_k tr(B_k) - tr(rho)| = {lost:.3e} "
-            f"exceeds {TRACE_TOL:.0e}")
-    spectrum = [np.linalg.eigvalsh(w[end - size:end, end - size:end])
-                for size, end in zip(sizes, accumulate(sizes))]
-    return np.sort(np.repeat(np.concatenate(spectrum), weights))
+    blocks = alphabet._spin_spectra.get(n)
+    if blocks is not None:
+        return blocks
+    factors = []
+    for let in alphabet.letters:
+        (a, b), (c, d) = let.data.tolist()
+        flip = a.real < d.real
+        if flip:  # X rho X = [[d, c], [b, a]]
+            a, c, d = d, b, a
+        t11 = math.sqrt(a.real)
+        t21 = c / t11
+        factors.append((t11, t21, math.sqrt(max(d.real - abs(t21) ** 2, 0.0)), flip))
+    t11, t21, t22, flip = (np.array(x) for x in zip(*factors))
+    powers = np.arange(n + 1)
+    p11, p21, p22 = (t[:, None] ** powers for t in (t11, t21, t22))
+    count, probs = len(factors), np.array(alphabet.probs)[:, None, None, None]
+    out, first = [], 0
+    while first <= n // 2:
+        side = n - 2 * first + 1
+        stop = min(n // 2 + 1, first + max(1, _STACK // side ** 2))
+        coef, e11, e21, e22, rows, flipped = _sym_table(n, first, stop)
+        sym = np.zeros((count, stop - first, side, side), dtype=complex)
+        sym.reshape(count, -1)[np.arange(count)[:, None], np.where(flip[:, None], flipped, rows)] = (
+            coef * p11[:, e11] * p21[:, e21] * p22[:, e22])
+        gram = np.matmul(sym * probs, sym.conj().swapaxes(-1, -2)).sum(axis=0)
+        out.extend((math.comb(n, k) - (math.comb(n, k - 1) if k else 0),
+                    np.linalg.eigvalsh(gram[k - first, :n - 2 * k + 1, :n - 2 * k + 1]))
+                   for k in range(first, stop))
+        first = stop
+    blocks = alphabet._spin_spectra[n] = tuple(out)
+    return blocks
+
+
+def _block_spectrum(alphabet: Alphabet, n: int, data: np.ndarray) -> np.ndarray:
+    """The ascending spectrum of ``data``, the mixed ``sum_a p_a rho_a^(x n)`` of
+    a qubit ``alphabet``: each spin block's, repeated by its multiplicity.
+
+    The blocks hold that sum exactly in algebra, so the check only guards
+    it: their spectrum's sum and sum of squares must be the trace and the
+    purity ``sum |rho_ij|**2`` of ``data``, each within ``TRACE_TOL``.
+    """
+    blocks = _spin_blocks(alphabet, n)
+    for name, got, want in (
+        ("trace", sum(m * float(mu.sum()) for m, mu in blocks), data.trace().real),
+        ("purity", sum(m * float(mu @ mu) for m, mu in blocks), np.vdot(data, data).real),
+    ):
+        if not abs(got - want) <= TRACE_TOL:
+            raise ValidationError(
+                f"the spin blocks do not hold the blocked ensemble: their {name} is off "
+                f"by {abs(got - want):.3e}, above {TRACE_TOL:.0e}")
+    return np.sort(np.concatenate([np.repeat(mu, m) for m, mu in blocks]))
+
+
+def _power_entropy(letter: DensityMatrix, n: int) -> float:
+    """``S(rho^(x n))`` of a qubit letter from its kept spectrum ``(lo, hi)``.
+
+    The product ``hi**(n - j) lo**j`` is an eigenvalue ``C(n, j)`` times; a
+    clamped ``lo <= 0`` leaves only ``j = 0``.
+    """
+    lo, hi = letter._eigenvalues.tolist()
+    s = 0.0
+    for j in range(n + 1 if lo > 0.0 else 1):
+        mu = hi ** (n - j) * lo ** j
+        if mu > 0.0:
+            s -= math.comb(n, j) * mu * math.log2(mu)
+    return s
 
 
 @dataclass(frozen=True)
@@ -494,10 +596,13 @@ class TypicalSubspace:
         return p
 
 
-def _check_delta(delta: float) -> None:
-    """Refuse a typicality window half-width that is not positive and finite (NaN included)."""
+def _check_delta(delta: float) -> float:
+    """``delta`` read by :func:`qcore._real`; a typicality window half-width that
+    is not positive and finite (NaN included) is refused."""
+    delta = _real(delta, "delta")
     if not (delta > 0 and math.isfinite(delta)):
         raise ValidationError(f"delta must be positive and finite, got {delta}")
+    return delta
 
 
 def _typical_window(evals: np.ndarray, L: int, delta: float,
@@ -804,7 +909,7 @@ def typical_subspace(
     ``d**L`` is within it (default: the configured dense cap, read then).
     """
     L = _positive_integer(L, "block length L")
-    _check_delta(delta)
+    delta = _check_delta(delta)
     dim, capture, entropy = _combinatorial_census(rho_b._eigenvalues, L, delta,
                                                   entropy=rho_b._entropy)
     return TypicalSubspace(
@@ -824,9 +929,10 @@ def qubit_capture_curve(
     Uses log-domain binomial sums throughout, so block lengths up to
     around a million are fine; intended for plotting capture curves.
     """
+    p = _real(p, "p")
     if not 0.0 < p < 1.0:
         raise ValidationError(f"p must lie strictly between 0 and 1, got {p}")
-    _check_delta(delta)
+    delta = _check_delta(delta)
     evals = np.array([p, 1.0 - p])
     out = []
     for L in lengths:

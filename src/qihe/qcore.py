@@ -137,6 +137,8 @@ def _integer(value, name: str) -> int:
 def _real(value, name: str) -> float:
     """``value`` as a Python ``float``; a bool, a string or a number past the float
     range raises a :class:`ValidationError` naming ``name``."""
+    if type(value) is float:  # the common case, without the abstract-class check
+        return value
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
         raise ValidationError(f"{name} must be a number, got {value!r}")
     try:

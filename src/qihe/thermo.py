@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import DensityMatrix, PureState, ValidationError, von_neumann_entropy
+from .qcore import DensityMatrix, PureState, ValidationError, _real, von_neumann_entropy
 
 __all__ = [
     "BOLTZMANN_SI",
@@ -46,14 +46,20 @@ _UNIT_LABELS = {"natural": "bit-unit", "SI": "J"}
 
 @dataclass(frozen=True)
 class ThermalContext:
-    """Reservoir temperature plus the unit system used for energies."""
+    """Reservoir temperature plus the unit system used for energies.
+
+    The temperature is read by :func:`qcore._real`, as an alphabet reads its
+    probabilities, and kept as a Python ``float``.
+    """
 
     temperature: float = 300.0
     units: str = "natural"
 
     def __post_init__(self) -> None:
-        if not (self.temperature > 0 and math.isfinite(self.temperature)):
-            raise ValidationError(f"temperature must be positive and finite, got {self.temperature}")
+        t = _real(self.temperature, "temperature")
+        if not (t > 0 and math.isfinite(t)):
+            raise ValidationError(f"temperature must be positive and finite, got {t}")
+        object.__setattr__(self, "temperature", t)
         if self.units not in _UNIT_LABELS:
             raise ValidationError(f"units must be one of {sorted(_UNIT_LABELS)}, got {self.units!r}")
 
@@ -164,8 +170,11 @@ def remote_carnot(t1: float, t2: float) -> CarnotReport:
     ``t1 > t2`` the net work per qubit is negative, which is allowed.  A
     pair whose ratio ``t1/t2`` overflows, or whose ``t2`` is so small that
     the heat ``k_B ln2 t2`` falls below the normal float range, is refused
-    with a message naming both.
+    with a message naming both.  Each temperature is read by
+    :func:`qcore._real`, so a bool, a string or a number past the float range
+    is refused with a message naming it.
     """
+    t1, t2 = _real(t1, "t1"), _real(t2, "t2")
     for name, t in (("t1", t1), ("t2", t2)):
         if not (t > 0 and math.isfinite(t)):
             raise ValidationError(f"{name} must be a positive finite temperature, got {t}")
@@ -178,8 +187,8 @@ def remote_carnot(t1: float, t2: float) -> CarnotReport:
             f"t2 = {t2} is too small: the heat k_B ln2 t2 underflows the float range "
             f"(t1 = {t1})")
     return CarnotReport(
-        t_low=float(t1),
-        t_high=float(t2),
+        t_low=t1,
+        t_high=t2,
         work_per_qubit=scale * (t2 - t1),
         heat_from_hot=scale * t2,
         efficiency=(t2 - t1) / t2,

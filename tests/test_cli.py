@@ -17,6 +17,7 @@ import pathlib
 import shlex
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -623,6 +624,35 @@ class TestCapacityAnswers:
         assert err.count("\n") == 1 and err.endswith("\n")
         assert len(err) <= 300
         assert "--capacity" in err
+
+    def test_blocked_qubit_rows_keep_the_cap_and_build_no_blocked_matrix(self, capsys,
+                                                                         tmp_path):
+        """Rows from n = 5 on take the spin blocks, yet each is still checked
+        against the cap on ``2**n``: ``--block 7`` passes a cap of 64 and exits
+        3.  At the default cap ``--block 14`` allocates under 1 MiB at its peak,
+        where one dense row of side 2**14 would take 4 GiB."""
+        path = str(tmp_path / "zp.json")
+        save_alphabet(zero_plus_alphabet(), path)
+        code, out, _ = run_cli(capsys, "tradeoff", "--alphabet", path, "--block", "6",
+                               "--capacity", "64")
+        assert code == 0
+        assert [row["n"] for row in json.loads(out)["blocking"]] == list(range(1, 7))
+        code, out, err = run_cli(capsys, "tradeoff", "--alphabet", path, "--block", "7",
+                                 "--capacity", "64")
+        assert (code, out) == (3, "")
+        assert "--capacity" in err
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(capsys, "tradeoff", "--alphabet", path, "--block", "14",
+                                   "--capacity", str(2 ** 14))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        rates = [row["energy_bits_per_letter"] for row in json.loads(out)["blocking"]]
+        assert len(rates) == 14
+        assert rates == sorted(rates) and rates[-1] <= 1.0
+        assert peak < 2 ** 20
 
 
 class TestReadmeExamples:

@@ -12,15 +12,20 @@ Independent oracles used here:
     window definition.
 """
 
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qihe import coding, qcore
+from qihe import cli, coding, qcore
 from qihe.qcore import (
     TRACE_TOL,
     CapacityError,
@@ -350,22 +355,28 @@ def _qubit_letter(rng: np.random.Generator, kind: str) -> DensityMatrix:
     return zero_plus_alphabet().letters[int(rng.integers(2))]
 
 
-class TestSchurWeylBlocks:
-    """A qubit alphabet blocked at n >= 5 takes its ensemble spectrum from
-    the Schur-Weyl blocks; every other alphabet keeps one eigvalsh.
+def _random_qubit_alphabet(rng: np.random.Generator, kinds) -> Alphabet:
+    """An alphabet of one :func:`_qubit_letter` of each of ``kinds``, with random odds."""
+    raw = rng.random(len(kinds)) + 0.1
+    return Alphabet(tuple(_qubit_letter(rng, kind) for kind in kinds),
+                    tuple(float(x) for x in raw / raw.sum()))
 
-    Oracle: ``eigvalsh`` of the blocked ensemble's own dense matrix, and
-    :func:`qcore.mixture` of the blocked letters.
+
+class TestSchurWeylBlocks:
+    """A qubit alphabet blocked at n >= 5 takes its ensemble spectrum and its
+    budget from the spin blocks of its 2 x 2 letters; every other alphabet
+    keeps one eigvalsh.
+
+    Oracles: ``eigvalsh`` of the blocked ensemble's own dense matrix,
+    :func:`qcore.mixture` of the blocked letters, and, past the dense cap,
+    30-digit ``mpmath`` arithmetic on the letters' entries.
     """
 
     @settings(max_examples=40, deadline=None)
     @given(kinds=st.lists(st.sampled_from(["mixed", "pure", "exact"]), min_size=1, max_size=4),
            n=st.integers(5, 8), seed=st.integers(0, 2 ** 32 - 1))
     def test_blocked_qubit_spectrum_is_that_of_eigvalsh(self, kinds, n, seed):
-        rng = np.random.default_rng(seed)
-        raw = rng.random(len(kinds)) + 0.1
-        ab = Alphabet(tuple(_qubit_letter(rng, kind) for kind in kinds),
-                      tuple(float(x) for x in raw / raw.sum()))
+        ab = _random_qubit_alphabet(np.random.default_rng(seed), kinds)
         blocked = block_alphabet(ab, n)
         rho = ensemble_state(blocked)
         dense = qcore.mixture(list(zip(blocked.probs, blocked.letters)))
@@ -374,12 +385,11 @@ class TestSchurWeylBlocks:
         assert np.max(np.abs(rho._eigenvalues - want)) <= 1e-12
         assert abs(von_neumann_entropy(rho) - qcore.entropy_from_eigenvalues(want)) <= 1e-12
         # sum_k m_k (n - 2k + 1) = 2**n, with m_k = C(n, k) - C(n, k - 1)
-        basis, sizes, weights, _ = coding._schur_weyl_basis(n)
+        blocks = coding._spin_blocks(ab, n)
         mults = [math.comb(n, k) - (math.comb(n, k - 1) if k else 0) for k in range(n // 2 + 1)]
-        assert sizes == tuple(range(n + 1, 0, -2))
-        assert weights.tolist() == [m for m, size in zip(mults, sizes) for _ in range(size)]
-        assert int(weights.sum()) == 2 ** n
-        np.testing.assert_allclose(basis.T @ basis, np.eye(len(weights)), rtol=0, atol=1e-14)
+        assert [m for m, _ in blocks] == mults
+        assert [len(mu) for _, mu in blocks] == list(range(n + 1, 0, -2))
+        assert sum(m * len(mu) for m, mu in blocks) == 2 ** n
         # only block_alphabet's mark picks the route: an equal alphabet built directly is dense
         plain = Alphabet(blocked.letters, blocked.probs)
         assert plain == blocked
@@ -406,19 +416,143 @@ class TestSchurWeylBlocks:
         plain = Alphabet(blocked.letters, blocked.probs)
         assert tradeoff_point(blocked, ctx) == tradeoff_point(plain, ctx)
 
-    @pytest.mark.parametrize("index, match", [(0b01000, "permutation-invariant"),
-                                              (0b11000, "lose trace")])
-    def test_a_state_the_blocks_cannot_hold_is_refused(self, index, match):
-        """The self-checks fire on a basis state that no qubit permutation fixes.
+    @pytest.mark.parametrize("index, weight, match", [(0b01000, 1.0, "purity"),
+                                                      (0b00000, 0.5, "trace")])
+    def test_a_state_the_blocks_cannot_hold_is_refused(self, index, weight, match):
+        """The self-check fires on a state that the blocks of ``{|0>, |1>}`` at
+        n = 5, whose spectrum is (1/2, 1/2, 0, ...), cannot be.
 
-        ``|01000>`` overlaps the Dicke state of block k = 0 and the singlet
-        of block k = 1, which couples them; ``|11000>`` meets only the Dicke
-        state of weight 2, at 1/10 of its trace, so the blocks hold 0.1 of 1.
+        ``|01000>`` has the right trace but purity 1, not 1/2; half of
+        ``|00000>`` has trace 1/2.
         """
         data = np.zeros((32, 32), dtype=complex)
-        data[index, index] = 1.0
+        data[index, index] = weight
         with pytest.raises(ValidationError, match=match):
-            coding._schur_weyl_spectrum(data, 5)
+            coding._block_spectrum(orthogonal_pure_alphabet(), 5, data)
+
+    @settings(max_examples=30, deadline=None)
+    @given(kinds=st.lists(st.sampled_from(["mixed", "pure", "exact"]), min_size=1, max_size=4),
+           n=st.integers(5, 9), seed=st.integers(0, 2 ** 32 - 1))
+    def test_blocked_budget_is_that_of_eigvalsh_and_of_the_cli(self, kinds, n, seed):
+        """``S(rho_B)``, chi and the energy of a blocked qubit alphabet are
+        within 1e-12 of those from ``eigvalsh`` of :func:`qcore.mixture`, and
+        ``tradeoff --block n`` prints the library's point, bit for bit."""
+        ab = _random_qubit_alphabet(np.random.default_rng(seed), kinds)
+        blocked = block_alphabet(ab, n)
+        point, s_b = coding._entropy_budget(blocked)
+        dense = qcore.mixture(list(zip(blocked.probs, blocked.letters)))
+        want = qcore.entropy_from_eigenvalues(np.linalg.eigvalsh(dense.data))
+        avg = sum(p * von_neumann_entropy(let) for p, let in zip(blocked.probs, blocked.letters))
+        assert abs(s_b - want) <= 1e-12
+        assert abs(point.comm_bits - (want - avg)) <= 1e-12
+        assert abs(point.energy_bits - (n - want)) <= 1e-12
+        assert holevo_chi(blocked) == point.comm_bits
+        assert tradeoff_point(blocked, ThermalContext()) == point
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "alphabet.json")
+            save_alphabet(ab, path)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.run(["tradeoff", "--alphabet", path, "--block", str(n)]) == 0
+        row = json.loads(out.getvalue())["blocking"][-1]
+        assert row["n"] == n
+        assert row["comm_bits_per_letter"] == point.comm_bits / n
+        assert row["energy_bits_per_letter"] == point.energy_bits / n
+
+    @pytest.mark.parametrize("n", [20, 30])
+    def test_long_blocks_match_a_high_precision_oracle(self, n):
+        """Far past the dense cap, the budget of ``{|0>, |+>}`` is within 1e-12
+        of its Gram-matrix entropy ``H((1 +/- <0|+>**n) / 2)``, and that of a
+        mixed pair is within 1e-12 of :func:`_spin_oracle`'s."""
+        zero_plus = zero_plus_alphabet()
+        overlap = mpmath.sqrt(mpmath.mpf(zero_plus.letters[1].data[0, 0].real))
+        with mpmath.workdps(30):
+            halves = [(1 + sign * overlap ** n) / 2 for sign in (1, -1)]
+            gram = float(-sum(h * mpmath.log(h, 2) for h in halves))
+        mixed = Alphabet((DensityMatrix(np.array([[0.8, 0.1 - 0.2j], [0.1 + 0.2j, 0.2]]), (2,)),
+                          DensityMatrix(np.array([[0.35, 0.3], [0.3, 0.65]]), (2,))), (0.4, 0.6))
+        for ab, (s_b, avg) in ((zero_plus, (gram, 0.0)), (mixed, _spin_oracle(mixed, n))):
+            point, got = coding._entropy_budget(ab, n, max_dim=2 ** n)
+            assert abs(got - s_b) <= 1e-12
+            assert abs(point.avg_letter_entropy - avg) <= 1e-12
+            assert abs(point.comm_bits - (s_b - avg)) <= 1e-12
+            assert abs(point.energy_bits - (n - s_b)) <= 1e-12
+        with pytest.raises(CapacityError):
+            coding._entropy_budget(mixed, n, max_dim=2 ** n - 1)
+
+    def test_the_spin_route_builds_no_blocked_matrix(self, natural_ctx, monkeypatch, tmp_path):
+        """A qubit alphabet marked at n = 6 takes its budget, and ``tradeoff
+        --block 7`` its rows n = 5, 6 and 7, with no call of ``_mix``,
+        ``tensor_power`` or ``block_alphabet``; rows 1 to 4 still block."""
+        ab = _random_qubit_alphabet(np.random.default_rng(8), ["mixed", "pure", "exact"])
+        blocked = block_alphabet(ab, 6)
+        calls = []
+
+        def spy(module, name, size):
+            real = getattr(module, name)
+
+            def wrapped(*args, **kwargs):
+                out = real(*args, **kwargs)
+                calls.append((name, size(args, out)))
+                return out
+            monkeypatch.setattr(module, name, wrapped)
+
+        spy(qcore, "_mix", lambda args, out: out[0].shape[0])
+        spy(coding, "_mix", lambda args, out: out[0].shape[0])
+        spy(coding, "tensor_power", lambda args, out: args[1])
+        spy(coding, "block_alphabet", lambda args, out: args[1])
+        tradeoff_point(blocked, natural_ctx)
+        holevo_chi(blocked)
+        assert calls == []
+        path = str(tmp_path / "alphabet.json")
+        save_alphabet(ab, path)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.run(["tradeoff", "--alphabet", path, "--block", "7"]) == 0
+        assert [n for name, n in calls if name == "block_alphabet"] == [1, 2, 3, 4]
+        assert max(n for name, n in calls if name == "tensor_power") == 4
+        assert max(side for name, side in calls if name == "_mix") == 16
+
+
+def _spin_oracle(alphabet: Alphabet, n: int) -> tuple[float, float]:
+    """``(S(rho_B), <S_a>)`` of ``alphabet`` blocked ``n`` letters at a time, in
+    20-digit ``mpmath`` arithmetic from the letters' float entries.
+
+    ``B_k = sum_a p_a det(rho_a)^k Sym^(n-2k)(rho_a)``, repeated
+    ``C(n, k) - C(n, k - 1)`` times.  Column ``j`` of ``Sym^m(M)`` holds the
+    coefficients of ``x^(m-i) y^i`` in ``(a x + c y)^(m-j) (b x + d y)^j``,
+    rescaled to the normalized Dicke states: a sum over every term, not the
+    triangular factor the library takes.  ``S(rho^(x n)) = n tr(rho)^(n-1) S(rho)``.
+    """
+    with mpmath.workdps(20):
+        s_b, avg, polys = mpmath.mpf(0), mpmath.mpf(0), []
+        for p, letter in zip(alphabet.probs, alphabet.letters):
+            (a, b), (c, d) = [[mpmath.mpc(complex(z)) for z in row] for row in letter.data.tolist()]
+            det, tr = a * d - b * c, (a + d).real
+            root = mpmath.sqrt(tr ** 2 - 4 * det.real)
+            lams = [(tr + sign * root) / 2 for sign in (1, -1)]
+            avg += p * n * tr ** (n - 1) * -sum(x * mpmath.log(x, 2) for x in lams if x > 0)
+            # the coefficients in t of (a + c t)**q and of (b + d t)**q, for q = 0..n
+            first, second = [[mpmath.mpf(1)]], [[mpmath.mpf(1)]]
+            for _ in range(n):
+                for out, (u, v) in ((first, (a, c)), (second, (b, d))):
+                    out.append([u * x for x in out[-1]] + [0])
+                    for i, x in enumerate(out[-2]):
+                        out[-1][i + 1] += v * x
+            polys.append((p, det, first, second))
+        for k in range(n // 2 + 1):
+            m = n - 2 * k
+            block = mpmath.zeros(m + 1, m + 1)
+            for p, det, first, second in polys:
+                for j in range(m + 1):
+                    f, g = first[m - j], second[j]
+                    for i in range(m + 1):
+                        z = sum(f[r] * g[i - r] for r in range(max(0, i - j), min(i, m - j) + 1))
+                        block[i, j] += p * det ** k * z * mpmath.sqrt(
+                            mpmath.mpf(math.comb(m, j)) / math.comb(m, i))
+            mult = math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
+            s_b -= mult * sum(x * mpmath.log(x, 2) for x in mpmath.eigh(block, eigvals_only=True)
+                              if x > 0)
+        return float(s_b), float(avg)
 
 
 class TestTypicalSubspace:
@@ -684,6 +818,23 @@ class TestTypicalSubspace:
             typical_subspace(rho, 10, delta)
         with pytest.raises(ValidationError, match="delta must be positive and finite"):
             qubit_capture_curve(0.7, [10], delta)
+
+    @pytest.mark.parametrize("bad", ["0.1", True, np.True_, 10 ** 400, None],
+                             ids=["string", "bool", "numpy-bool", "past-float-range", "none"])
+    def test_delta_and_p_are_read_as_real_numbers(self, bad):
+        """A string, a bool or a number past the float range is refused with a
+        short message naming ``delta`` or ``p``; numpy floats are read as floats."""
+        rho = make_density(np.diag([0.7, 0.3]).astype(complex), 2)
+        for call, name in ((lambda: typical_subspace(rho, 10, bad), "delta"),
+                           (lambda: qubit_capture_curve(0.7, [10], bad), "delta"),
+                           (lambda: qubit_capture_curve(bad, [10], 0.1), "p")):
+            with pytest.raises(ValidationError, match=rf"^{name} ") as info:
+                call()
+            assert len(str(info.value)) < 80
+        sub = typical_subspace(rho, 10, np.float64(0.1))
+        assert type(sub.delta) is float and sub == typical_subspace(rho, 10, 0.1)
+        assert qubit_capture_curve(np.float64(0.7), [10], 0.1) == qubit_capture_curve(
+            0.7, [10], 0.1)
 
     @pytest.mark.parametrize("L", [True, np.True_], ids=["bool", "numpy-bool"])
     def test_boolean_block_lengths_are_refused(self, L):

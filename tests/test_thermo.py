@@ -49,6 +49,17 @@ class TestThermalContext:
         with pytest.raises(ValidationError, match="units"):
             ThermalContext(units="calories")
 
+    @pytest.mark.parametrize("bad", ["300", True, np.True_, 10 ** 400, None],
+                             ids=["string", "bool", "numpy-bool", "past-float-range", "none"])
+    def test_temperature_is_read_as_a_real_number(self, bad):
+        """A string, a bool or a number past the float range is refused with a
+        short message naming the temperature; a numpy float is kept as a float."""
+        with pytest.raises(ValidationError, match="temperature") as info:
+            ThermalContext(temperature=bad)
+        assert len(str(info.value)) < 80
+        ctx = ThermalContext(temperature=np.float64(250.0), units="SI")
+        assert type(ctx.temperature) is float and ctx.temperature == 250.0
+
 
 class TestCycleWork:
     def test_work_scales_with_unit_factor(self):
@@ -164,6 +175,18 @@ class TestRemoteCarnot:
         for t1, t2 in ((0.0, 300.0), (300.0, -1.0), (math.inf, 300.0)):
             with pytest.raises(ValidationError):
                 remote_carnot(t1, t2)
+
+    @pytest.mark.parametrize("t1, t2, name", [
+        (10 ** 400, 1.0, "t1"), (300, 10 ** 400, "t2"), ("300", 600.0, "t1"),
+        (300.0, True, "t2"), (None, 600.0, "t1"),
+    ], ids=["t1-past-float-range", "t2-past-float-range", "t1-string", "t2-bool", "t1-none"])
+    def test_temperatures_are_read_as_real_numbers(self, t1, t2, name):
+        with pytest.raises(ValidationError, match=name) as info:
+            remote_carnot(t1, t2)
+        assert len(str(info.value)) < 80
+        rep = remote_carnot(np.float64(300.0), 600)
+        assert (rep.t_low, rep.t_high) == (300.0, 600.0)
+        assert type(rep.t_low) is float and type(rep.t_high) is float
 
     @settings(max_examples=300, deadline=None)
     @given(t1=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
