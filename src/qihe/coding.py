@@ -21,11 +21,11 @@ spectrum of ``n // 2 + 1`` spin blocks
 ``B_k = sum_a p_a det(rho_a)^k Sym^(n-2k)(rho_a)`` of sides
 ``n + 1, n - 1, ...``, block ``k`` repeated ``C(n, k) - C(n, k - 1)`` times,
 and those are built from the ``2 x 2`` letters alone.  Each letter's
-``S(rho_a^(x n))`` comes from its two eigenvalues.  Only
-:func:`ensemble_state` of such a blocked alphabet mixes the dense
-``rho_B``, on request, and reads its spectrum from the blocks.  Below
-``n = 5`` one ``eigvalsh`` of side ``2**n`` is the faster, and alphabets of
-``d >= 3`` keep it.  Every route still checks ``d**n`` against the dense cap.
+``S(rho_a^(x n))`` is ``n S(rho_a)``.  Only :func:`ensemble_state` of such a
+blocked alphabet, on request, mixes the dense ``rho_B`` and diagonalizes it
+as any other.  Below ``n = 5`` one ``eigvalsh`` of side ``2**n`` is the
+faster, and alphabets of ``d >= 3`` keep it.  Every route still checks
+``d**n`` against the dense cap.
 
 For long blocks the receiver can concentrate the source onto its
 typical subspace, swap the typical content into a compact ancilla with
@@ -61,13 +61,10 @@ import numpy as np
 
 from .qcore import (
     _EPS,
-    TRACE_TOL,
     DensityMatrix,
     ValidationError,
-    _mix,
     _positive_integer,
     _real,
-    _validate,
     basis_state,
     check_capacity,
     entropy_from_eigenvalues,
@@ -112,16 +109,14 @@ class Alphabet:
     It keeps its validated ensemble state ``rho_B``, built on first request,
     as each letter keeps its entropy.  That is safe because an alphabet
     never changes: it is frozen, and holds tuples of floats and of frozen,
-    read-only letters.  The spectrum of ``rho_B`` is one ``eigvalsh``, or,
-    for a qubit alphabet that :func:`block_alphabet` made at n >= 5, that
-    of the spin blocks of its base alphabet's letters (see the module
-    docstring), which the base keeps for each ``n``; below n = 5 the
-    ``eigvalsh`` is the faster.
+    read-only letters.  A qubit alphabet that :func:`block_alphabet` made at
+    n >= 5 takes its budget from the spin blocks of its base alphabet's
+    letters (see the module docstring), which the base keeps for each ``n``.
     """
 
     letters: tuple[DensityMatrix, ...]
     probs: tuple[float, ...]
-    # (base alphabet, n) when block_alphabet made this one; a qubit base at n >= 5 picks the spin blocks
+    # (base alphabet, n) when block_alphabet made this one; a qubit base at n >= 5 budgets by spin blocks
     _blocked_from: tuple[Alphabet, int] | None = field(
         default=None, init=False, repr=False, compare=False)
     # _spin_blocks(self, n) by n, each built on first request
@@ -160,16 +155,8 @@ class Alphabet:
 
     @cached_property
     def _ensemble(self) -> DensityMatrix:
-        """``sum_a p_a rho_a`` as :func:`mixture` mixes and checks it: what
-        :func:`ensemble_state` returns.  Only the spectrum of a qubit alphabet
-        blocked at n >= 5 comes from :func:`_block_spectrum` in place of ``eigvalsh``."""
-        pairs = list(zip(self.probs, self.letters))
-        if self._blocked_from is None or not _spin_route(*self._blocked_from):
-            return mixture(pairs)
-        data, dims = _mix(pairs)
-        state = object.__new__(DensityMatrix)
-        _validate(state, data, dims, _block_spectrum(*self._blocked_from, data))
-        return state
+        """``sum_a p_a rho_a``, validated: what :func:`ensemble_state` returns."""
+        return mixture(list(zip(self.probs, self.letters)))
 
     def to_dict(self) -> dict:
         return {
@@ -246,11 +233,8 @@ def ensemble_state(alphabet: Alphabet) -> DensityMatrix:
 
     It is mixed and validated on the first call for ``alphabet`` only; every
     later call returns the same read-only state, with its entropy, once taken.
-    Its spectrum is one ``eigvalsh``, or, for a qubit alphabet blocked at
-    ``n >= 5``, that of the spin blocks of the base letters, of side
-    ``n + 1`` at most, checked against the mixed state's trace and purity.
-    The budget of such an alphabet never calls this: only a caller that
-    wants the ``2**n x 2**n`` state builds it.
+    The budget of a qubit alphabet blocked at ``n >= 5`` never calls this:
+    only a caller that wants the ``2**n x 2**n`` state builds it.
     """
     return alphabet._ensemble
 
@@ -302,8 +286,8 @@ def _entropy_budget(alphabet: Alphabet, n: int | None = None,
     A qubit alphabet taken ``n >= 5`` letters at a time, whether given ``n``
     here or marked so by :func:`block_alphabet`, builds no matrix of side
     ``2**n``: ``S(rho_B) = sum_k m_k S(B_k)`` over its spin blocks
-    (:func:`_spin_blocks`), and each letter's entropy comes from the letter's
-    spectrum (:func:`_power_entropy`).  Any other alphabet reads the entropies
+    (:func:`_spin_blocks`), and each letter's is ``n S(rho_a)``
+    (:func:`_blocked_letter_entropy`).  Any other alphabet reads the entropies
     its states keep.
     """
     if n is None:
@@ -318,7 +302,7 @@ def _entropy_budget(alphabet: Alphabet, n: int | None = None,
         entropies, capacity = letter_entropies(alphabet), alphabet.capacity_bits
     else:
         s_b = sum(m * entropy_from_eigenvalues(mu) for m, mu in _spin_blocks(alphabet, n))
-        entropies = [_power_entropy(let, n) for let in alphabet.letters]
+        entropies = [_blocked_letter_entropy(let, n) for let in alphabet.letters]
         capacity = n * alphabet.capacity_bits
     avg = sum(p * s for p, s in zip(alphabet.probs, entropies))
     return TradeoffPoint(
@@ -367,12 +351,10 @@ def block_alphabet(alphabet: Alphabet, n: int, max_dim: int | None = None) -> Al
     """
     n = _positive_integer(n, "block length n")
     blocked = []
-    for let, s_single in zip(alphabet.letters, letter_entropies(alphabet)):
+    for let in alphabet.letters:
         power = tensor_power(let, n, max_dim)
         s_block = von_neumann_entropy(power)
-        # n sigma**(n-1) S, where sigma, 1 up to the tolerances, is the clamped spectrum's mass
-        sigma = sum(lam for lam in let._eigenvalues.tolist() if lam > 0.0)
-        expected = n * sigma ** (n - 1) * s_single
+        expected = _blocked_letter_entropy(let, n)
         if abs(s_block - expected) > 1e-9:
             raise ValidationError(
                 f"blocked letter entropy {s_block} deviates from n * sigma**(n-1) * S = {expected}"
@@ -385,6 +367,13 @@ def block_alphabet(alphabet: Alphabet, n: int, max_dim: int | None = None) -> Al
     return out
 
 
+def _blocked_letter_entropy(letter: DensityMatrix, n: int) -> float:
+    """``S(rho^(x n)) = n sigma**(n-1) S(rho)`` of ``letter``, where ``sigma``, 1 up
+    to the tolerances, is the mass of its clamped spectrum."""
+    sigma = sum(lam for lam in letter._eigenvalues.tolist() if lam > 0.0)
+    return n * sigma ** (n - 1) * von_neumann_entropy(letter)
+
+
 _SPIN_MIN_N = 5  # below it one eigvalsh of side 2**n beats the spin blocks
 
 
@@ -393,34 +382,30 @@ def _spin_route(alphabet: Alphabet, n: int) -> bool:
     return alphabet.d == 2 and n >= _SPIN_MIN_N
 
 
-_STACK = 1 << 16  # entries per letter of the padded blocks that _spin_blocks stacks at once
-
-
 @lru_cache(maxsize=32)
-def _sym_table(n: int, first: int, stop: int) -> tuple[np.ndarray, ...]:
-    """The entries of the spin blocks ``k = first..stop - 1`` of ``n`` qubits
-    that :func:`_spin_blocks` fills.
+def _sym_table(n: int) -> tuple[np.ndarray, ...]:
+    """The entries of the spin blocks of ``n`` qubits that :func:`_spin_blocks` fills.
 
-    Over the lower triangle ``i >= j`` of each block, of side
+    Over the lower triangle ``i >= j`` of block ``k``, of side
     ``m + 1 = n - 2k + 1``: the coefficient ``C(i, j) sqrt(C(m, i) / C(m, j))``,
     the exponents ``n - k - i``, ``i - j`` and ``j + k`` of ``t11``, ``t21``
     and ``t22``, and the entry's flat index in a stack of blocks padded to
-    the first one's side, with row ``i`` and, for a flipped letter, row
-    ``m - i``.  That is ``O(n**2)`` entries per block.  The binomials come
-    from Pascal's rule in floats, exact while below ``2**53`` (n <= 56).
-    The tables of the last few stacks are kept.
+    side ``n + 1``, with row ``i`` and, for a flipped letter, row ``m - i``.
+    That is ``O(n**2)`` entries per block.  The binomials come from Pascal's
+    rule in floats, exact while below ``2**53`` (n <= 56).  The tables of the
+    last few ``n`` are kept.
     """
-    side = n - 2 * first + 1
+    side = n + 1
     pascal = np.zeros((side, side))
     pascal[:, 0] = 1.0
     for r in range(1, side):
         pascal[r, 1:] = pascal[r - 1, 1:] + pascal[r - 1, :-1]
     parts = []
-    for k in range(first, stop):
+    for k in range(n // 2 + 1):
         m = n - 2 * k
         i, j = np.tril_indices(m + 1)
         coef = pascal[i, j] * np.sqrt(pascal[m, i] / pascal[m, j])
-        base = (k - first) * side * side + j
+        base = k * side * side + j
         parts.append((coef, n - k - i, i - j, j + k, base + i * side, base + (m - i) * side))
     table = tuple(np.concatenate(column) for column in zip(*parts))
     for a in table:
@@ -442,12 +427,11 @@ def _spin_blocks(alphabet: Alphabet, n: int) -> tuple[tuple[int, np.ndarray], ..
     ``C(i, j) sqrt(C(m, i) / C(m, j)) t11^(m-i) t21^(i-j) t22^j`` for
     ``i >= j``, and the flip reverses its rows.  With ``det(rho) = (t11 t22)**2``,
     ``B_k = sum_a p_a S_a S_a^dag``, where ``S_a`` is ``(t11 t22)^k Sym^m(T)``.
-    The blocks of all letters are filled from :func:`_sym_table` and summed
-    a stack at a time: as many blocks as fit ``_STACK`` entries per letter
-    once padded to the stack's largest side (every block up to n = 49), or
-    one block where that alone is larger, so memory stays ``O(n**2)`` past
-    that.  One ``eigvalsh`` of side ``n - 2k + 1`` per block, kept on
-    ``alphabet`` for each ``n``.
+    The blocks of all letters are filled from :func:`_sym_table`, padded to
+    side ``n + 1``, and summed in one batched product: ``O(n**3)`` entries
+    per letter, small while ``2**n`` is within the dense cap.  One
+    ``eigvalsh`` of side ``n - 2k + 1`` per block, kept on ``alphabet`` for
+    each ``n``.
     """
     blocks = alphabet._spin_spectra.get(n)
     if blocks is not None:
@@ -465,56 +449,16 @@ def _spin_blocks(alphabet: Alphabet, n: int) -> tuple[tuple[int, np.ndarray], ..
     powers = np.arange(n + 1)
     p11, p21, p22 = (t[:, None] ** powers for t in (t11, t21, t22))
     count, probs = len(factors), np.array(alphabet.probs)[:, None, None, None]
-    out, first = [], 0
-    while first <= n // 2:
-        side = n - 2 * first + 1
-        stop = min(n // 2 + 1, first + max(1, _STACK // side ** 2))
-        coef, e11, e21, e22, rows, flipped = _sym_table(n, first, stop)
-        sym = np.zeros((count, stop - first, side, side), dtype=complex)
-        sym.reshape(count, -1)[np.arange(count)[:, None], np.where(flip[:, None], flipped, rows)] = (
-            coef * p11[:, e11] * p21[:, e21] * p22[:, e22])
-        gram = np.matmul(sym * probs, sym.conj().swapaxes(-1, -2)).sum(axis=0)
-        out.extend((math.comb(n, k) - (math.comb(n, k - 1) if k else 0),
-                    np.linalg.eigvalsh(gram[k - first, :n - 2 * k + 1, :n - 2 * k + 1]))
-                   for k in range(first, stop))
-        first = stop
-    blocks = alphabet._spin_spectra[n] = tuple(out)
+    coef, e11, e21, e22, rows, flipped = _sym_table(n)
+    sym = np.zeros((count, n // 2 + 1, n + 1, n + 1), dtype=complex)
+    sym.reshape(count, -1)[np.arange(count)[:, None], np.where(flip[:, None], flipped, rows)] = (
+        coef * p11[:, e11] * p21[:, e21] * p22[:, e22])
+    gram = np.matmul(sym * probs, sym.conj().swapaxes(-1, -2)).sum(axis=0)
+    blocks = alphabet._spin_spectra[n] = tuple(
+        (math.comb(n, k) - (math.comb(n, k - 1) if k else 0),
+         np.linalg.eigvalsh(gram[k, :n - 2 * k + 1, :n - 2 * k + 1]))
+        for k in range(n // 2 + 1))
     return blocks
-
-
-def _block_spectrum(alphabet: Alphabet, n: int, data: np.ndarray) -> np.ndarray:
-    """The ascending spectrum of ``data``, the mixed ``sum_a p_a rho_a^(x n)`` of
-    a qubit ``alphabet``: each spin block's, repeated by its multiplicity.
-
-    The blocks hold that sum exactly in algebra, so the check only guards
-    it: their spectrum's sum and sum of squares must be the trace and the
-    purity ``sum |rho_ij|**2`` of ``data``, each within ``TRACE_TOL``.
-    """
-    blocks = _spin_blocks(alphabet, n)
-    for name, got, want in (
-        ("trace", sum(m * float(mu.sum()) for m, mu in blocks), data.trace().real),
-        ("purity", sum(m * float(mu @ mu) for m, mu in blocks), np.vdot(data, data).real),
-    ):
-        if not abs(got - want) <= TRACE_TOL:
-            raise ValidationError(
-                f"the spin blocks do not hold the blocked ensemble: their {name} is off "
-                f"by {abs(got - want):.3e}, above {TRACE_TOL:.0e}")
-    return np.sort(np.concatenate([np.repeat(mu, m) for m, mu in blocks]))
-
-
-def _power_entropy(letter: DensityMatrix, n: int) -> float:
-    """``S(rho^(x n))`` of a qubit letter from its kept spectrum ``(lo, hi)``.
-
-    The product ``hi**(n - j) lo**j`` is an eigenvalue ``C(n, j)`` times; a
-    clamped ``lo <= 0`` leaves only ``j = 0``.
-    """
-    lo, hi = letter._eigenvalues.tolist()
-    s = 0.0
-    for j in range(n + 1 if lo > 0.0 else 1):
-        mu = hi ** (n - j) * lo ** j
-        if mu > 0.0:
-            s -= math.comb(n, j) * mu * math.log2(mu)
-    return s
 
 
 @dataclass(frozen=True)
