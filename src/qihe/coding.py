@@ -338,31 +338,21 @@ def tradeoff_curve(
 def block_alphabet(alphabet: Alphabet, n: int, max_dim: int | None = None) -> Alphabet:
     """Treat ``n``-letter blocks as super-letters ``rho_a^(x n)``.
 
-    Blocking multiplies both letter entropies and capacity by ``n``
-    (verified numerically) while the Holevo quantity grows strictly
-    sublinearly for non-orthogonal letters, which is what pushes the
-    per-letter energy toward its ``M - <S_a>`` ceiling.
+    Blocking multiplies both letter entropies and capacity by ``n`` while
+    the Holevo quantity grows strictly sublinearly for non-orthogonal
+    letters, which is what pushes the per-letter energy toward its
+    ``M - <S_a>`` ceiling.
 
-    The letters are dense ``d**n x d**n`` powers, within ``max_dim``.  The
-    output is marked with ``alphabet`` and ``n``: blocked at n >= 5, a qubit
-    alphabet's budget (:func:`tradeoff_point`, :func:`holevo_chi`) comes from
-    the spin blocks of ``alphabet``'s ``2 x 2`` letters, and reads neither the
-    powers nor a mixed ``rho_B``.
+    The letters are dense ``d**n x d**n`` powers (:func:`tensor_power`),
+    within ``max_dim``; each letter's entropy is taken only when a budget
+    reads it.  The output is marked with ``alphabet`` and ``n``: blocked at
+    n >= 5, a qubit alphabet's budget (:func:`tradeoff_point`,
+    :func:`holevo_chi`) comes from the spin blocks of ``alphabet``'s
+    ``2 x 2`` letters, and reads neither the powers nor a mixed ``rho_B``.
     """
     n = _positive_integer(n, "block length n")
-    blocked = []
-    for let in alphabet.letters:
-        power = tensor_power(let, n, max_dim)
-        s_block = von_neumann_entropy(power)
-        expected = _blocked_letter_entropy(let, n)
-        if abs(s_block - expected) > 1e-9:
-            raise ValidationError(
-                f"blocked letter entropy {s_block} deviates from n * sigma**(n-1) * S = {expected}"
-            )
-        blocked.append(power)
-    out = Alphabet(tuple(blocked), alphabet.probs)
-    if abs(out.capacity_bits - n * alphabet.capacity_bits) > 1e-12:
-        raise ValidationError("blocked capacity is not n times the letter capacity")
+    out = Alphabet(tuple(tensor_power(let, n, max_dim) for let in alphabet.letters),
+                   alphabet.probs)
     object.__setattr__(out, "_blocked_from", (alphabet, n))
     return out
 

@@ -55,7 +55,6 @@ __all__ = [
     "bell_protocol",
     "classical_pair",
     "classical_pair_protocol",
-    "even_parity_state",
     "ghz_state",
     "ghz_unlock",
     "haar_random_channel",
@@ -244,15 +243,6 @@ def _even_parity_weights(n: int, max_dim: int | None) -> np.ndarray:
         raise ValidationError(f"an even-parity state needs n >= 2 qubits, got {n}")
     check_capacity(2 ** n, max_dim)
     return np.where(_odd_parity(n), 0.0, 2.0 ** (1 - n))
-
-
-def even_parity_state(n: int, max_dim: int | None = None) -> DensityMatrix:
-    """The n-qubit uniform mixture over all even-parity basis strings.
-
-    The density matrix is diagonal with weight ``2**(1-n)`` on each of
-    the ``2**(n-1)`` strings of even Hamming weight and zero elsewhere.
-    """
-    return DensityMatrix(np.diag(_even_parity_weights(n, max_dim)), (2,) * n)
 
 
 def haar_random_channel(

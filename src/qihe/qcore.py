@@ -3,12 +3,16 @@
 Everything downstream (thermodynamic accounting, distribution protocols,
 source coding) is built on the validated value types defined here:
 density matrices, pure states, Kraus channels and measurement records.
-States are immutable; every operation returns a fresh, validated object.
-Intermediate results that are never returned stay plain arrays: a tensor
-power multiplies arrays and validates only the power it returns, and a
-channel applies each Kraus operator to its target axes only.  A density
-matrix given by its entries is diagonalized once, by its own positivity
-check; a tensor power takes its spectrum from its letter's instead, and
+States are immutable, and each is checked once, where it enters.  A matrix
+given by its entries, including the states :func:`partial_trace`,
+:func:`apply_channel` and :func:`measure_computational` return, is checked
+for Hermiticity, unit trace and positivity; a :func:`tensor_power` or a
+:func:`mixture` of checked states for positivity only, since its Hermiticity
+and trace follow from theirs.  Intermediate results that are never returned
+stay plain arrays: a tensor power multiplies arrays, and a channel applies
+each Kraus operator to its target axes only.  A density matrix given by its
+entries is diagonalized once, by its own positivity check; a tensor power
+takes its spectrum from its letter's instead, and
 :func:`von_neumann_entropy` reads whichever spectrum the state keeps, once
 per state: the entropy is derived on first request and kept.
 
@@ -31,7 +35,7 @@ import operator
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -197,18 +201,19 @@ class DensityMatrix:
     """A validated density operator together with its subsystem signature.
 
     Construction eagerly checks Hermiticity, unit trace and positive
-    semidefiniteness; the error message names the violated invariant and
-    the offending magnitude.  ``dims`` records the tensor factorization,
+    semidefiniteness (a :func:`tensor_power` or a :func:`mixture`, only the
+    last); the error message names the violated invariant and the offending
+    magnitude.  ``dims`` records the tensor factorization,
     e.g. ``(2, 2, 2)`` for three qubits.  The spectrum that the positivity
     check reads is kept, ascending: it is the spectrum
     :func:`von_neumann_entropy` reads, so a state is diagonalized at most
     once however often its entropy is taken.  For a matrix given to the
     constructor it is ``eigvalsh`` of the input, which equals ``eigvalsh``
     of the stored read-only ``data`` bit for bit (``eigvalsh`` copies its
-    input into one layout before LAPACK sees it); the copy is made last, so
-    it adds nothing to the validation's peak memory.  A
-    :func:`tensor_power` keeps instead the sorted products of its letter's
-    kept spectrum, which is the spectrum of the power.
+    input into one layout before LAPACK sees it); the copy is made after
+    ``eigvalsh``, so it adds nothing to the validation's peak memory.  A power or a mixture
+    holds the array it built, with no copy; a power keeps the sorted
+    products of its letter's kept spectrum, the spectrum of the power.
 
     The entropy of the kept spectrum is likewise derived once, on first
     request, and kept.  That is safe because a state never changes: the
@@ -238,46 +243,51 @@ class DensityMatrix:
         return entropy_from_eigenvalues(self._eigenvalues)
 
 
-def _validate(state: DensityMatrix, data, dims, spectrum: np.ndarray | None = None,
-              trace_tol: float = TRACE_TOL) -> None:
+def _validate(state: DensityMatrix, data, dims, spectrum: np.ndarray | None = None) -> None:
     """Check ``data`` as a density matrix and set ``state``'s fields: the one validation body.
 
-    The positivity check reads ``spectrum``, ascending; when it is ``None``,
-    as for every matrix given to :class:`DensityMatrix`, that spectrum is
-    ``eigvalsh(data)``, computed after the cheaper checks have passed.  The
-    trace may be off by ``trace_tol``.
+    Given no ``spectrum``, as for every matrix given to :class:`DensityMatrix`,
+    ``data`` is checked in full: its shape, Hermiticity and trace, then the
+    positivity of ``eigvalsh(data)``, computed after the cheaper checks have
+    passed, and the stored copy is made after ``eigvalsh``.  Given
+    ``spectrum``, ascending, ``data`` is a fresh array built from validated
+    states, whose Hermiticity and trace follow from theirs: only the
+    positivity of ``spectrum`` is checked, and ``data`` is kept as it is.
     """
-    data = np.asarray(data, dtype=complex)
-    if data.ndim != 2 or data.shape[0] != data.shape[1]:
-        raise ValidationError(f"density matrix must be square, got shape {data.shape}")
-    dims = _as_dims(dims, data.shape[0])
+    if spectrum is None:
+        data = np.asarray(data, dtype=complex)
+        if data.ndim != 2 or data.shape[0] != data.shape[1]:
+            raise ValidationError(f"density matrix must be square, got shape {data.shape}")
+        dims = _as_dims(dims, data.shape[0])
 
-    herm = math.nan  # for a non-finite entry, without the warning inf - inf would print
-    if _all_finite(data):
-        # one D x D complex temporary; |conj(a_ij) - a_ji| is |(rho - rho^dag)_ij| bit for bit
-        residual = data.conj()
-        herm = float(np.abs(np.subtract(residual, data.T, out=residual)).max())
-        del residual  # before eigvalsh and the read-only copy
-    if not herm <= HERMITICITY_TOL:
-        raise ValidationError(
-            f"not Hermitian: max |rho - rho^dag| = {herm:.3e} exceeds {HERMITICITY_TOL:.0e}"
-        )
-    tr = complex(np.trace(data))
-    if abs(tr - 1.0) > trace_tol:
-        raise ValidationError(
-            f"trace must be 1: |tr(rho) - 1| = {abs(tr - 1.0):.3e} exceeds {trace_tol!r}"
-        )
-    evals = np.linalg.eigvalsh(data) if spectrum is None else spectrum
-    lo = float(evals[0])  # ascending, so evals[0] is the minimum
+        herm = math.nan  # for a non-finite entry, without the warning inf - inf would print
+        if _all_finite(data):
+            # one D x D complex temporary; |conj(a_ij) - a_ji| is |(rho - rho^dag)_ij| bit for bit
+            residual = data.conj()
+            herm = float(np.abs(np.subtract(residual, data.T, out=residual)).max())
+            del residual  # before eigvalsh and the copy
+        if not herm <= HERMITICITY_TOL:
+            raise ValidationError(
+                f"not Hermitian: max |rho - rho^dag| = {herm:.3e} exceeds {HERMITICITY_TOL:.0e}"
+            )
+        tr = complex(np.trace(data))
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise ValidationError(
+                f"trace must be 1: |tr(rho) - 1| = {abs(tr - 1.0):.3e} exceeds {TRACE_TOL:.0e}"
+            )
+        spectrum = np.linalg.eigvalsh(data)
+        data = np.array(data)  # after eigvalsh, whose copies are freed: no higher peak
+    lo = float(spectrum[0])  # ascending, so spectrum[0] is the minimum
     if lo < -PSD_TOL:
         raise ValidationError(
             f"not positive semidefinite: min eigenvalue {lo:.3e} is below -{PSD_TOL:.0e}"
         )
 
-    evals.setflags(write=False)
-    object.__setattr__(state, "data", _readonly(data))
+    data.setflags(write=False)
+    spectrum.setflags(write=False)
+    object.__setattr__(state, "data", data)
     object.__setattr__(state, "dims", dims)
-    object.__setattr__(state, "_eigenvalues", evals)
+    object.__setattr__(state, "_eigenvalues", spectrum)
 
 
 @dataclass(frozen=True)
@@ -446,10 +456,14 @@ def mixture(
     pairs: Sequence[tuple[float, "PureState | DensityMatrix | np.ndarray"]],
     dims: int | Iterable[int] | None = None,
 ) -> DensityMatrix:
-    """Convex mixture ``sum_i w_i rho_i`` of states with validated weights."""
+    """Convex mixture ``sum_i w_i rho_i`` of states with validated weights.
+
+    Each weight is read by :func:`_real` and each state by :func:`make_density`;
+    the sum is checked for positivity only, on its ``eigvalsh``, which it keeps.
+    """
     if not pairs:
         raise ValidationError("a mixture needs at least one component")
-    weights = np.array([float(w) for w, _ in pairs])
+    weights = np.array([_real(w, "each mixture weight") for w, _ in pairs])
     if np.any(weights < -PROBABILITY_TOL):
         raise ValidationError(f"mixture weights must be non-negative, got min {weights.min():.3e}")
     total = float(weights.sum())
@@ -458,17 +472,16 @@ def mixture(
             f"mixture weights must sum to 1: |sum - 1| = {abs(total - 1.0):.3e} "
             f"exceeds {PROBABILITY_TOL:.0e}"
         )
-    parts = []
-    for w, state in pairs:
-        dm = make_density(state, dims)
-        parts.append((w, dm))
-    ref_dims = parts[0][1].dims
-    if any(p.dims != ref_dims for _, p in parts):
+    parts = [make_density(state, dims) for _, state in pairs]
+    ref_dims = parts[0].dims
+    if any(p.dims != ref_dims for p in parts):
         raise ValidationError("all mixture components must share one subsystem signature")
-    acc = np.zeros((parts[0][1].dim,) * 2, dtype=complex)
-    for w, dm in parts:
+    acc = np.zeros((parts[0].dim,) * 2, dtype=complex)
+    for w, dm in zip(weights, parts):
         acc += w * dm.data
-    return DensityMatrix(acc, ref_dims)
+    out = object.__new__(DensityMatrix)
+    _validate(out, acc, ref_dims, np.linalg.eigvalsh(acc))
+    return out
 
 
 def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -480,16 +493,14 @@ def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def tensor_power(a: DensityMatrix, n: int, max_dim: int | None = None) -> DensityMatrix:
     """``n``-fold tensor power of a state.
 
-    The intermediate products are plain arrays, bit-identical to a chain of
-    ``np.kron``; only the power returned is built as a
-    :class:`DensityMatrix` (``a`` itself when ``n`` is 1).  Its Hermiticity
-    and trace are checked on its ``data`` as for any state, the trace to
-    ``(1 + TRACE_TOL)**n - 1``, the most that ``tr(a)**n`` can be off for an
-    accepted ``a``, plus ``2 n d`` machine epsilons for rounding the letter's
-    trace, the products and their sum.  Nothing of size ``d**n x d**n`` is
-    diagonalized: the spectrum of ``a^(x n)`` is the ``n``-fold products of
-    ``a``'s kept eigenvalues, so the positivity check and the entropy read
-    those products, sorted ascending.
+    The products are plain arrays, bit-identical to a chain of ``np.kron``;
+    only the power returned is a :class:`DensityMatrix` (``a`` itself when
+    ``n`` is 1), and it holds the last product, marked read-only, with no
+    copy.  Its Hermiticity and trace follow from ``a``'s, so they are not
+    checked again.  Nothing of size ``d**n x d**n`` is diagonalized: the
+    spectrum of ``a^(x n)`` is the ``n``-fold products of ``a``'s kept
+    eigenvalues, so the positivity check and the entropy read those
+    products, sorted ascending.
     """
     n = _positive_integer(n, "tensor power n")
     check_capacity(a.dim ** n, max_dim)
@@ -500,8 +511,7 @@ def tensor_power(a: DensityMatrix, n: int, max_dim: int | None = None) -> Densit
         data = _kron(data, a.data)
         spectrum = (spectrum[:, None] * a._eigenvalues[None, :]).reshape(-1)
     power = object.__new__(DensityMatrix)
-    trace_tol = (1.0 + TRACE_TOL) ** n - 1.0 + 2 * n * a.dim * _EPS
-    _validate(power, data, a.dims * n, np.sort(spectrum), trace_tol)
+    _validate(power, data, a.dims * n, np.sort(spectrum))
     return power
 
 

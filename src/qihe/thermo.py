@@ -129,9 +129,9 @@ def cycle_work(entropy_delta: float, ctx: ThermalContext) -> WorkReport:
 
     Positive ``entropy_delta`` means entropy flows from the reservoir
     into the messenger and work is harvested; negative means the engine
-    is run in reverse.
+    is run in reverse.  ``entropy_delta`` is read by :func:`qcore._real`.
     """
-    delta = float(entropy_delta)
+    delta = _real(entropy_delta, "entropy delta")
     if not math.isfinite(delta):
         raise ValidationError(f"entropy delta must be finite, got {entropy_delta}")
     uf = unit_factor(ctx)
@@ -155,8 +155,9 @@ def extractable_work(state: DensityMatrix | PureState, ctx: ThermalContext) -> W
 
 
 def landauer_reset_cost(bits: float, ctx: ThermalContext) -> float:
-    """Minimum work needed to erase ``bits`` bits of record at temperature T."""
-    b = float(bits)
+    """Minimum work needed to erase ``bits`` bits of record at temperature T;
+    ``bits`` is read by :func:`qcore._real`."""
+    b = _real(bits, "bits")
     if b < 0 or not math.isfinite(b):
         raise ValidationError(f"cannot reset a negative or non-finite number of bits: {bits}")
     return unit_factor(ctx) * b

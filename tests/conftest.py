@@ -1,11 +1,20 @@
-"""Shared fixtures: random state and alphabet factories used across modules."""
+"""Shared fixtures: random state and alphabet factories used across modules,
+and the dense even-parity state that the protocol tests compare against."""
 
 import numpy as np
 import pytest
 
 from qihe.qcore import DensityMatrix
 from qihe.coding import Alphabet
+from qihe.protocols import _even_parity_weights
 from qihe.thermo import ThermalContext
+
+
+def even_parity_state(n: int) -> DensityMatrix:
+    """The n-qubit uniform mixture over all even-parity basis strings, as a
+    dense ``DensityMatrix``: weight ``2**(1-n)`` on each of the ``2**(n-1)``
+    strings of even Hamming weight, zero elsewhere."""
+    return DensityMatrix(np.diag(_even_parity_weights(n, None)), (2,) * n)
 
 
 def _ginibre_density(rng: np.random.Generator, d: int) -> DensityMatrix:

@@ -16,12 +16,12 @@ import math
 
 import numpy as np
 
+from conftest import even_parity_state
 from qihe.qcore import make_density, PureState
 from qihe.thermo import ThermalContext, remote_carnot, extractable_work
 from qihe.protocols import (
     bell_protocol,
     classical_pair_protocol,
-    even_parity_state,
     ghz_state,
     ghz_unlock,
     haar_random_channel,

@@ -589,6 +589,117 @@ class TestCodingCommands:
         assert expected[0] == 0
 
 
+_EDGE = 0.99e-10  # as far past unit trace as TRACE_TOL and the probability check allow
+
+# Alphabets whose every letter and probability passes its own check at the
+# edge of a tolerance: (letters, probs).
+EDGE_ALPHABETS = {
+    "qubit-traces": ([np.diag([0.8, 0.2 + _EDGE]), [[0.5, 0.5], [0.5, 0.5 + _EDGE]]],
+                     [0.3, 0.7 + _EDGE]),
+    "qutrit-trace": ([np.diag([0.2, 0.3, 0.5 + _EDGE])], [1.0]),
+    "qubit-imaginary-diagonal": ([np.diag([0.99 + 3e-11j, 0.01 - 3e-11j])], [1.0]),
+}
+
+
+def save_matrices(path, letters, probs):
+    """Write ``letters`` (complex matrices) and ``probs`` in the alphabet file format."""
+    letters = [np.asarray(m, dtype=complex) for m in letters]
+    doc = {"dims": len(letters[0]), "probs": probs,
+           "letters": [[[[z.real, z.imag] for z in row] for row in m] for m in letters]}
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def eigvalsh_entropy(m):
+    """Test-local oracle: ``-sum lambda log2 lambda`` over the positive ``eigvalsh(m)``."""
+    lam = np.linalg.eigvalsh(m)
+    lam = lam[lam > 0]
+    return float(-(lam * np.log2(lam)).sum())
+
+
+def eigvalsh_budget(letters, probs, n=1):
+    """Test-local oracle: ``(S(rho_B), <S_a>, capacity)`` of the ``n``-letter blocks,
+    from ``eigvalsh`` of raw-numpy Kronecker powers and their weighted sum."""
+    powers = []
+    for m in letters:
+        m = np.asarray(m, dtype=complex)
+        power = m
+        for _ in range(n - 1):
+            power = np.kron(power, m)
+        powers.append(power)
+    s_b = eigvalsh_entropy(sum(p * m for p, m in zip(probs, powers)))
+    avg = sum(p * eigvalsh_entropy(m) for p, m in zip(probs, powers))
+    return s_b, avg, n * math.log2(len(letters[0]))
+
+
+class TestToleranceEdgeInputs:
+    """A power or a mixture of accepted letters is accepted: runs whose
+    letters and probabilities each pass at a tolerance edge exit 0, with
+    numbers within 1e-12 of ``eigvalsh`` of the raw-numpy states."""
+
+    def test_holevo_and_tradeoff_on_letters_and_probabilities_above_unit_trace(
+            self, capsys, tmp_path):
+        letters, probs = EDGE_ALPHABETS["qubit-traces"]
+        path = save_matrices(tmp_path / "edge.json", letters, probs)
+        s_b, avg, cap = eigvalsh_budget(letters, probs)
+        code, out, err = run_cli(capsys, "holevo", "--alphabet", path)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert abs(doc["ensemble_entropy_bits"] - s_b) <= 1e-12
+        assert abs(doc["avg_letter_entropy_bits"] - avg) <= 1e-12
+        assert abs(doc["chi_bits"] - (s_b - avg)) <= 1e-12
+        code, out, err = run_cli(capsys, "tradeoff", "--alphabet", path, "--block", "6")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert abs(doc["point"]["energy_bits"] - (cap - s_b)) <= 1e-12
+        for row in doc["blocking"]:
+            n = row["n"]
+            s_b, avg, cap = eigvalsh_budget(letters, probs, n)
+            assert abs(row["comm_bits_per_letter"] - (s_b - avg) / n) <= 1e-12
+            assert abs(row["energy_bits_per_letter"] - (cap - s_b) / n) <= 1e-12
+
+    def test_refactor_on_letters_and_probabilities_above_unit_trace(self, capsys, tmp_path):
+        """At L = 2 and delta = 0.5 only the class of the larger eigenvalue of
+        ``rho_B`` (about 0.86) is typical: one dimension, captured with its square."""
+        letters, probs = EDGE_ALPHABETS["qubit-traces"]
+        path = save_matrices(tmp_path / "edge.json", letters, probs)
+        code, out, err = run_cli(capsys, "refactor", "--alphabet", path, "--L", "2",
+                                 "--delta", "0.5")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        rho_b = sum(p * np.asarray(m, dtype=complex) for p, m in zip(probs, letters))
+        top = np.linalg.eigvalsh(rho_b)[-1]
+        s_b = eigvalsh_entropy(rho_b)
+        assert doc["typical_dim"] == 1
+        assert abs(doc["success_probability"] - top ** 2) <= 1e-12
+        assert abs(doc["upper_bound"] - (1.0 - s_b)) <= 1e-12
+        eps = 1.0 - top ** 2
+        assert abs(doc["lower_bound"] - ((1.0 - 2.0 * eps) - s_b - 0.5)) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["qutrit-trace", "qubit-imaginary-diagonal"])
+    def test_blocked_tradeoff_on_an_edge_letter(self, capsys, tmp_path, name):
+        letters, probs = EDGE_ALPHABETS[name]
+        path = save_matrices(tmp_path / "edge.json", letters, probs)
+        code, out, err = run_cli(capsys, "tradeoff", "--alphabet", path, "--block", "2")
+        assert (code, err) == (0, "")
+        for row in json.loads(out)["blocking"]:
+            n = row["n"]
+            s_b, avg, cap = eigvalsh_budget(letters, probs, n)
+            assert abs(row["comm_bits_per_letter"] - (s_b - avg) / n) <= 1e-12
+            assert abs(row["energy_bits_per_letter"] - (cap - s_b) / n) <= 1e-12
+
+    @pytest.mark.parametrize("letter, problem", [
+        (np.diag([0.2, 0.8 + 1.01e-10]), "trace must be 1"),
+        (np.diag([0.99 + 6e-11j, 0.01 - 6e-11j]), "not Hermitian"),
+    ], ids=["trace", "hermiticity"])
+    def test_a_letter_past_a_tolerance_still_exits_2(self, capsys, tmp_path, letter, problem):
+        path = save_matrices(tmp_path / "bad.json", [letter], [1.0])
+        for argv in (("holevo",), ("tradeoff", "--block", "2")):
+            code, out, err = run_cli(capsys, *argv, "--alphabet", path)
+            assert (code, out) == (2, "")
+            assert problem in err
+
+
 class TestFlagsPerSubcommand:
     @pytest.mark.parametrize("name, flag", [(n, f) for n in SUBCOMMANDS for f in COMMON_FLAGS],
                              ids=[f"{n}{f}" for n in SUBCOMMANDS for f in COMMON_FLAGS])

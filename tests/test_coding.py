@@ -288,9 +288,8 @@ class TestBlocking:
 
         Each letter's power takes its spectrum from the letter's (its
         intermediate products are arrays), so only the blocked ensemble
-        state is diagonalized, once; every entropy, including the
-        blocked-entropy self-check, reads a spectrum its state already
-        holds.  At n = 4 that is one eigvalsh of side 16.  From n = 5 on a
+        state is diagonalized, once; every entropy reads a spectrum its
+        state already holds.  At n = 4 that is one eigvalsh of side 16.  From n = 5 on a
         qubit ensemble takes one eigvalsh per Schur-Weyl block instead, of
         sides n + 1, n - 1, ..., and none of side 2**n.
         """
@@ -315,9 +314,9 @@ class TestBlocking:
         """A letter ``DensityMatrix`` accepts with an eigenvalue at ``-PSD_TOL`` blocks at every n.
 
         The clamped spectrum keeps a positive mass ``sigma = 1 + 1e-10``, so
-        the power's entropy is ``n sigma**(n-1) S``; from n = 4 on it drifts
-        from ``n S`` by more than the blocked-entropy check's 1e-9.  Below
-        the tolerance the letter itself is refused.
+        the power's entropy is ``n sigma**(n-1) S``, which from n = 4 on
+        drifts from ``n S`` by more than 1e-9.  Below the tolerance the letter
+        itself is refused.
         """
         letter = DensityMatrix(np.diag([-1e-10, 0.3, 0.7 + 1e-10]).astype(complex), (3,))
         s = von_neumann_entropy(letter)
@@ -327,6 +326,35 @@ class TestBlocking:
                    - n * (1.0 + 1e-10) ** (n - 1) * s) <= 1e-12
         with pytest.raises(ValidationError, match="positive semidefinite"):
             DensityMatrix(np.diag([-2e-10, 0.3, 0.7 + 2e-10]).astype(complex), (3,))
+
+    def test_blocking_takes_no_entropy(self):
+        """``block_alphabet`` builds the powers only: a blocked letter's entropy
+        is taken when a budget reads it."""
+        blocked = block_alphabet(zero_plus_alphabet(), 4)
+        assert all("_entropy" not in let.__dict__ for let in blocked.letters)
+
+    def test_blocking_a_blocked_alphabet(self, natural_ctx):
+        """Blocked by 2 and then by 3, an alphabet whose first letter's trace
+        sits 0.99e-10 above 1 has letters within 1e-14 of its blocking by 6,
+        and a budget within 1e-12 of ``eigvalsh`` of the raw-numpy powers."""
+        edge = DensityMatrix(np.diag([0.3, 0.7 + 0.99e-10]).astype(complex), (2,))
+        ab = Alphabet((edge, zero_plus_alphabet().letters[1]), (0.4, 0.6))
+        nested, direct = block_alphabet(block_alphabet(ab, 2), 3), block_alphabet(ab, 6)
+        for got, want in zip(nested.letters, direct.letters):
+            assert np.max(np.abs(got.data - want.data)) <= 1e-14
+        powers = []
+        for let in ab.letters:
+            power = let.data
+            for _ in range(5):
+                power = np.kron(power, let.data)
+            powers.append(power)
+        s_b = _eigvalsh_entropy(sum(p * m for p, m in zip(ab.probs, powers)))
+        avg = sum(p * _eigvalsh_entropy(m) for p, m in zip(ab.probs, powers))
+        for blocked in (nested, direct):
+            pt = tradeoff_point(blocked, natural_ctx)
+            assert abs(pt.energy_bits - (6.0 - s_b)) <= 1e-12
+            assert abs(pt.comm_bits - (s_b - avg)) <= 1e-12
+            assert abs(pt.avg_letter_entropy - avg) <= 1e-12
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_letters_at_the_trace_tolerance_block(self, n):
@@ -339,6 +367,13 @@ class TestBlocking:
         assert abs(np.trace(blocked.letters[0].data) - 1.0) > TRACE_TOL
         with pytest.raises(ValidationError, match="trace must be 1"):
             DensityMatrix(np.diag([0.3, 0.7 + 1.01e-10]).astype(complex), (2,))
+
+
+def _eigvalsh_entropy(m: np.ndarray) -> float:
+    """Test-local oracle: ``-sum lambda log2 lambda`` over the positive ``eigvalsh(m)``."""
+    lam = np.linalg.eigvalsh(m)
+    lam = lam[lam > 0]
+    return float(-(lam * np.log2(lam)).sum())
 
 
 def _qubit_letter(rng: np.random.Generator, kind: str) -> DensityMatrix:

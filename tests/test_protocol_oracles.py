@@ -19,10 +19,10 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from conftest import even_parity_state
 from qihe.protocols import (
     ProtocolOutcome,
     _party_id,
-    even_parity_state,
     ghz_state,
     ghz_unlock,
     parity_unlock,

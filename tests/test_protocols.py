@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import even_parity_state
 from qihe import qcore
 from qihe.cli import main
 from qihe.qcore import (
@@ -32,7 +33,6 @@ from qihe.protocols import (
     bell_protocol,
     classical_pair,
     classical_pair_protocol,
-    even_parity_state,
     ghz_state,
     ghz_unlock,
     haar_random_channel,

@@ -17,7 +17,9 @@ from hypothesis import given, settings, strategies as st
 
 from qihe import qcore
 from qihe.qcore import (
+    HERMITICITY_TOL,
     PSD_TOL,
+    TRACE_TOL,
     CapacityError,
     DensityMatrix,
     NullOutcomeError,
@@ -49,6 +51,48 @@ def product_spectrum(evals, n):
     for _ in range(n - 1):
         out = np.outer(out, evals).ravel()
     return np.sort(out)
+
+
+_EDGE = 0.99e-10  # a trace or a weight sum off by as much as the tolerances allow
+_EPS = np.finfo(float).eps
+
+
+def edge_letter(d, seed, trace, herm, psd):
+    """Test-local letter at the constructor's tolerance edges.
+
+    A random full-rank letter, or with ``psd`` a diagonal one with the
+    eigenvalue ``-PSD_TOL``; ``trace`` is added to its last diagonal entry.
+    ``herm`` is ``"imag-diag"`` (``+-0.49e-10 i`` on the first two diagonal
+    entries, a residual of 0.98e-10), ``"asym"`` (0.99e-10 added to the
+    upper entry (0, 1) alone, which ``eigvalsh``, reading the lower
+    triangle, does not see) or ``"none"``.
+    """
+    rng = np.random.default_rng(seed)
+    if psd:
+        rest = rng.random(d - 1) + 0.1
+        m = np.diag(np.concatenate([[-PSD_TOL], rest * (1.0 + PSD_TOL) / rest.sum()]))
+        m = m.astype(complex)
+    else:
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        m = g @ g.conj().T
+        m /= np.real(np.trace(m))
+    m[-1, -1] += trace
+    if herm == "imag-diag":
+        m[0, 0] += 0.49e-10j
+        m[1, 1] -= 0.49e-10j
+    elif herm == "asym":
+        m[0, 1] += 0.99e-10 * np.exp(2j * math.pi * rng.random())
+    return DensityMatrix(m, (d,))
+
+
+def _edges(a):
+    """``(h, t, m, s)`` of a state: its Hermiticity residual ``max |a - a^dag|``,
+    its trace deviation ``|tr a - 1|`` (summed exactly), its largest entry
+    modulus and the sum of its diagonal's moduli."""
+    diag = np.diagonal(a.data)
+    tr = complex(math.fsum(diag.real), math.fsum(diag.imag))
+    return (float(np.max(np.abs(a.data - a.data.conj().T))), abs(tr - 1.0),
+            float(np.max(np.abs(a.data))), float(np.sum(np.abs(diag))))
 
 
 def embed_kraus(k, dims, target):
@@ -90,17 +134,6 @@ class TestDensityMatrixValidation:
         with pytest.raises(ValidationError) as err:
             DensityMatrix(np.diag([0.5, 0.5 + 2e-10]).astype(complex), (2,))
         assert str(err.value).endswith("exceeds 1e-10")
-
-    def test_a_trace_just_above_a_non_round_bound_prints_two_numbers(self):
-        """Printed to one digit, the bound 2.0000001e-10 read as 2e-10, equal
-        to the refused trace deviation, 2.000e-10 to four digits."""
-        a = object.__new__(DensityMatrix)
-        with pytest.raises(ValidationError) as err:
-            qcore._validate(a, np.diag([0.3, 0.7 + 2.0002e-10]).astype(complex), (2,),
-                            None, 2.0000001e-10)
-        measured, bound = re.search(r"= (\S+) exceeds (\S+)$", str(err.value)).groups()
-        assert measured == "2.000e-10"
-        assert float(measured) != float(bound) == 2.0000001e-10
 
     def test_rejects_dims_product_mismatch(self):
         with pytest.raises(ValidationError, match="subsystem dimensions"):
@@ -233,6 +266,16 @@ class TestStateConstruction:
     def test_mixture_weights_must_sum_to_one(self):
         with pytest.raises(ValidationError, match="sum"):
             mixture([(0.7, basis_state(0, 2)), (0.2, basis_state(1, 2))])
+
+    @pytest.mark.parametrize("bad", [True, np.True_, "1", 10 ** 400, None],
+                             ids=["bool", "numpy-bool", "string", "past-float-range", "none"])
+    def test_mixture_weights_are_read_as_real_numbers(self, bad):
+        """A bool, a string or a number past the float range is refused with a
+        message naming the weight; a numpy float is read as its value."""
+        with pytest.raises(ValidationError, match="each mixture weight"):
+            mixture([(bad, basis_state(0, 2))])
+        rho = mixture([(np.float64(0.25), basis_state(0, 2)), (0.75, basis_state(1, 2))])
+        assert np.array_equal(rho.data, np.diag([0.25, 0.75]).astype(complex))
 
 
 class TestTensorAndPartialTrace:
@@ -369,24 +412,39 @@ class TestTensorAndPartialTrace:
         if lowest > -1e-13:
             assert abs(von_neumann_entropy(power) - n * von_neumann_entropy(a)) <= 1e-12
 
+    @pytest.mark.parametrize("d, inner, outer", [(2, 2, 3), (3, 3, 2), (2, 3, 2)])
+    def test_a_power_of_a_power_is_the_direct_power(self, d, inner, outer, random_density):
+        """``(a^(x inner))^(x outer)`` is ``a^(x inner*outer)`` to within 1e-14,
+        entries and kept spectrum, for a random letter and one whose trace sits
+        0.99e-10 above 1."""
+        random = random_density(np.random.default_rng(41 + d), d)
+        edge = DensityMatrix(np.diag([0.3] * (d - 1) + [1.0 - 0.3 * (d - 1) + _EDGE]), (d,))
+        for a in (random, edge):
+            nested = tensor_power(tensor_power(a, inner), outer)
+            direct = tensor_power(a, inner * outer)
+            assert np.max(np.abs(nested.data - direct.data)) <= 1e-14
+            assert np.max(np.abs(nested._eigenvalues - direct._eigenvalues)) <= 1e-14
+
+    def test_tensor_power_holds_one_array(self, random_density):
+        """The power keeps its last product, read-only, with no copy and no
+        Hermiticity temporary: its peak is its own data plus the product
+        before it, a ``d``-th of its size."""
+        a = random_density(np.random.default_rng(43), 3)
+        tracemalloc.start()
+        try:
+            power = tensor_power(a, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not power.data.flags.writeable
+        assert peak <= 1.2 * power.data.nbytes
+
     def test_tensor_power_refuses_a_product_spectrum_below_the_tolerance(self):
         """A letter at the edge of the positivity tolerance passes, but its
         square holds the eigenvalue -PSD_TOL * (1 + PSD_TOL), which does not."""
         a = DensityMatrix(np.diag([-PSD_TOL, 1.0 + PSD_TOL]).astype(complex), (2,))
         assert a._eigenvalues[0] == -PSD_TOL
         with pytest.raises(ValidationError, match="not positive semidefinite"):
-            tensor_power(a, 2)
-
-    def test_tensor_power_validates_the_returned_power(self):
-        """The power's trace is still checked, at the power that is returned,
-        against what its letter's trace allows: ``tr(a)**n``, off by at most
-        ``(1 + TRACE_TOL)**n - 1`` plus rounding.  A letter held to a looser
-        trace tolerance than ``DensityMatrix`` keeps gives a square outside it."""
-        a = object.__new__(DensityMatrix)
-        qcore._validate(a, np.diag([0.5 + 2e-10, 0.5 + 2e-10]).astype(complex), (2,),
-                        None, 1e-9)
-        assert tensor_power(a, 1) is a
-        with pytest.raises(ValidationError, match="trace must be 1"):
             tensor_power(a, 2)
 
     @pytest.mark.parametrize("n, problem", [(2.5, "an integer"), ("3", "an integer"),
@@ -406,6 +464,81 @@ class TestTensorAndPartialTrace:
         a = random_density(rng, 8)
         with pytest.raises(CapacityError):
             tensor_power(a, 2, max_dim=32)
+
+
+_EDGE_LETTERS = dict(
+    d=st.integers(2, 3), seed=st.integers(0, 2 ** 32 - 1),
+    trace=st.sampled_from([-_EDGE, 0.0, _EDGE]),
+    herm=st.sampled_from(["none", "imag-diag", "asym"]), psd=st.booleans())
+
+
+class TestCombinatorsAtTheToleranceEdges:
+    """A power or a mixture of validated states is checked for positivity
+    only.  These tests hold the Hermiticity and trace that it no longer checks
+    to the bounds its inputs' tolerances give, on inputs pushed to each edge."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 6), **_EDGE_LETTERS)
+    def test_tensor_power(self, n, d, seed, trace, herm, psd):
+        """Let the letter ``a`` have Hermiticity residual ``h <= HERMITICITY_TOL``,
+        trace deviation ``t <= TRACE_TOL``, largest entry ``m`` and diagonal
+        moduli summing to ``s``.
+
+        Hermiticity: an entry of ``P_n = P_(n-1) (x) a`` is ``P_IJ a_ij``, with
+        partner ``P_JI a_ji``, so
+        ``|P_IJ a_ij - conj(P_JI a_ji)| <= |P_IJ| h + |a_ji| |P_IJ - conj(P_JI)|``
+        and by induction ``r_n <= n m**(n-1) h``.  Trace: ``tr P_n = tr(a)**n``
+        and ``|z**n - 1| <= (1 + t)**n - 1`` for ``|z - 1| = t``.  Rounding: an
+        entry is a chain of ``n - 1`` complex products, each within
+        ``sqrt(5)/2`` machine epsilons, so ``4 n eps m**n`` covers an entry
+        and its partner, and ``4 n eps s**n`` the diagonal, summed exactly.
+        """
+        a = edge_letter(d, seed, trace, herm, psd)
+        h, t, m, s = _edges(a)
+        assert h <= HERMITICITY_TOL and t <= TRACE_TOL
+        expect = a.data
+        for _ in range(n - 1):
+            expect = np.kron(expect, a.data)
+        if product_spectrum(np.linalg.eigvalsh(a.data), n)[0] < -PSD_TOL:
+            with pytest.raises(ValidationError, match="not positive semidefinite"):
+                tensor_power(a, n)
+            return
+        power = tensor_power(a, n)
+        assert np.array_equal(power.data, expect)
+        herm_n, trace_n, _, _ = _edges(power)
+        assert herm_n <= n * m ** (n - 1) * h + 4 * n * _EPS * m ** n
+        assert trace_n <= math.expm1(n * math.log1p(t)) + 4 * n * _EPS * s ** n
+
+    @settings(max_examples=80, deadline=None)
+    @given(k=st.integers(1, 3), shift=st.sampled_from([-_EDGE, 0.0, _EDGE]),
+           **_EDGE_LETTERS)
+    def test_mixture(self, k, shift, d, seed, trace, herm, psd):
+        """With weights ``w_i`` summing to ``1 +- 0.99e-10`` and letters as in
+        :meth:`test_tensor_power`, ``sum_i w_i a_i - (sum_i w_i a_i)^dag`` is
+        ``sum_i w_i (a_i - a_i^dag)``, so its residual is at most
+        ``sum_i |w_i| h_i``; and ``tr(sum_i w_i a_i) - 1`` is
+        ``sum_i w_i (tr a_i - 1) + (sum_i w_i - 1)``, at most
+        ``sum_i |w_i| t_i + |sum_i w_i - 1|``.  Rounding: each entry is ``k``
+        real-times-complex products and ``k`` sums, each within one epsilon,
+        so ``4 (k + 1) eps sum_i |w_i| max(m_i, s_i)`` covers both.
+        """
+        letters = [edge_letter(d, seed + i, trace, herm, psd) for i in range(k)]
+        raw = np.random.default_rng(seed).random(k) + 0.1
+        weights = [float(w) for w in raw / raw.sum()]
+        weights[-1] += shift
+        expect = sum(w * a.data for w, a in zip(weights, letters))
+        if np.linalg.eigvalsh(expect)[0] < -PSD_TOL:
+            with pytest.raises(ValidationError, match="not positive semidefinite"):
+                mixture(list(zip(weights, letters)))
+            return
+        rho = mixture(list(zip(weights, letters)))
+        assert np.array_equal(rho.data, expect)
+        edges = [_edges(a) for a in letters]
+        herm_mix, trace_mix, _, _ = _edges(rho)
+        pad = 4 * (k + 1) * _EPS * sum(abs(w) * max(m, s) for w, (_, _, m, s) in zip(weights, edges))
+        assert herm_mix <= sum(abs(w) * h for w, (h, _, _, _) in zip(weights, edges)) + pad
+        assert trace_mix <= (sum(abs(w) * t for w, (_, t, _, _) in zip(weights, edges))
+                             + abs(math.fsum(weights) - 1.0) + pad)
 
 
 class TestCapacity:

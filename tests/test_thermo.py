@@ -87,6 +87,17 @@ class TestCycleWork:
         with pytest.raises(ValidationError):
             cycle_work(math.inf, ThermalContext())
 
+    @pytest.mark.parametrize("bad", ["2", True, np.True_, 10 ** 400, None],
+                             ids=["string", "bool", "numpy-bool", "past-float-range", "none"])
+    def test_entropy_delta_is_read_as_a_real_number(self, bad):
+        """A string, a bool or a number past the float range is refused with a
+        short message naming the entropy delta; a numpy float is kept as a float."""
+        with pytest.raises(ValidationError, match="entropy delta") as info:
+            cycle_work(bad, ThermalContext())
+        assert len(str(info.value)) < 80
+        rep = cycle_work(np.float64(1.5), ThermalContext())
+        assert type(rep.entropy_delta) is float and rep.work == 1.5
+
 
 class TestExtractableWork:
     def test_pure_qubit_natural_is_one(self):
@@ -140,6 +151,16 @@ class TestLandauerReset:
     def test_negative_bit_count_rejected(self):
         with pytest.raises(ValidationError):
             landauer_reset_cost(-1.0, ThermalContext())
+
+    @pytest.mark.parametrize("bad", ["abc", True, np.True_, 10 ** 400, None],
+                             ids=["string", "bool", "numpy-bool", "past-float-range", "none"])
+    def test_bits_are_read_as_a_real_number(self, bad):
+        """A string, a bool or a number past the float range is refused with a
+        short message naming the bits; a numpy float is read as its value."""
+        with pytest.raises(ValidationError, match="bits") as info:
+            landauer_reset_cost(bad, ThermalContext())
+        assert len(str(info.value)) < 80
+        assert landauer_reset_cost(np.float64(2.0), ThermalContext()) == 2.0
 
 
 class TestRemoteCarnot:
