@@ -321,7 +321,7 @@ def _cmd_refactor(args, ctx: ThermalContext) -> tuple[dict, None]:
         "within_asymptotic_ceiling": ledger.within_asymptotic_ceiling,
     }
     if args.L <= 3:
-        check = refactorization_unitary(ledger.subspace, max_dim=args.capacity)
+        check = refactorization_unitary(ledger.subspace)
         report["unitarity_residual"] = check.unitarity_residual
         report["mapping_residual"] = check.mapping_residual
     return report, None

@@ -41,9 +41,9 @@ three or more letters is counted in numpy blocks of prefixes and classes,
 with Python left only the exact multinomial steps; a qubit source has no
 prefix and a big-integer step per class, so it is counted class by class.
 Both take their multinomials from one stepper, seeded once per run of
-classes, and give the floats of a class-by-class loop, bit for bit.  The
-eigenvectors, basis and projector are computed only on request, within the
-dense cap; the list of typical classes is built only for the basis.
+classes, give the floats of a class-by-class loop, bit for bit, and list no
+class.  The eigenvectors, basis and projector are computed only on request,
+within the dense cap; the basis keeps the columns the census counts, by its test.
 :func:`refactorization_ledger` turns capture statistics into a net
 work-per-letter bracket.
 """
@@ -460,9 +460,9 @@ class TypicalSubspace:
     ``source_entropy`` is ``S(rho_B)`` in bits.  The subspace is spanned
     by the products of the eigenvectors of ``state``, the source, whose
     counts of its kept eigenvalues form a typical type class.  ``basis``
-    lists those classes by a second census; it and ``projector`` are built
-    on first access, and raise :class:`CapacityError` when ``d**L`` exceeds
-    ``max_dim``, the caller's cap, read only then.
+    picks them by weight, with no second census; it, ``projector`` and
+    :func:`refactorization_unitary` raise :class:`CapacityError` past
+    ``max_dim``, the caller's one cap, read only when they are built.
     """
 
     L: int
@@ -491,22 +491,26 @@ class TypicalSubspace:
         """Orthonormal ``d**L x dim`` columns spanning the subspace.
 
         Column ``j`` of the product basis of one ``eigh`` of ``state`` is kept,
-        in increasing ``j``, when the multiset of its ``L`` base-``d`` digits is a typical class.
-        Each kept column is multiplied out one letter position at a time,
-        so memory stays ``O(d**L * dim)``.
+        in increasing ``j``, when the counts ``c_i`` of its ``L`` base-``d``
+        digits put nothing on an eigenvalue ``lam_i <= 0`` and its weight
+        ``0.0 + c_0 log2(lam_0) + c_1 log2(lam_1) + ...`` lies in the window:
+        the census's float and test, so no census runs here.  Each kept column
+        is multiplied out one letter position at a time, so memory stays
+        ``O(d**L * dim)``.
         """
         d = self.state.dim
         total = d ** self.L
         check_capacity(total, self.max_dim)
-        classes: list[tuple[int, ...]] = []
-        _combinatorial_census(self.state._eigenvalues, self.L, self.delta, classes,
-                              self.state._entropy)
-        eigenvectors = np.linalg.eigh(self.state.data)[1]
+        lo, hi = _typical_window(self.state._entropy, self.L, self.delta)
         powers = d ** np.arange(self.L - 1, -1, -1)
         digits = (np.arange(total)[:, None] // powers) % d
-        # a sorted digit string is itself an index below d**L, so it keys its class
-        typical = [np.repeat(np.arange(d), counts) @ powers for counts in classes]
-        kept = digits[np.isin(np.sort(digits, axis=1) @ powers, typical)]
+        weight = np.zeros(total)
+        for i, lam in enumerate(self.state._eigenvalues.tolist()):
+            counts = np.count_nonzero(digits == i, axis=1)
+            # a count on an eigenvalue <= 0 weighs -inf, outside every window
+            weight += counts * math.log2(lam) if lam > 0.0 else np.where(counts, -np.inf, 0.0)
+        kept = digits[(lo <= weight) & (weight <= hi)]
+        eigenvectors = np.linalg.eigh(self.state.data)[1]
         basis = np.ones((1, len(kept)), dtype=complex)
         for k in range(self.L):
             basis = (basis[:, None, :] * eigenvectors[:, kept[:, k]]).reshape(
@@ -539,13 +543,9 @@ def _check_delta(delta: float) -> float:
     return delta
 
 
-def _typical_window(evals: np.ndarray, L: int, delta: float,
-                    entropy: float | None = None) -> tuple[float, float, float]:
-    """``(S, lo, hi)``: the entropy of ``evals``, taken from them unless a state's
-    kept ``entropy`` is given, and the window ``-L(S +/- delta)`` on log-weights."""
-    if entropy is None:
-        entropy = entropy_from_eigenvalues(evals)
-    return entropy, -L * (entropy + delta), -L * (entropy - delta)
+def _typical_window(entropy: float, L: int, delta: float) -> tuple[float, float]:
+    """``(lo, hi)``: the window ``-L(S +/- delta)`` on log-weights of a source of entropy ``S``."""
+    return -L * (entropy + delta), -L * (entropy - delta)
 
 
 class _WindowSolver:
@@ -701,7 +701,7 @@ def _multinomials(runs, L: int):
             mult = mult * (r - i) // (i + 1)
 
 
-def _scalar_census(window: _WindowSolver, L: int, classes: list | None) -> tuple[int, float]:
+def _scalar_census(window: _WindowSolver, L: int) -> tuple[int, float]:
     """``(dim, capture)`` of a two-letter source, one class at a time.
 
     The span of the first count ``m`` is one run of :func:`_multinomials`,
@@ -717,8 +717,6 @@ def _scalar_census(window: _WindowSolver, L: int, classes: list | None) -> tuple
         k = L - m
         w = m * a + k * b
         if lo <= w <= hi:
-            if classes is not None:
-                classes.append((m, k))
             dim += mult
             if mult < _FLOAT_TERM:
                 capture += float(mult) * pa ** m * pb ** k
@@ -727,7 +725,7 @@ def _scalar_census(window: _WindowSolver, L: int, classes: list | None) -> tuple
     return dim, capture
 
 
-def _batched_census(window: _WindowSolver, L: int, classes: list | None) -> tuple[int, float]:
+def _batched_census(window: _WindowSolver, L: int) -> tuple[int, float]:
     """``(dim, capture)`` of a source of three or more letters, a block of classes at a time.
 
     The prefixes come from :func:`_prefixes`.  The weight is then linear in
@@ -771,8 +769,6 @@ def _batched_census(window: _WindowSolver, L: int, classes: list | None) -> tupl
                 continue
             dim += sum(mults)
             p, m, k, w = p[keep], m[keep], k[keep], w[keep]
-            if classes is not None:
-                classes.extend(map(tuple, np.column_stack((counts[p], m, k)).tolist()))
             if mults[0] < _FLOAT_TERM and max(mults) < _FLOAT_TERM:  # every term in floats
                 term = weighted(np.array(mults, dtype=float), counts[p], m, k)
             else:  # a term past 2**999 comes whole from the log domain, negated to mark it
@@ -787,16 +783,13 @@ def _batched_census(window: _WindowSolver, L: int, classes: list | None) -> tupl
     return dim, capture
 
 
-def _combinatorial_census(
-    evals: np.ndarray, L: int, delta: float, classes: list | None = None,
-    entropy: float | None = None,
-) -> tuple[int, float, float]:
+def _combinatorial_census(evals: np.ndarray, L: int, lo: float, hi: float) -> tuple[int, float]:
     """Count typical eigenvectors and their captured probability by type class.
 
-    Returns ``(dim, capture, entropy)``, the entropy being a state's kept
-    ``entropy`` when given and that of ``evals`` otherwise, and appends the
-    counts of every typical class, in lexicographic order, to ``classes`` if
-    given (only ``basis`` gives a list).  Only the classes near the window are weighed:
+    Returns ``(dim, capture)`` to every caller: the number of eigenvectors of
+    ``diag(evals)^(x L)`` whose log-weight lies in ``lo..hi`` (see
+    :func:`_typical_window`), and the sum of their eigenvalues; it lists no
+    class.  Only the classes near the window are weighed:
     the counts of each letter are solved for by :class:`_WindowSolver`, and
     each multinomial is stepped by its exact recurrence.  The number of
     letters ``d`` picks the route.  Three or more letters take
@@ -809,17 +802,14 @@ def _combinatorial_census(
     cost is a few numpy calls per block plus one big-integer step per class
     near the window.
     """
-    entropy, lo, hi = _typical_window(evals, L, delta, entropy)
     lams = np.real(evals).tolist()
     if len(lams) == 1:
         if lams[0] > 0.0 and lo <= L * math.log2(lams[0]) <= hi:
-            if classes is not None:
-                classes.append((L,))
-            return 1, lams[0] ** L, entropy
-        return 0, 0.0, entropy
+            return 1, lams[0] ** L
+        return 0, 0.0
     logs = [math.log2(lam) if lam > 0.0 else 0.0 for lam in lams]
     census = _batched_census if len(lams) > 2 else _scalar_census
-    return (*census(_WindowSolver(lams, logs, L, lo, hi), L, classes), entropy)
+    return census(_WindowSolver(lams, logs, L, lo, hi), L)
 
 
 def typical_subspace(
@@ -837,15 +827,16 @@ def typical_subspace(
     source, diagonal or not, at any integer block length.  The census
     solves only the prefixes of ``d - 2`` counts that can reach the window
     and weighs only the classes near it, in blocks of at most ``_CHUNK``
-    for ``d >= 3``, and keeps none.
+    for ``d >= 3``, and keeps none; ``basis`` reruns no census.
     Nothing of size ``d**L`` is allocated here, and ``max_dim`` is kept as
     given; ``basis`` and ``projector`` are built on first access when
     ``d**L`` is within it (default: the configured dense cap, read then).
     """
     L = _positive_integer(L, "block length L")
     delta = _check_delta(delta)
-    dim, capture, entropy = _combinatorial_census(rho_b._eigenvalues, L, delta,
-                                                  entropy=rho_b._entropy)
+    entropy = rho_b._entropy
+    dim, capture = _combinatorial_census(rho_b._eigenvalues, L,
+                                         *_typical_window(entropy, L, delta))
     return TypicalSubspace(
         L=L, delta=delta, dim=dim,
         capture_probability=min(max(capture, 0.0), 1.0),
@@ -867,13 +858,13 @@ def qubit_capture_curve(
     if not 0.0 < p < 1.0:
         raise ValidationError(f"p must lie strictly between 0 and 1, got {p}")
     delta = _check_delta(delta)
-    evals = np.array([p, 1.0 - p])
+    entropy = entropy_from_eigenvalues(np.array([p, 1.0 - p]))
+    lp, lq = math.log2(p), math.log2(1.0 - p)
     out = []
     for L in lengths:
         L = _positive_integer(L, "each block length in lengths")
-        entropy, lo, hi = _typical_window(evals, L, delta)
+        lo, hi = _typical_window(entropy, L, delta)
         capture = 0.0
-        lp, lq = math.log2(p), math.log2(1.0 - p)
         for k in _WindowSolver((1.0 - p, p), (lq, lp), L, lo, hi).span(0, 0.0, L):
             w = (L - k) * lp + k * lq
             if lo <= w <= hi:
@@ -995,20 +986,18 @@ def _complete_orthonormal(cols: np.ndarray) -> np.ndarray:
     return full
 
 
-def refactorization_unitary(
-    sub: TypicalSubspace, max_dim: int | None = None
-) -> RefactorizationUnitary:
+def refactorization_unitary(sub: TypicalSubspace) -> RefactorizationUnitary:
     """Materialize and verify the swap unitary for a typical subspace.
 
     Only sensible for small blocks: the unitary lives on the product of
     the full carrier block and the ancilla, so its dimension is
-    ``d**L * dim``.  That side is checked against ``max_dim`` before the
-    basis is built, and the basis's ``d**L`` against the subspace's own
-    cap; either raises :class:`CapacityError`.
+    ``d**L * dim``.  That side, then the basis's ``d**L``, is checked
+    against the subspace's one cap ``max_dim`` before anything is built;
+    either raises :class:`CapacityError`.
     """
     if sub.dim < 1:
         raise ValidationError("cannot build a swap unitary for an empty subspace")
-    check_capacity(sub.state.dim ** sub.L * sub.dim, max_dim)
+    check_capacity(sub.state.dim ** sub.L * sub.dim, sub.max_dim)
     d_block, d_anc = sub.basis.shape
     total = d_block * d_anc
 

@@ -544,12 +544,21 @@ def _apply_kraus_raw(data: np.ndarray, dims: Sequence[int], target: Sequence[int
     return acc.reshape(left * d_out * rest, -1)
 
 
+def _hermitian_part(x: np.ndarray) -> np.ndarray:
+    """``(x + x^dag) / 2``, in ``x`` if writable, with one temporary: ``x`` if exactly Hermitian."""
+    h = np.add(x, x.conj().T, out=x if x.flags.writeable else None)
+    h *= 0.5
+    return h
+
+
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Reduced state on the subsystems named in ``keep``.
 
     ``keep`` is a set of 0-based indices; the result keeps those
     subsystems in their original order.  Tracing out everything is an
     argument error, because the result would be a scalar, not a state.
+    The reduced state is the Hermitian part of the traced array, which a sum
+    of the input's nearly Hermitian blocks can push past the tolerance.
     """
     keep_sorted = sorted(set(_integers(keep, "partial trace keep indices")))
     if not keep_sorted:
@@ -559,7 +568,7 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
             f"keep indices {keep_sorted} out of range for {rho.n_subsystems} subsystems"
         )
     reduced = _partial_trace_raw(rho.data, rho.dims, keep_sorted)
-    return DensityMatrix(reduced, tuple(rho.dims[i] for i in keep_sorted))
+    return DensityMatrix(_hermitian_part(reduced), tuple(rho.dims[i] for i in keep_sorted))
 
 
 def apply_channel(rho: DensityMatrix, ch: QuantumChannel) -> tuple[DensityMatrix, float]:
@@ -601,8 +610,8 @@ def measure_computational(rho: DensityMatrix, subsystem: int) -> list[Measuremen
     """Projective computational-basis measurement of one subsystem.
 
     Returns one record per basis outcome.  The measured subsystem is
-    removed from the conditioned post-states; branch probabilities sum
-    to 1 within tolerance.
+    removed from the conditioned post-states, each the Hermitian part of
+    its renormalized block; branch probabilities sum to 1 within tolerance.
     """
     n = rho.n_subsystems
     subsystem = _integer(subsystem, "measured subsystem index")
@@ -623,7 +632,8 @@ def measure_computational(rho: DensityMatrix, subsystem: int) -> list[Measuremen
         if p < NULL_OUTCOME_TOL or not rest_dims:
             records.append(MeasurementRecord(b, p, None))
         else:
-            records.append(MeasurementRecord(b, p, DensityMatrix(block / p, rest_dims)))
+            post = DensityMatrix(_hermitian_part(block / p), rest_dims)
+            records.append(MeasurementRecord(b, p, post))
     if abs(total - 1.0) > PROBABILITY_TOL:
         raise ValidationError(
             f"Born probabilities sum to {total:.12f}; |sum - 1| exceeds {PROBABILITY_TOL:.0e}"

@@ -7,9 +7,10 @@ builds each multinomial from ``math.comb``, with the old scalar class
 weight ``_class_weight_log2``, and of the old capture curve, which
 weighs every ``k`` in ``0..L``.  Both share the classifier
 ``lo <= w <= hi`` with the code under test, so the results must be
-exactly equal, not merely close: same classes, same ``dim``, and the
-same capture float.  The census appends its classes only to a list its
-caller passes, so each case runs it with and without one.  The draws aim
+exactly equal, not merely close: same ``dim`` and the same capture float.
+The census lists no class; the oracle's classes are checked against the
+columns ``basis`` keeps, read off a diagonal source, wherever ``d**L`` is
+within 4096, and ``basis`` is shown to run no census.  The draws aim
 at the window edges: zero, exactly degenerate and near-degenerate
 eigenvalues, and widths down to 1e-17.  The long blocks run again with
 the census of three or more letters cut into blocks of one and seven
@@ -17,7 +18,8 @@ classes, so that a prefix's run of classes straddles blocks, and a spy
 on ``math.comb`` checks that each run is seeded once however the blocks
 cut it.  A brute-force oracle of the weights each prefix can reach
 checks that the frontier of prefixes builds none that cannot reach the
-window.
+window.  Windows whose edges sit on a class weight check that ``basis``
+keeps exactly ``dim`` columns where rounding decides a class.
 """
 
 import math
@@ -26,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qihe import coding
 from qihe.coding import (
@@ -36,7 +38,9 @@ from qihe.coding import (
     _prefixes,
     _typical_window,
     qubit_capture_curve,
+    typical_subspace,
 )
+from qihe.qcore import DensityMatrix, entropy_from_eigenvalues
 
 # Longest block per carrier dimension at which the full enumeration stays quick.
 _MAX_L = {1: 400, 2: 400, 3: 60, 4: 20, 5: 10, 6: 8}
@@ -69,9 +73,15 @@ def _class_weight_log2(counts: Sequence[int], evals: Sequence[float]) -> float |
     return w
 
 
+def window_of(evals, L, delta):
+    """``(lo, hi)`` of the typicality window of a source with eigenvalues ``evals``."""
+    return _typical_window(entropy_from_eigenvalues(evals), L, delta)
+
+
 def full_census(evals, L, delta):
-    """The census as it was before the window bound: every class is weighed."""
-    entropy, lo, hi = _typical_window(evals, L, delta)
+    """The census as it was before the window bound, as ``(dim, capture, classes)``:
+    every class is weighed."""
+    lo, hi = window_of(evals, L, delta)
     dim = 0
     capture = 0.0
     classes = []
@@ -94,7 +104,7 @@ def full_census(evals, L, delta):
         else:
             term = 2.0 ** (math.log2(mult) + w)
         capture += term
-    return dim, capture, entropy, tuple(classes)
+    return dim, capture, tuple(classes)
 
 
 def full_curve(p, lengths, delta):
@@ -102,7 +112,7 @@ def full_curve(p, lengths, delta):
     evals = np.array([p, 1.0 - p])
     out = []
     for L in lengths:
-        entropy, lo, hi = _typical_window(evals, int(L), delta)
+        lo, hi = window_of(evals, int(L), delta)
         capture = 0.0
         lp, lq = math.log2(p), math.log2(1.0 - p)
         for k in range(int(L) + 1):
@@ -145,19 +155,41 @@ def census_inputs(draw):
     return evals, draw(st.integers(1, _MAX_L[d])), draw(widths)
 
 
-def census_with_classes(evals, L, delta):
-    """The census as ``(dim, capture, entropy, classes)``, checked against a run without a list."""
-    classes = []
-    triple = _combinatorial_census(evals, L, delta, classes)
-    assert _combinatorial_census(evals, L, delta) == triple
-    return (*triple, tuple(classes))
+def census(evals, L, delta):
+    """``(dim, capture)`` of the census of ``evals`` in its typicality window."""
+    return _combinatorial_census(evals, L, *window_of(evals, L, delta))
+
+
+def diagonal_subspace(evals, L, delta):
+    """The typical subspace of ``diag(evals)``, whose kept spectrum is ``evals``."""
+    rho = DensityMatrix(np.diag(evals).astype(complex), (len(evals),))
+    assert np.array_equal(rho._eigenvalues, evals)
+    return typical_subspace(rho, L, delta)
+
+
+def basis_classes(evals, L, delta):
+    """The type classes of the columns ``basis`` keeps for ``diag(evals)``, in
+    lexicographic order.  The eigenvectors of a diagonal source are the
+    standard basis, so each column is one product of standard basis vectors,
+    and the base-``d`` digits of its nonzero entry's index give its counts."""
+    d = len(evals)
+    basis = diagonal_subspace(evals, L, delta).basis
+    assert np.count_nonzero(basis) == basis.shape[1]
+    digits = (np.argmax(np.abs(basis), axis=0)[:, None] // d ** np.arange(L - 1, -1, -1)) % d
+    counts = np.stack([np.count_nonzero(digits == i, axis=1) for i in range(d)], axis=1)
+    return tuple(sorted(set(map(tuple, counts.tolist()))))
 
 
 @settings(max_examples=300, deadline=None)
 @given(census_inputs())
 def test_census_equals_the_full_enumeration(inputs):
     evals, L, delta = inputs
-    assert census_with_classes(evals, L, delta) == full_census(evals, L, delta)
+    dim, capture, classes = full_census(evals, L, delta)
+    assert census(evals, L, delta) == (dim, capture)
+    # an eigenvalue just above 1 can take the entropy below 0, where the
+    # subspace's dimension bound refuses even one kept class
+    if len(evals) ** L <= 4096 and entropy_from_eigenvalues(evals) >= 0.0:
+        assert basis_classes(evals, L, delta) == classes
 
 
 def _multinomial(counts):
@@ -197,9 +229,8 @@ _chunks = pytest.mark.parametrize("chunk", [1, 7, coding._CHUNK],
 def test_census_equals_the_full_enumeration_at_long_blocks(evals, L, delta, log_domain, chunk,
                                                            monkeypatch):
     monkeypatch.setattr(coding, "_CHUNK", chunk)
-    census = census_with_classes(np.array(evals), L, delta)
-    assert census == full_census_of(evals, L, delta)
-    classes = census[3]
+    dim, capture, classes = full_census_of(evals, L, delta)
+    assert census(np.array(evals), L, delta) == (dim, capture)
     assert any(_multinomial(c).bit_length() >= 1000 for c in classes) == log_domain
 
 
@@ -212,7 +243,7 @@ def test_census_equals_the_full_enumeration_at_long_blocks(evals, L, delta, log_
 def test_each_run_is_seeded_once(evals, L, delta, chunk, monkeypatch):
     """A d = 3 census seeds the run of each prefix whose last span holds a
     class once, by two ``math.comb`` calls, however the blocks cut its run."""
-    _, lo, hi = _typical_window(np.array(evals), L, delta)
+    lo, hi = window_of(np.array(evals), L, delta)
     logs = [math.log2(lam) if lam > 0.0 else 0.0 for lam in evals]
     window = _WindowSolver(evals, logs, L, lo, hi)
     runs = sum(int(np.count_nonzero(window.spans(1, weight, rest)[1]))
@@ -221,7 +252,7 @@ def test_each_run_is_seeded_once(evals, L, delta, chunk, monkeypatch):
     seeds = []
     comb = math.comb
     monkeypatch.setattr(math, "comb", lambda n, k: seeds.append((n, k)) or comb(n, k))
-    _combinatorial_census(np.array(evals), L, delta)
+    census(np.array(evals), L, delta)
     assert runs > 0
     assert len(seeds) == 2 * runs
 
@@ -240,7 +271,7 @@ def test_walk_builds_no_prefix_that_cannot_reach_the_window(evals, L, delta):
     rounding of each solved end), misses ``[lo, hi]``.
     """
     d = len(evals)
-    _, lo, hi = _typical_window(np.array(evals), L, delta)
+    lo, hi = window_of(np.array(evals), L, delta)
     logs = [math.log2(lam) for lam in evals]
     pad = (4 * (d + 2) * _EPS * (L * max(map(abs, logs)) + abs(lo) + abs(hi))
            + 2 * (max(logs) - min(logs)))
@@ -257,7 +288,7 @@ def test_walk_builds_no_prefix_that_cannot_reach_the_window(evals, L, delta):
     allowed = [prefix for prefix in every if reachable(prefix)]
     assert walked == sorted(set(walked))  # lexicographic, each prefix once
     assert set(walked) <= set(allowed)
-    assert {c[:-2] for c in full_census(np.array(evals), L, delta)[3]} <= set(walked)
+    assert {c[:-2] for c in full_census(np.array(evals), L, delta)[2]} <= set(walked)
     assert len(allowed) < len(every) / 2
 
 
@@ -271,3 +302,52 @@ def test_walk_builds_no_prefix_that_cannot_reach_the_window(evals, L, delta):
 @example(0.5000000000000115, [1981, 588], 1.0280234937969193e-16)
 def test_capture_curve_equals_the_full_sum(p, lengths, delta):
     assert qubit_capture_curve(p, lengths, delta) == full_curve(p, lengths, delta)
+
+
+@pytest.mark.parametrize("evals, L", [((0.1, 0.9), 8), ((0.2, 0.3, 0.5), 5), ((1.0,), 4)])
+def test_basis_runs_no_census(evals, L, monkeypatch):
+    """``basis`` picks its columns by their weights: once the subspace is
+    counted, no census runs again, on any route."""
+    sub = diagonal_subspace(np.array(evals), L, 0.3)
+
+    def no_census(*args):
+        raise AssertionError("basis ran a census")
+
+    for name in ("_combinatorial_census", "_scalar_census", "_batched_census"):
+        monkeypatch.setattr(coding, name, no_census)
+    assert sub.basis.shape == (len(evals) ** L, sub.dim)
+
+
+@st.composite
+def edge_windows(draw):
+    """A source with ``d**L <= 1024``, whose basis takes at most 16 MiB, and a
+    ``delta`` that puts an edge of its window exactly on the weight of one of
+    its classes."""
+    d = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["random", "zero", "degenerate", "near-degenerate"]))
+    evals = spectrum(kind, d, draw(st.integers(0, 2**32 - 1)))
+    L = draw(st.integers(1, int(math.log(1024, d) + 1e-9) if d > 1 else 10))
+    cuts = sorted(draw(st.lists(st.integers(0, L), min_size=d - 1, max_size=d - 1)))
+    counts = [b - a for a, b in zip([0] + cuts, cuts + [L])]
+    assume(all(lam > 0.0 for c, lam in zip(counts, evals) if c))
+    weight = 0.0
+    for c, lam in zip(counts, evals):
+        if c:
+            weight += c * math.log2(lam)
+    entropy = entropy_from_eigenvalues(evals)
+    assume(entropy >= 0.0)  # see test_census_equals_the_full_enumeration
+    # an edge is -L * x, with x = S + delta for lo and S - delta for hi: try the
+    # floats x next to -weight / L until one edge rounds onto the weight
+    x0 = -weight / L
+    for x in sorted({x0 + step * math.ulp(x0) for step in range(-4, 5)}):
+        for delta in (x - entropy, entropy - x):
+            if delta > 0.0 and weight in _typical_window(entropy, L, delta):
+                return evals, L, delta
+    assume(False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_windows())
+def test_basis_keeps_dim_columns_when_an_edge_sits_on_a_class_weight(inputs):
+    sub = diagonal_subspace(*inputs)
+    assert sub.basis.shape[1] == sub.dim

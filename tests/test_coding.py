@@ -55,6 +55,7 @@ from qihe.coding import (
     typical_subspace,
     zero_plus_alphabet,
     _combinatorial_census,
+    _typical_window,
 )
 
 
@@ -665,7 +666,7 @@ class TestTypicalSubspace:
         with pytest.raises(CapacityError):
             capped.projector
         with pytest.raises(CapacityError):
-            refactorization_unitary(typical_subspace(rho, L=8, delta=0.2), max_dim=128)
+            refactorization_unitary(capped)
 
     def test_every_dense_request_above_the_cap_is_a_capacity_error(self):
         """The census of a 2**2000 block needs no cap; its basis, its projector
@@ -768,7 +769,8 @@ class TestTypicalSubspace:
         for L, delta in ((2, 0.3), (5, 0.2), (40, 0.1)):
             sub = typical_subspace(rho, L, delta)
             assert sub.source_entropy == von_neumann_entropy(rho)
-            dim, capture, _ = _combinatorial_census(rho._eigenvalues, L, delta)
+            window = _typical_window(von_neumann_entropy(rho), L, delta)
+            dim, capture = _combinatorial_census(rho._eigenvalues, L, *window)
             assert (sub.dim, sub.capture_probability) == (dim, min(max(capture, 0.0), 1.0))
             if L < 40:
                 assert sub.basis.shape == (3 ** L, dim)
@@ -781,8 +783,7 @@ class TestTypicalSubspace:
         ((0.2, 0.3, 0.5), 3000, 0.02),
     ], ids=["many-classes", "many-prefixes", "long-block", "spread-counts", "long-multinomials"])
     def test_census_keeps_no_class_list(self, evals, L, delta):
-        """The typical classes are listed only for ``basis``; the census keeps
-        none, so its peak memory does not grow with their number (the d = 3,
+        """The census lists no typical class, for any caller, so its peak memory does not grow with their number (the d = 3,
         L = 700 census has 3 MiB of them), nor with the number of prefixes
         it solves (22 106 at d = 6, L = 40), nor with ``L`` where few classes
         are typical (a table of powers up to ``L = 10**6`` would take 8 MiB

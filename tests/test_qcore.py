@@ -330,6 +330,26 @@ class TestTensorAndPartialTrace:
         with pytest.raises(ValueError, match="out of range"):
             partial_trace(rho, [np.int64(2)])
 
+    def test_partial_trace_of_a_nearly_hermitian_input_is_a_state(self):
+        """The input's residual is 0.98e-10, within the tolerance; tracing adds
+        its imaginary diagonal parts to 1.96e-10, and the reduced state is the
+        Hermitian part of the traced array."""
+        b = 4.9e-11
+        rho = DensityMatrix(np.diag([0.4 + b * 1j, 0.4 + b * 1j, 0.1 - b * 1j, 0.1 - b * 1j]),
+                            (2, 2))
+        assert np.array_equal(partial_trace(rho, [0]).data, np.diag([0.8, 0.2]).astype(complex))
+
+    def test_partial_trace_of_an_exactly_hermitian_input_is_the_traced_array(
+            self, random_density):
+        rng = np.random.default_rng(41)
+        for dims in ((2, 3), (2, 2, 2), (3, 2, 2)):
+            g = random_density(rng, math.prod(dims)).data
+            rho = DensityMatrix((g + g.conj().T) / 2, dims)
+            assert np.array_equal(rho.data, rho.data.conj().T)
+            for keep in ([0], [1], [0, 1], list(range(len(dims)))):
+                assert np.array_equal(partial_trace(rho, keep).data,
+                                      qcore._partial_trace_raw(rho.data, dims, keep))
+
     def test_tensor_power_matches_repeated_kron(self, random_density):
         rng = np.random.default_rng(17)
         a = random_density(rng, 2)
@@ -735,6 +755,30 @@ class TestMeasurement:
                                                              for r in want]
         with pytest.raises(ValueError, match="out of range"):
             measure_computational(rho, np.int64(2))
+
+    def test_post_states_of_a_nearly_hermitian_input_are_states(self):
+        """Renormalizing doubles the input's imaginary diagonal parts, past the
+        tolerance; each post-state is the Hermitian part of its block."""
+        b = 4.9e-11
+        rho = DensityMatrix(np.diag([0.4 + b * 1j, 0.4 + b * 1j, 0.1 - b * 1j, 0.1 - b * 1j]),
+                            (2, 2))
+        for record in measure_computational(rho, 1):
+            assert record.probability == 0.5
+            assert np.array_equal(record.post_state.data, np.diag([0.8, 0.2]).astype(complex))
+
+    def test_post_states_of_an_exactly_hermitian_input_are_the_renormalized_blocks(
+            self, random_density):
+        rng = np.random.default_rng(43)
+        for dims in ((2, 3), (2, 2, 2), (3, 2, 2)):
+            g = random_density(rng, math.prod(dims)).data
+            rho = DensityMatrix((g + g.conj().T) / 2, dims)
+            arr = rho.data.reshape(*dims, *dims)
+            for sub in range(len(dims)):
+                d_rest = math.prod(dims) // dims[sub]
+                for record in measure_computational(rho, sub):
+                    block = np.take(np.take(arr, record.outcome, axis=sub + len(dims)),
+                                    record.outcome, axis=sub).reshape(d_rest, d_rest)
+                    assert np.array_equal(record.post_state.data, block / record.probability)
 
     def test_last_subsystem_measurement_leaves_no_post_state(self):
         rho = make_density(np.diag([0.25, 0.75]).astype(complex), 2)
