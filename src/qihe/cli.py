@@ -267,6 +267,11 @@ def _cmd_tradeoff(args, ctx: ThermalContext) -> tuple[dict, tuple[list[str], lis
         },
     }
     if args.block:
+        # the last row is the largest, so it is checked before any row runs;
+        # past the cap's bits and 64 bits, d**N is over the cap and is named
+        # "2**k or more", so a larger exponent is not raised to
+        cap = max_dimension(args.capacity)
+        check_capacity(alphabet.d ** min(args.block, cap.bit_length() + 65), cap)
         sweep = []
         for n in range(1, args.block + 1):
             bp = _entropy_budget(alphabet, n, args.capacity)[0]

@@ -38,12 +38,13 @@ The census solves only the prefixes of counts, and weighs only the
 classes, that the typicality window can hold, not all
 ``C(L + d - 1, d - 1)`` classes.  A source of
 three or more letters is counted in numpy blocks of prefixes and classes,
-with Python left only the exact multinomial steps; a qubit source has no
-prefix and a big-integer step per class, so it is counted class by class.
-Both take their multinomials from one stepper, seeded once per run of
-classes, give the floats of a class-by-class loop, bit for bit, and list no
-class.  The eigenvectors, basis and projector are computed only on request,
-within the dense cap; the basis keeps the columns the census counts, by its test.
+with Python left only the exact multinomial steps, seeded once per run of
+classes.  A qubit source has no prefix and a big-integer step per class:
+its one span of counts is solved in closed form, and it is counted class by
+class in one loop, from one seeded binomial.  Both give the floats of a
+class-by-class loop, bit for bit, and list no class.  The eigenvectors,
+basis and projector are computed only on request, within the dense cap; the
+basis keeps the columns the census counts, by its test.
 :func:`refactorization_ledger` turns capture statistics into a net
 work-per-letter bracket.
 """
@@ -480,11 +481,28 @@ class TypicalSubspace:
             )
         if self.dim > 0:
             bound = self.L * (self.source_entropy + self.delta)
-            if math.log2(self.dim) > bound:
+            log_dim = math.log2(self.dim)
+            if log_dim > bound and log_dim > bound + self._bound_slack():
                 raise ValidationError(
-                    f"dimension bound violated: log2(dim) = {math.log2(self.dim)} "
+                    f"dimension bound violated: log2(dim) = {log_dim} "
                     f"exceeds L(S + delta) = {bound}"
                 )
+
+    def _bound_slack(self) -> float:
+        """How far ``log2(dim)`` may pass ``L(S + delta)`` on a valid source.
+
+        Each kept class weighs at least ``lo = -L(S + delta)``, less the
+        rounding of its weight and of ``lo`` (:func:`_weight_error`), and the
+        kept products sum to at most ``sigma**L``, where ``sigma`` is the sum
+        of the positive kept eigenvalues.  So ``log2(dim)`` is at most
+        ``L(S + delta)`` plus ``L log2(sigma)`` when ``sigma > 1``, as an
+        accepted trace may be, plus that rounding bound.
+        """
+        lams = [lam for lam in self.state._eigenvalues.tolist() if lam > 0.0] or [1.0]
+        excess = self.L * max(math.log2(math.fsum(lams)), 0.0)
+        max_log = max(abs(math.log2(lam)) for lam in lams)
+        return excess + _weight_error(self.state.dim, self.L, max_log,
+                                      *_typical_window(self.source_entropy, self.L, self.delta))
 
     @cached_property
     def basis(self) -> np.ndarray:
@@ -548,27 +566,63 @@ def _typical_window(entropy: float, L: int, delta: float) -> tuple[float, float]
     return -L * (entropy + delta), -L * (entropy - delta)
 
 
-class _WindowSolver:
-    """Solve for the counts on one letter whose classes can pass ``lo <= w <= hi``.
+def _weight_error(d: int, L: int, max_log: float, lo: float, hi: float) -> float:
+    """A bound on the rounding error of a class weight against the window
+    ``lo..hi``: the weight is a float sum of ``d`` terms ``m_i * log2(lam_i)``
+    with ``sum m_i = L`` and ``|log2(lam_i)| <= max_log``."""
+    return 4 * (d + 2) * _EPS * (L * max_log + abs(lo) + abs(hi))
 
-    :meth:`span` returns a range within ``0..n`` holding every count ``c``
-    on letter ``j`` of a passing class whose counts before ``j`` weigh
-    ``base`` and whose other ``n - c`` counts follow ``j``.  Its weight lies
-    within ``base + c * logs[j]`` plus ``n - c`` times the smallest and the
-    largest positive letter's log to come, linear in ``c``; at the last
-    letter but one they meet.  A zero eigenvalue (0 in ``logs``) gets no
-    count, which would make the weight ``-inf``.  The weight is a float sum
-    of ``len(logs)`` terms ``m_i * logs[i]`` with ``sum m_i = L``, so each
-    end is widened by a bound on its rounding error, plus one count: the
-    caller's own ``lo <= w <= hi`` test, not this solve, decides every
-    class.  A flat or nearly flat bound gives no end.  :meth:`spans` solves
-    many ``(base, n)`` pairs at once by the same float expressions.
+
+def _qubit_span(lams: Sequence[float], logs: Sequence[float], L: int,
+                lo: float, hi: float) -> range:
+    """The counts ``m`` on the first of two letters whose classes can pass ``lo <= w <= hi``.
+
+    The weight ``m * logs[0] + (L - m) * logs[1]`` is linear in ``m``, so each
+    edge of the window is solved for in closed form.  Each end is widened by
+    :func:`_weight_error` over the slope, plus one count, as
+    :class:`_WindowSolver` widens its ends: the caller's own test, not this
+    solve, decides every class.  A pad that reaches ``L``, or a flat weight,
+    cuts nothing.  A zero eigenvalue (0 in ``logs``) gets no count, which
+    would make the weight ``-inf``: only ``m = 0`` or only ``m = L`` is left,
+    or no class when both are zero.
+    """
+    if not lams[0] > 0.0:
+        return range(1 if lams[1] > 0.0 else 0)
+    if not lams[1] > 0.0:
+        return range(L, L + 1)
+    a, b = logs
+    slope = a - b
+    first, last = 0.0, float(L)
+    if slope:
+        pad = _weight_error(2, L, max(abs(a), abs(b)), lo, hi) / abs(slope) + 1.0
+        if pad < L:
+            # the weight rises with m on a positive slope, so lo cuts the first count
+            low, high = (lo, hi) if slope > 0.0 else (hi, lo)
+            first = max(first, (low - L * b) / slope - pad)
+            last = min(last, (high - L * b) / slope + pad)
+    return range(math.floor(first), math.ceil(last) + 1)
+
+
+class _WindowSolver:
+    """Solve for the counts on one letter whose classes can pass ``lo <= w <= hi``,
+    for a source of three or more letters (a qubit's one span is :func:`_qubit_span`).
+
+    :meth:`spans` returns, for each pair ``(base, n)``, a range within
+    ``0..n`` holding every count ``c`` on letter ``j`` of a passing class
+    whose counts before ``j`` weigh ``base`` and whose other ``n - c``
+    counts follow ``j``.  Its weight lies within ``base + c * logs[j]`` plus
+    ``n - c`` times the smallest and the largest positive letter's log to
+    come, linear in ``c``; at the last letter but one they meet.  A zero
+    eigenvalue (0 in ``logs``) gets no count, which would make the weight
+    ``-inf``.  Each end is widened by :func:`_weight_error` over the slope,
+    plus one count: the caller's own ``lo <= w <= hi`` test, not this
+    solve, decides every class.  A flat or nearly flat bound gives no end.
     """
 
     def __init__(self, lams: Sequence[float], logs: Sequence[float], L: int,
                  lo: float, hi: float) -> None:
         self.lams, self.logs, self.lo, self.hi = lams, logs, lo, hi
-        self.err = 4 * (len(logs) + 2) * _EPS * (L * max(map(abs, logs)) + abs(lo) + abs(hi))
+        self.err = _weight_error(len(logs), L, max(map(abs, logs)), lo, hi)
         self.after, bounds = [], None  # the smallest and largest positive log after each letter
         for lam, lg in zip(lams[:0:-1], logs[:0:-1]):
             if lam > 0.0:
@@ -584,26 +638,10 @@ class _WindowSolver:
             if slope:
                 yield edge, lg, slope, slope * sign > 0.0, self.err / abs(slope) + 1.0
 
-    def span(self, j: int, base: float, n: int) -> range:
+    def spans(self, j: int, base: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The span of each ``(base, n)`` pair, as its first count and its width."""
         bounds = self.after[j]
         if not self.lams[j] > 0.0:  # no count here; the rest must fit the positive letters after j
-            return range(1 if bounds or not n else 0)
-        if not bounds:
-            return range(n, n + 1)
-        first, last = 0.0, float(n)
-        for edge, lg, slope, is_first, pad in self._ends(j):
-            if pad < n:
-                end = (edge - (base + n * lg)) / slope
-                if is_first:
-                    first = max(first, end - pad)
-                else:
-                    last = min(last, end + pad)
-        return range(math.floor(first), math.ceil(last) + 1)
-
-    def spans(self, j: int, base: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`span` of each ``(base, n)`` pair, as its first count and its width."""
-        bounds = self.after[j]
-        if not self.lams[j] > 0.0:
             return np.zeros_like(n), np.ones_like(n) if bounds else (n == 0).astype(n.dtype)
         if not bounds:
             return n, np.ones_like(n)
@@ -701,19 +739,21 @@ def _multinomials(runs, L: int):
             mult = mult * (r - i) // (i + 1)
 
 
-def _scalar_census(window: _WindowSolver, L: int) -> tuple[int, float]:
+def _scalar_census(lams: Sequence[float], logs: Sequence[float], L: int,
+                   lo: float, hi: float) -> tuple[int, float]:
     """``(dim, capture)`` of a two-letter source, one class at a time.
 
-    The span of the first count ``m`` is one run of :func:`_multinomials`,
-    and each class is weighed inline from the two ``log2(lam_i)``; each
-    count, and so each power, comes once.
+    The first count ``m`` runs over :func:`_qubit_span`.  Its first binomial
+    ``C(L, m)`` is seeded by ``math.comb`` once and stepped inline by the
+    exact recurrence, and each class is weighed from the two ``log2(lam_i)``;
+    each count, and so each power, comes once.
     """
-    a, b = window.logs
-    pa, pb = window.lams
-    lo, hi = window.lo, window.hi
+    a, b = logs
+    pa, pb = lams
+    span = _qubit_span(lams, logs, L, lo, hi)
     dim, capture = 0, 0.0
-    span = window.span(0, 0.0, L)
-    for m, mult in zip(span, _multinomials([((), L, span.start, len(span))], L)):
+    mult = math.comb(L, span.start)
+    for m in span:
         k = L - m
         w = m * a + k * b
         if lo <= w <= hi:
@@ -722,6 +762,7 @@ def _scalar_census(window: _WindowSolver, L: int) -> tuple[int, float]:
                 capture += float(mult) * pa ** m * pb ** k
             else:
                 capture += 2.0 ** (math.log2(mult) + w)
+        mult = mult * k // (m + 1)
     return dim, capture
 
 
@@ -789,16 +830,17 @@ def _combinatorial_census(evals: np.ndarray, L: int, lo: float, hi: float) -> tu
     Returns ``(dim, capture)`` to every caller: the number of eigenvectors of
     ``diag(evals)^(x L)`` whose log-weight lies in ``lo..hi`` (see
     :func:`_typical_window`), and the sum of their eigenvalues; it lists no
-    class.  Only the classes near the window are weighed:
-    the counts of each letter are solved for by :class:`_WindowSolver`, and
-    each multinomial is stepped by its exact recurrence.  The number of
-    letters ``d`` picks the route.  Three or more letters take
-    :func:`_batched_census`, which solves each level of prefixes for all of
-    them at once and weighs blocks of classes in numpy, leaving Python only
-    the big-integer steps.  Two letters have no prefix, and each class
-    costs a big-integer step and a term that numpy cannot take from a big
-    integer, so :func:`_scalar_census` weighs them one by one, free of
-    numpy's fixed cost per call, which would dominate short blocks.  The
+    class.  Only the classes near the window are weighed, and each
+    multinomial is stepped by its exact recurrence.  The number of letters
+    ``d`` picks the route.  Three or more letters take
+    :func:`_batched_census`, whose counts are solved for by
+    :class:`_WindowSolver`: it solves each level of prefixes for all of them
+    at once and weighs blocks of classes in numpy, leaving Python only the
+    big-integer steps.  Two letters have no prefix, their one span is solved
+    in closed form by :func:`_qubit_span`, and each class costs a
+    big-integer step and a term that numpy cannot take from a big integer,
+    so :func:`_scalar_census` weighs them one by one in a single loop, free
+    of numpy's fixed cost per call, which would dominate short blocks.  The
     cost is a few numpy calls per block plus one big-integer step per class
     near the window.
     """
@@ -808,8 +850,9 @@ def _combinatorial_census(evals: np.ndarray, L: int, lo: float, hi: float) -> tu
             return 1, lams[0] ** L
         return 0, 0.0
     logs = [math.log2(lam) if lam > 0.0 else 0.0 for lam in lams]
-    census = _batched_census if len(lams) > 2 else _scalar_census
-    return census(_WindowSolver(lams, logs, L, lo, hi), L)
+    if len(lams) == 2:
+        return _scalar_census(lams, logs, L, lo, hi)
+    return _batched_census(_WindowSolver(lams, logs, L, lo, hi), L)
 
 
 def typical_subspace(
@@ -865,7 +908,7 @@ def qubit_capture_curve(
         L = _positive_integer(L, "each block length in lengths")
         lo, hi = _typical_window(entropy, L, delta)
         capture = 0.0
-        for k in _WindowSolver((1.0 - p, p), (lq, lp), L, lo, hi).span(0, 0.0, L):
+        for k in _qubit_span((1.0 - p, p), (lq, lp), L, lo, hi):
             w = (L - k) * lp + k * lq
             if lo <= w <= hi:
                 log_c = (math.lgamma(L + 1) - math.lgamma(k + 1)

@@ -16,7 +16,9 @@ eigenvalues, and widths down to 1e-17.  The long blocks run again with
 the census of three or more letters cut into blocks of one and seven
 classes, so that a prefix's run of classes straddles blocks, and a spy
 on ``math.comb`` checks that each run is seeded once however the blocks
-cut it.  A brute-force oracle of the weights each prefix can reach
+cut it; a two-letter census is seeded once in all.  The closed-form span
+of a two-letter source is checked against brute force over all its
+classes.  A brute-force oracle of the weights each prefix can reach
 checks that the frontier of prefixes builds none that cannot reach the
 window.  Windows whose edges sit on a class weight check that ``basis``
 keeps exactly ``dim`` columns where rounding decides a class.
@@ -36,7 +38,9 @@ from qihe.coding import (
     _WindowSolver,
     _combinatorial_census,
     _prefixes,
+    _qubit_span,
     _typical_window,
+    _weight_error,
     qubit_capture_curve,
     typical_subspace,
 )
@@ -290,6 +294,46 @@ def test_walk_builds_no_prefix_that_cannot_reach_the_window(evals, L, delta):
     assert set(walked) <= set(allowed)
     assert {c[:-2] for c in full_census(np.array(evals), L, delta)[2]} <= set(walked)
     assert len(allowed) < len(every) / 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["random", "zero", "degenerate", "near-degenerate"]),
+       st.integers(0, 2**32 - 1), st.integers(1, 3000), widths)
+def test_qubit_span_holds_every_kept_class_and_little_more(kind, seed, L, delta):
+    """The closed-form span of a two-letter source, against brute force over
+    all ``L + 1`` classes: it holds every class whose weight lies in the
+    window, and reaches past the kept classes by at most the pad, widened
+    by one more pad of rounding and one count of ``floor``/``ceil``, at
+    either end."""
+    evals = spectrum(kind, 2, seed).tolist()
+    lo, hi = window_of(np.array(evals), L, delta)
+    logs = [math.log2(lam) if lam > 0.0 else 0.0 for lam in evals]
+    span = _qubit_span(evals, logs, L, lo, hi)
+    kept = [m for m in range(L + 1)
+            if (w := _class_weight_log2((m, L - m), evals)) is not None and lo <= w <= hi]
+    assert set(kept) <= set(span)
+    slope = abs(logs[0] - logs[1])
+    pad = (_weight_error(2, L, max(map(abs, logs)), lo, hi) / slope + 1.0 if slope
+           else math.inf)
+    if kept:
+        assert span.start >= min(kept) - (2 * pad + 1)
+        assert span[-1] <= max(kept) + 2 * pad + 1
+
+
+@pytest.mark.parametrize("evals, L, delta", [
+    ((0.1, 0.9), 8, 0.3),
+    ((0.25, 0.75), 3000, 0.02),
+    ((0.5, 0.5), 1005, 0.1),
+    ((0.0, 1.0), 6, 0.1),
+])
+def test_a_two_letter_census_seeds_one_binomial(evals, L, delta, monkeypatch):
+    """The qubit census steps its binomials inline from one ``math.comb`` seed."""
+    seeds = []
+    comb = math.comb
+    monkeypatch.setattr(math, "comb", lambda n, k: seeds.append((n, k)) or comb(n, k))
+    dim, _ = census(np.array(evals), L, delta)
+    assert dim > 0
+    assert len(seeds) == 1
 
 
 @settings(max_examples=150, deadline=None)

@@ -765,6 +765,24 @@ class TestCapacityAnswers:
         assert rates == sorted(rates) and rates[-1] <= 1.0
         assert peak < 2 ** 20
 
+    @pytest.mark.parametrize("block, size", [("9", "19683"), ("1000000000", "2**")])
+    def test_the_sweep_refuses_its_largest_row_before_running_any(self, capsys, tmp_path,
+                                                                  monkeypatch, block, size):
+        """A qutrit sweep whose last row, ``3**n``, is over the default cap
+        exits 3 naming that size, and no budget row runs first; a block
+        length far past the cap is refused without raising 3 to it."""
+        path = save_matrices(tmp_path / "qutrit.json",
+                             [np.diag([0.5, 0.3, 0.2]), np.full((3, 3), 1 / 3)], [0.5, 0.5])
+        rows = []
+        budget = qihe.cli._entropy_budget
+        monkeypatch.setattr(qihe.cli, "_entropy_budget",
+                            lambda alphabet, n, cap: rows.append(n) or budget(alphabet, n, cap))
+        monkeypatch.delenv("QIHE_MAX_DIM", raising=False)
+        code, out, err = run_cli(capsys, "tradeoff", "--alphabet", path, "--block", block)
+        assert (code, out, rows) == (3, "", [])
+        assert f"total dimension {size}" in err
+        assert "--capacity" in err
+
 
 class TestReadmeExamples:
     def test_examples_are_found(self):

@@ -40,6 +40,7 @@ from qihe.coding import (
     Alphabet,
     RefactorizationLedger,
     TradeoffPoint,
+    TypicalSubspace,
     block_alphabet,
     ensemble_state,
     holevo_chi,
@@ -621,6 +622,19 @@ class TestTypicalSubspace:
             sub = typical_subspace(rho, L=L, delta=0.1)
             s = sub.source_entropy
             assert math.log2(max(sub.dim, 1)) <= L * (s + 0.1)
+
+    def test_a_trace_above_one_keeps_its_class_within_the_bound(self):
+        """The kept eigenvalue 1 + 2**-52 gives the entropy -3.2e-16, so at
+        delta = 1e-16 the bound L(S + delta) is -2.2e-16, below log2(1).  The
+        bound allows for a spectrum summing above 1, so the one class counts."""
+        rho = DensityMatrix(np.diag([0.0, 1.0 + 2.2e-16]).astype(complex), (2,))
+        assert rho._entropy < 0.0
+        assert typical_subspace(rho, 1, 1e-16).dim == 1
+
+    def test_a_real_excess_of_the_dimension_bound_raises(self):
+        with pytest.raises(ValidationError, match="dimension bound violated"):
+            TypicalSubspace(L=1, delta=0.5, dim=2, capture_probability=1.0,
+                            source_entropy=0.0, state=make_density(np.diag([1.0, 0.0]), 2))
 
     def test_flat_spectrum_captures_everything(self):
         half = make_density(np.eye(2, dtype=complex) / 2, 2)
