@@ -28,6 +28,7 @@ import numpy as np
 
 from .coding import (
     _entropy_budget,
+    block_alphabet,
     load_alphabet,
     refactorization_ledger,
     refactorization_unitary,
@@ -274,7 +275,7 @@ def _cmd_tradeoff(args, ctx: ThermalContext) -> tuple[dict, tuple[list[str], lis
         check_capacity(alphabet.d ** min(args.block, cap.bit_length() + 65), cap)
         sweep = []
         for n in range(1, args.block + 1):
-            bp = _entropy_budget(alphabet, n, args.capacity)[0]
+            bp = _entropy_budget(block_alphabet(alphabet, n, args.capacity))[0]
             sweep.append({
                 "n": n,
                 "comm_bits_per_letter": bp.comm_bits / n,

@@ -14,18 +14,18 @@ these numbers are produced together.  They are read from values each
 frozen object derives once, on first request: an :class:`Alphabet` keeps
 ``rho_B`` and every state its entropy, so however many budgets, ledgers
 and blocks read one alphabet, ``rho_B`` is mixed and diagonalized once.
-A qubit alphabet taken ``n >= 5`` letters at a time, by :func:`block_alphabet`
-or by the ``tradeoff --block`` sweep, has its budget without any matrix of
-side ``2**n``: by Schur-Weyl duality ``rho_B = sum_a p_a rho_a^(x n)`` has the
-spectrum of ``n // 2 + 1`` spin blocks
-``B_k = sum_a p_a det(rho_a)^k Sym^(n-2k)(rho_a)`` of sides
+A blocked alphabet (:func:`block_alphabet`) is its base and ``n``: it
+checks ``d**n`` against the dense cap at once, and builds its
+``d**n x d**n`` letters only when they are read.  One dispatcher picks each
+budget's route from the base.  A qubit base taken ``n >= 5`` letters at a
+time reads no letter and no matrix of side ``2**n``: by Schur-Weyl duality
+``rho_B = sum_a p_a rho_a^(x n)`` has the spectrum of ``n // 2 + 1`` spin
+blocks ``B_k = sum_a p_a det(rho_a)^k Sym^(n-2k)(rho_a)`` of sides
 ``n + 1, n - 1, ...``, block ``k`` repeated ``C(n, k) - C(n, k - 1)`` times,
-and those are built from the ``2 x 2`` letters alone.  Each letter's
-``S(rho_a^(x n))`` is ``n S(rho_a)``.  Only :func:`ensemble_state` of such a
-blocked alphabet, on request, mixes the dense ``rho_B`` and diagonalizes it
-as any other.  Below ``n = 5`` one ``eigvalsh`` of side ``2**n`` is the
-faster, and alphabets of ``d >= 3`` keep it.  Every route still checks
-``d**n`` against the dense cap.
+built from the ``2 x 2`` letters alone, and each letter's ``S(rho_a^(x n))``
+is ``n S(rho_a)``.  Every other budget goes dense on the built letters:
+below ``n = 5`` one ``eigvalsh`` of side ``2**n`` is the faster, and
+alphabets of ``d >= 3`` have no other route.
 
 For long blocks the receiver can concentrate the source onto its
 typical subspace, swap the typical content into a compact ancilla with
@@ -64,6 +64,7 @@ from .qcore import (
     _EPS,
     DensityMatrix,
     ValidationError,
+    _kron,
     _positive_integer,
     _real,
     basis_state,
@@ -110,18 +111,12 @@ class Alphabet:
     It keeps its validated ensemble state ``rho_B``, built on first request,
     as each letter keeps its entropy.  That is safe because an alphabet
     never changes: it is frozen, and holds tuples of floats and of frozen,
-    read-only letters.  A qubit alphabet that :func:`block_alphabet` made at
-    n >= 5 takes its budget from the spin blocks of its base alphabet's
-    letters (see the module docstring), which the base keeps for each ``n``.
+    read-only letters.  :func:`block_alphabet` returns a subclass that holds
+    its base alphabet and ``n``, and builds its letters only when read.
     """
 
     letters: tuple[DensityMatrix, ...]
     probs: tuple[float, ...]
-    # (base alphabet, n) when block_alphabet made this one; a qubit base at n >= 5 budgets by spin blocks
-    _blocked_from: tuple[Alphabet, int] | None = field(
-        default=None, init=False, repr=False, compare=False)
-    # _spin_blocks(self, n) by n, each built on first request
-    _spin_spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         letters = tuple(self.letters)
@@ -234,8 +229,8 @@ def ensemble_state(alphabet: Alphabet) -> DensityMatrix:
 
     It is mixed and validated on the first call for ``alphabet`` only; every
     later call returns the same read-only state, with its entropy, once taken.
-    The budget of a qubit alphabet blocked at ``n >= 5`` never calls this:
-    only a caller that wants the ``2**n x 2**n`` state builds it.
+    Of a blocked alphabet it mixes the built powers, which the budget of a
+    qubit alphabet blocked at ``n >= 5`` never reads: it never calls this.
     """
     return alphabet._ensemble
 
@@ -279,32 +274,26 @@ class TradeoffPoint:
                 (0.0, self.capacity_bits - self.avg_letter_entropy))
 
 
-def _entropy_budget(alphabet: Alphabet, n: int | None = None,
-                    max_dim: int | None = None) -> tuple[TradeoffPoint, float]:
-    """The full-communication point and ``S(rho_B)`` of ``alphabet``, or, given
-    ``n``, of ``block_alphabet(alphabet, n, max_dim)``, whose capacity check it keeps.
+def _entropy_budget(alphabet: Alphabet) -> tuple[TradeoffPoint, float]:
+    """The full-communication point and ``S(rho_B)`` of ``alphabet``: the one
+    place that picks a budget's route, keyed on a blocked alphabet's base.
 
-    A qubit alphabet taken ``n >= 5`` letters at a time, whether given ``n``
-    here or marked so by :func:`block_alphabet`, builds no matrix of side
-    ``2**n``: ``S(rho_B) = sum_k m_k S(B_k)`` over its spin blocks
-    (:func:`_spin_blocks`), and each letter's is ``n S(rho_a)``
-    (:func:`_blocked_letter_entropy`).  Any other alphabet reads the entropies
-    its states keep.
+    A qubit base taken ``n >= 5`` letters at a time builds no matrix of side
+    ``2**n``: ``S(rho_B) = sum_k m_k S(B_k)`` over the spin blocks that the
+    blocked alphabet keeps (:func:`block_alphabet`), and each letter's is
+    ``n S(rho_a)`` (:func:`_blocked_letter_entropy`).  Every other alphabet
+    goes dense, on its built letters: it reads the entropies that its letters
+    and its mixed ``rho_B`` keep.
     """
-    if n is None:
-        if alphabet._blocked_from is not None and _spin_route(*alphabet._blocked_from):
-            alphabet, n = alphabet._blocked_from
-    elif _spin_route(alphabet, n):
-        check_capacity(alphabet.d ** n, max_dim)
+    blocked = isinstance(alphabet, _BlockedAlphabet)
+    base, n = (alphabet.base, alphabet.n) if blocked else (alphabet, 1)
+    if base.d == 2 and n >= _SPIN_MIN_N:
+        s_b = sum(m * entropy_from_eigenvalues(mu) for m, mu in alphabet._spin_blocks)
+        entropies = [_blocked_letter_entropy(let, n) for let in base.letters]
+        capacity = n * base.capacity_bits
     else:
-        alphabet, n = block_alphabet(alphabet, n, max_dim), None
-    if n is None:
         s_b = von_neumann_entropy(ensemble_state(alphabet))
         entropies, capacity = letter_entropies(alphabet), alphabet.capacity_bits
-    else:
-        s_b = sum(m * entropy_from_eigenvalues(mu) for m, mu in _spin_blocks(alphabet, n))
-        entropies = [_blocked_letter_entropy(let, n) for let in alphabet.letters]
-        capacity = n * alphabet.capacity_bits
     avg = sum(p * s for p, s in zip(alphabet.probs, entropies))
     return TradeoffPoint(
         energy_bits=capacity - s_b,
@@ -344,18 +333,83 @@ def block_alphabet(alphabet: Alphabet, n: int, max_dim: int | None = None) -> Al
     letters, which is what pushes the per-letter energy toward its
     ``M - <S_a>`` ceiling.
 
-    The letters are dense ``d**n x d**n`` powers (:func:`tensor_power`),
-    within ``max_dim``; each letter's entropy is taken only when a budget
-    reads it.  The output is marked with ``alphabet`` and ``n``: blocked at
-    n >= 5, a qubit alphabet's budget (:func:`tradeoff_point`,
-    :func:`holevo_chi`) comes from the spin blocks of ``alphabet``'s
-    ``2 x 2`` letters, and reads neither the powers nor a mixed ``rho_B``.
+    ``n`` and ``d**n`` are checked against ``max_dim`` at once.  The blocked
+    alphabet holds ``alphabet`` and ``n``: its letters, the dense
+    ``d**n x d**n`` powers (:func:`tensor_power`), are built on first read and
+    kept, and its ``probs``, ``d``, capacity and repr build nothing.  Blocked
+    at n >= 5, a qubit alphabet's budget (:func:`tradeoff_point`,
+    :func:`holevo_chi`) comes from the spin blocks of ``alphabet``'s ``2 x 2``
+    letters, and reads neither the powers nor a mixed ``rho_B``.
     """
     n = _positive_integer(n, "block length n")
-    out = Alphabet(tuple(tensor_power(let, n, max_dim) for let in alphabet.letters),
-                   alphabet.probs)
-    object.__setattr__(out, "_blocked_from", (alphabet, n))
-    return out
+    check_capacity(alphabet.d ** n, max_dim)
+    return _BlockedAlphabet(alphabet, n, max_dim)
+
+
+@dataclass(frozen=True, init=False, repr=False, eq=False)
+class _BlockedAlphabet(Alphabet):
+    """``base`` taken ``n`` letters at a time: what :func:`block_alphabet` returns."""
+
+    base: Alphabet
+    n: int
+    max_dim: int | None
+
+    def __init__(self, base: Alphabet, n: int, max_dim: int | None) -> None:
+        self.__dict__.update(base=base, n=n, max_dim=max_dim, probs=base.probs)
+
+    @cached_property
+    def letters(self) -> tuple[DensityMatrix, ...]:
+        return tuple(tensor_power(let, self.n, self.max_dim) for let in self.base.letters)
+
+    @property
+    def d(self) -> int:
+        return self.base.d ** self.n
+
+    def __repr__(self) -> str:
+        return f"block_alphabet({self.base!r}, {self.n})"
+
+    @cached_property
+    def _spin_blocks(self) -> tuple[tuple[int, np.ndarray], ...]:
+        """``(m_k, eigvalsh(B_k))`` for ``k = 0..n // 2``: the spin blocks of a qubit
+        ensemble ``sum_a p_a rho_a^(x n)``, built from the ``2 x 2`` letters alone.
+
+        On the ``k``-th spin, of ``n - 2k + 1`` dimensions and repeated
+        ``m_k = C(n, k) - C(n, k - 1)`` times, ``rho^(x n)`` acts as
+        ``det(rho)^k Sym^(n-2k)(rho)`` (Schur-Weyl duality; Harrow,
+        arXiv:quant-ph/0512255), so ``B_k = sum_a p_a det(rho_a)^k Sym^(n-2k)(rho_a)``.
+        Each letter is factored ``rho = T T^dag`` with ``T`` lower-triangular,
+        after a bit flip ``X rho X`` where that puts the larger diagonal entry
+        first.  On the normalized Dicke states ``Sym^m(T)`` then has the entries
+        ``C(i, j) sqrt(C(m, i) / C(m, j)) t11^(m-i) t21^(i-j) t22^j`` for
+        ``i >= j``, and the flip reverses its rows.  With ``det(rho) = (t11 t22)**2``,
+        ``B_k = sum_a p_a S_a S_a^dag``, where ``S_a`` is ``(t11 t22)^k Sym^m(T)``.
+        The blocks of all letters are filled from :func:`_sym_table`, padded to
+        side ``n + 1``, and summed in one batched product: ``O(n**3)`` entries
+        per letter, small while ``2**n`` is within the dense cap.  One
+        ``eigvalsh`` of side ``n - 2k + 1`` per block, kept on the blocked alphabet.
+        """
+        n = self.n
+        factors = []
+        for let in self.base.letters:
+            (a, b), (c, d) = let.data.tolist()
+            flip = a.real < d.real
+            if flip:  # X rho X = [[d, c], [b, a]]
+                a, c, d = d, b, a
+            t11 = math.sqrt(a.real)
+            t21 = c / t11
+            factors.append((t11, t21, math.sqrt(max(d.real - abs(t21) ** 2, 0.0)), flip))
+        t11, t21, t22, flip = (np.array(x) for x in zip(*factors))
+        powers = np.arange(n + 1)
+        p11, p21, p22 = (t[:, None] ** powers for t in (t11, t21, t22))
+        count, probs = len(factors), np.array(self.probs)[:, None, None, None]
+        coef, e11, e21, e22, rows, flipped = _sym_table(n)
+        sym = np.zeros((count, n // 2 + 1, n + 1, n + 1), dtype=complex)
+        sym.reshape(count, -1)[np.arange(count)[:, None], np.where(flip[:, None], flipped, rows)] = (
+            coef * p11[:, e11] * p21[:, e21] * p22[:, e22])
+        gram = np.matmul(sym * probs, sym.conj().swapaxes(-1, -2)).sum(axis=0)
+        return tuple((math.comb(n, k) - (math.comb(n, k - 1) if k else 0),
+                      np.linalg.eigvalsh(gram[k, :n - 2 * k + 1, :n - 2 * k + 1]))
+                     for k in range(n // 2 + 1))
 
 
 def _blocked_letter_entropy(letter: DensityMatrix, n: int) -> float:
@@ -368,14 +422,9 @@ def _blocked_letter_entropy(letter: DensityMatrix, n: int) -> float:
 _SPIN_MIN_N = 5  # below it one eigvalsh of side 2**n beats the spin blocks
 
 
-def _spin_route(alphabet: Alphabet, n: int) -> bool:
-    """Whether ``alphabet`` taken ``n`` letters at a time has its budget from its spin blocks."""
-    return alphabet.d == 2 and n >= _SPIN_MIN_N
-
-
 @lru_cache(maxsize=32)
 def _sym_table(n: int) -> tuple[np.ndarray, ...]:
-    """The entries of the spin blocks of ``n`` qubits that :func:`_spin_blocks` fills.
+    """The entries of the spin blocks of ``n`` qubits, as :class:`_BlockedAlphabet` fills them.
 
     Over the lower triangle ``i >= j`` of block ``k``, of side
     ``m + 1 = n - 2k + 1``: the coefficient ``C(i, j) sqrt(C(m, i) / C(m, j))``,
@@ -402,54 +451,6 @@ def _sym_table(n: int) -> tuple[np.ndarray, ...]:
     for a in table:
         a.setflags(write=False)
     return table
-
-
-def _spin_blocks(alphabet: Alphabet, n: int) -> tuple[tuple[int, np.ndarray], ...]:
-    """``(m_k, eigvalsh(B_k))`` for ``k = 0..n // 2``: the spin blocks of a qubit
-    ensemble ``sum_a p_a rho_a^(x n)``, built from the ``2 x 2`` letters alone.
-
-    On the ``k``-th spin, of ``n - 2k + 1`` dimensions and repeated
-    ``m_k = C(n, k) - C(n, k - 1)`` times, ``rho^(x n)`` acts as
-    ``det(rho)^k Sym^(n-2k)(rho)`` (Schur-Weyl duality; Harrow,
-    arXiv:quant-ph/0512255), so ``B_k = sum_a p_a det(rho_a)^k Sym^(n-2k)(rho_a)``.
-    Each letter is factored ``rho = T T^dag`` with ``T`` lower-triangular,
-    after a bit flip ``X rho X`` where that puts the larger diagonal entry
-    first.  On the normalized Dicke states ``Sym^m(T)`` then has the entries
-    ``C(i, j) sqrt(C(m, i) / C(m, j)) t11^(m-i) t21^(i-j) t22^j`` for
-    ``i >= j``, and the flip reverses its rows.  With ``det(rho) = (t11 t22)**2``,
-    ``B_k = sum_a p_a S_a S_a^dag``, where ``S_a`` is ``(t11 t22)^k Sym^m(T)``.
-    The blocks of all letters are filled from :func:`_sym_table`, padded to
-    side ``n + 1``, and summed in one batched product: ``O(n**3)`` entries
-    per letter, small while ``2**n`` is within the dense cap.  One
-    ``eigvalsh`` of side ``n - 2k + 1`` per block, kept on ``alphabet`` for
-    each ``n``.
-    """
-    blocks = alphabet._spin_spectra.get(n)
-    if blocks is not None:
-        return blocks
-    factors = []
-    for let in alphabet.letters:
-        (a, b), (c, d) = let.data.tolist()
-        flip = a.real < d.real
-        if flip:  # X rho X = [[d, c], [b, a]]
-            a, c, d = d, b, a
-        t11 = math.sqrt(a.real)
-        t21 = c / t11
-        factors.append((t11, t21, math.sqrt(max(d.real - abs(t21) ** 2, 0.0)), flip))
-    t11, t21, t22, flip = (np.array(x) for x in zip(*factors))
-    powers = np.arange(n + 1)
-    p11, p21, p22 = (t[:, None] ** powers for t in (t11, t21, t22))
-    count, probs = len(factors), np.array(alphabet.probs)[:, None, None, None]
-    coef, e11, e21, e22, rows, flipped = _sym_table(n)
-    sym = np.zeros((count, n // 2 + 1, n + 1, n + 1), dtype=complex)
-    sym.reshape(count, -1)[np.arange(count)[:, None], np.where(flip[:, None], flipped, rows)] = (
-        coef * p11[:, e11] * p21[:, e21] * p22[:, e22])
-    gram = np.matmul(sym * probs, sym.conj().swapaxes(-1, -2)).sum(axis=0)
-    blocks = alphabet._spin_spectra[n] = tuple(
-        (math.comb(n, k) - (math.comb(n, k - 1) if k else 0),
-         np.linalg.eigvalsh(gram[k, :n - 2 * k + 1, :n - 2 * k + 1]))
-        for k in range(n // 2 + 1))
-    return blocks
 
 
 @dataclass(frozen=True)
@@ -1044,15 +1045,12 @@ def refactorization_unitary(sub: TypicalSubspace) -> RefactorizationUnitary:
     d_block, d_anc = sub.basis.shape
     total = d_block * d_anc
 
-    e0 = np.zeros((d_anc, 1), dtype=complex)
-    e0[0, 0] = 1.0
-    gamma = np.kron(sub.basis, e0)  # columns t_i (x) |0>_D
+    e0 = np.eye(d_anc, 1, dtype=complex)
+    gamma = _kron(sub.basis, e0)  # columns t_i (x) |0>_D
     full = _complete_orthonormal(gamma)
     u = full.conj().T
 
-    target = np.zeros((total, d_anc), dtype=complex)
-    for i in range(d_anc):
-        target[i, i] = 1.0  # |0>_L (x) |i>_D in product ordering
+    target = np.eye(total, d_anc, dtype=complex)  # |0>_L (x) |i>_D in product ordering
     mapping = float(np.max(np.abs(u @ gamma - target)))
     unitarity = float(np.max(np.abs(u @ u.conj().T - np.eye(total))))
     return RefactorizationUnitary(

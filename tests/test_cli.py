@@ -776,7 +776,7 @@ class TestCapacityAnswers:
         rows = []
         budget = qihe.cli._entropy_budget
         monkeypatch.setattr(qihe.cli, "_entropy_budget",
-                            lambda alphabet, n, cap: rows.append(n) or budget(alphabet, n, cap))
+                            lambda alphabet: rows.append(alphabet.n) or budget(alphabet))
         monkeypatch.delenv("QIHE_MAX_DIM", raising=False)
         code, out, err = run_cli(capsys, "tradeoff", "--alphabet", path, "--block", block)
         assert (code, out, rows) == (3, "", [])

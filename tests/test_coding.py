@@ -13,6 +13,7 @@ Independent oracles used here:
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -335,6 +336,62 @@ class TestBlocking:
         blocked = block_alphabet(zero_plus_alphabet(), 4)
         assert all("_entropy" not in let.__dict__ for let in blocked.letters)
 
+    def test_a_spin_route_budget_at_n_11_peaks_under_10_mib(self, natural_ctx):
+        """``block_alphabet(zero_plus_alphabet(), 11)`` and its budget build no
+        power: the two ``2**11``-side complex powers alone would be 128 MiB."""
+        tracemalloc.start()
+        try:
+            point = tradeoff_point(block_alphabet(zero_plus_alphabet(), 11), natural_ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert point.capacity_bits == 11.0
+        assert peak < 10 * 2 ** 20
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_letters_are_the_powers_built_once(self, monkeypatch, n):
+        """The letters are ``tensor_power(letter, n)`` byte for byte, built on
+        the first read, one call per letter, and kept."""
+        ab = _random_qubit_alphabet(np.random.default_rng(n), ["mixed", "pure", "exact"])
+        calls = _spy_tensor_power(monkeypatch)
+        blocked = block_alphabet(ab, n)
+        assert calls == []
+        letters = blocked.letters
+        assert blocked.letters is letters
+        assert calls == [n] * len(ab.letters)
+        for got, let in zip(letters, ab.letters):
+            want = tensor_power(let, n)
+            assert got.data.tobytes() == want.data.tobytes()
+            assert got.dims == want.dims == (2,) * n
+
+    def test_reading_what_a_block_holds_builds_no_power(self, monkeypatch, natural_ctx):
+        """``repr``, ``d``, ``probs``, ``capacity_bits`` and a spin-route budget
+        read only the base and ``n``; ``to_dict`` builds the letters.  The
+        block is an :class:`Alphabet`, and frozen."""
+        ab = _random_qubit_alphabet(np.random.default_rng(3), ["mixed", "pure"])
+        calls = _spy_tensor_power(monkeypatch)
+        blocked = block_alphabet(ab, 6)
+        assert isinstance(blocked, Alphabet)
+        assert repr(blocked) == f"block_alphabet({ab!r}, 6)"
+        assert (blocked.d, blocked.probs, blocked.capacity_bits) == (64, ab.probs, 6.0)
+        tradeoff_point(blocked, natural_ctx)
+        holevo_chi(blocked)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            blocked.n = 5
+        assert calls == []
+        doc = blocked.to_dict()
+        assert calls == [6, 6]
+        assert doc["dims"] == 64 and len(doc["letters"][0]) == 64
+
+    def test_a_block_past_the_cap_is_refused_at_once(self, monkeypatch):
+        """``d**n`` is checked when the alphabet is blocked, before any power:
+        n = 15 is refused at the default cap."""
+        monkeypatch.delenv(qcore.MAX_DIM_ENV, raising=False)
+        calls = _spy_tensor_power(monkeypatch)
+        with pytest.raises(CapacityError, match="total dimension 32768 exceeds the cap 16384"):
+            block_alphabet(zero_plus_alphabet(), 15)
+        assert calls == []
+
     def test_blocking_a_blocked_alphabet(self, natural_ctx):
         """Blocked by 2 and then by 3, an alphabet whose first letter's trace
         sits 0.99e-10 above 1 has letters within 1e-14 of its blocking by 6,
@@ -357,6 +414,10 @@ class TestBlocking:
             assert abs(pt.energy_bits - (6.0 - s_b)) <= 1e-12
             assert abs(pt.comm_bits - (s_b - avg)) <= 1e-12
             assert abs(pt.avg_letter_entropy - avg) <= 1e-12
+        # a block of a four-dimensional base goes dense on its powers of powers
+        powers = tuple(tensor_power(tensor_power(let, 2), 3) for let in ab.letters)
+        assert tradeoff_point(nested, natural_ctx) == tradeoff_point(
+            Alphabet(powers, ab.probs), natural_ctx)
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_letters_at_the_trace_tolerance_block(self, n):
@@ -369,6 +430,14 @@ class TestBlocking:
         assert abs(np.trace(blocked.letters[0].data) - 1.0) > TRACE_TOL
         with pytest.raises(ValidationError, match="trace must be 1"):
             DensityMatrix(np.diag([0.3, 0.7 + 1.01e-10]).astype(complex), (2,))
+
+
+def _spy_tensor_power(monkeypatch) -> list[int]:
+    """The ``n`` of each call that ``coding`` makes to ``tensor_power`` from now on."""
+    calls, real = [], coding.tensor_power
+    monkeypatch.setattr(coding, "tensor_power",
+                        lambda a, n, max_dim=None: calls.append(n) or real(a, n, max_dim))
+    return calls
 
 
 def _eigvalsh_entropy(m: np.ndarray) -> float:
@@ -423,7 +492,7 @@ class TestSchurWeylBlocks:
         assert np.array_equal(rho.data, dense.data)
         assert np.array_equal(rho._eigenvalues, dense._eigenvalues)
         # sum_k m_k (n - 2k + 1) = 2**n, with m_k = C(n, k) - C(n, k - 1)
-        blocks = coding._spin_blocks(ab, n)
+        blocks = blocked._spin_blocks
         mults = [math.comb(n, k) - (math.comb(n, k - 1) if k else 0) for k in range(n // 2 + 1)]
         assert [m for m, _ in blocks] == mults
         assert [len(mu) for _, mu in blocks] == list(range(n + 1, 0, -2))
@@ -494,20 +563,20 @@ class TestSchurWeylBlocks:
         mixed = Alphabet((DensityMatrix(np.array([[0.8, 0.1 - 0.2j], [0.1 + 0.2j, 0.2]]), (2,)),
                           DensityMatrix(np.array([[0.35, 0.3], [0.3, 0.65]]), (2,))), (0.4, 0.6))
         for ab, (s_b, avg) in ((zero_plus, (gram, 0.0)), (mixed, _spin_oracle(mixed, n))):
-            point, got = coding._entropy_budget(ab, n, max_dim=2 ** n)
+            point, got = coding._entropy_budget(block_alphabet(ab, n, max_dim=2 ** n))
             assert abs(got - s_b) <= 1e-12
             assert abs(point.avg_letter_entropy - avg) <= 1e-12
             assert abs(point.comm_bits - (s_b - avg)) <= 1e-12
             assert abs(point.energy_bits - (n - s_b)) <= 1e-12
         with pytest.raises(CapacityError):
-            coding._entropy_budget(mixed, n, max_dim=2 ** n - 1)
+            block_alphabet(mixed, n, max_dim=2 ** n - 1)
 
     def test_the_spin_route_builds_no_blocked_matrix(self, natural_ctx, monkeypatch, tmp_path):
-        """A qubit alphabet marked at n = 6 takes its budget, and ``tradeoff
-        --block 7`` its rows n = 5, 6 and 7, with no call of ``mixture``,
-        ``tensor_power`` or ``block_alphabet``; rows 1 to 4 still block."""
+        """A qubit alphabet blocked at n = 6 takes its budget, and ``tradeoff
+        --block 7`` its rows n = 5, 6 and 7, with no call of ``mixture`` or
+        ``tensor_power``; the sweep blocks every row, and rows 1 to 4 build
+        their powers."""
         ab = _random_qubit_alphabet(np.random.default_rng(8), ["mixed", "pure", "exact"])
-        blocked = block_alphabet(ab, 6)
         calls = []
 
         def spy(module, name, size):
@@ -521,15 +590,16 @@ class TestSchurWeylBlocks:
 
         spy(coding, "mixture", lambda args, out: out.dim)
         spy(coding, "tensor_power", lambda args, out: args[1])
-        spy(coding, "block_alphabet", lambda args, out: args[1])
+        blocked = block_alphabet(ab, 6)
         tradeoff_point(blocked, natural_ctx)
         holevo_chi(blocked)
         assert calls == []
+        spy(cli, "block_alphabet", lambda args, out: args[1])
         path = str(tmp_path / "alphabet.json")
         save_alphabet(ab, path)
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.run(["tradeoff", "--alphabet", path, "--block", "7"]) == 0
-        assert [n for name, n in calls if name == "block_alphabet"] == [1, 2, 3, 4]
+        assert [n for name, n in calls if name == "block_alphabet"] == [1, 2, 3, 4, 5, 6, 7]
         assert max(n for name, n in calls if name == "tensor_power") == 4
         assert max(side for name, side in calls if name == "mixture") == 16
 
@@ -976,6 +1046,18 @@ class TestRefactorizationUnitary:
         for col in range(mapped.shape[1]):
             tail = mapped[led.subspace.dim :, col]
             assert np.linalg.norm(tail) < 1e-10
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    def test_gamma_basis_is_that_of_np_kron(self, seed, L):
+        """``gamma_basis`` is ``np.kron(basis, e0)`` byte for byte, signed zeros
+        included, on the subspaces of random qubit sources."""
+        ab = _random_qubit_alphabet(np.random.default_rng(seed), ["mixed", "pure", "exact"])
+        sub = typical_subspace(ensemble_state(ab), L, 2.0)
+        e0 = np.zeros((sub.dim, 1), dtype=complex)
+        e0[0, 0] = 1.0
+        assert refactorization_unitary(sub).gamma_basis.tobytes() == np.kron(
+            sub.basis, e0).tobytes()
 
     def test_census_only_subspace_cannot_build_the_matrix(self, natural_ctx):
         rho = make_density(np.diag([0.9, 0.1]).astype(complex), 2)
