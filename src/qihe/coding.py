@@ -34,17 +34,17 @@ engine (Schumacher compression).  :func:`typical_subspace` counts the
 subspace from the spectrum that validated ``rho_B``, and the entropy it
 keeps, by a multinomial census over eigenvalue type classes, so it
 diagonalizes nothing and needs no ``d**L``-sized matrix for any source.
-The census solves only the prefixes of counts, and weighs only the
-classes, that the typicality window can hold, not all
-``C(L + d - 1, d - 1)`` classes.  A source of
-three or more letters is counted in numpy blocks of prefixes and classes,
-with Python left only the exact multinomial steps, seeded once per run of
-classes.  A qubit source has no prefix and a big-integer step per class:
-its one span of counts is solved in closed form, and it is counted class by
-class in one loop, from one seeded binomial.  Both give the floats of a
-class-by-class loop, bit for bit, and list no class.  The eigenvectors,
+The census keeps the ``r`` eigenvalues ``> 0.0`` once, where it starts, and
+the rank ``r`` picks its route.  It solves only the prefixes of counts, and
+weighs only the classes, that the typicality window can hold, not all
+``C(L + r - 1, r - 1)`` classes.  Three or more letters are counted in
+numpy blocks of prefixes and classes, with Python left only the exact
+multinomial steps, seeded once per run of classes.  Two have one span of
+counts, solved in closed form, and are counted class by class in one loop
+from one seeded binomial; one is closed form.  Each gives the floats of a
+class-by-class loop, bit for bit, and lists no class.  The eigenvectors,
 basis and projector are computed only on request, within the dense cap; the
-basis keeps the columns the census counts, by its test.
+basis keeps the products of positive eigenvectors that the census counts.
 :func:`refactorization_ledger` turns capture statistics into a net
 work-per-letter bracket.
 """
@@ -104,7 +104,7 @@ _CHI_TOL = 1e-10
 _PROJECTOR_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays inside: == and hash go by identity
 class Alphabet:
     """A finite quantum source: letter states plus emission probabilities.
 
@@ -134,9 +134,10 @@ class Alphabet:
             raise ValidationError(
                 f"letter probabilities must sum to 1: |sum - 1| = {abs(total - 1.0):.3e}"
             )
-        d = letters[0].dim
-        if any(let.dim != d for let in letters):
-            raise ValidationError("all letters must share one carrier dimension")
+        for let in letters:
+            if let.dims != letters[0].dims:
+                raise ValidationError("all letters must share one subsystem signature, got "
+                                      f"{letters[0].dims} and {let.dims}")
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "probs", probs)
 
@@ -415,7 +416,7 @@ class _BlockedAlphabet(Alphabet):
 def _blocked_letter_entropy(letter: DensityMatrix, n: int) -> float:
     """``S(rho^(x n)) = n sigma**(n-1) S(rho)`` of ``letter``, where ``sigma``, 1 up
     to the tolerances, is the mass of its clamped spectrum."""
-    sigma = sum(lam for lam in letter._eigenvalues.tolist() if lam > 0.0)
+    sigma = sum(_positive(letter._eigenvalues))
     return n * sigma ** (n - 1) * von_neumann_entropy(letter)
 
 
@@ -499,7 +500,7 @@ class TypicalSubspace:
         ``L(S + delta)`` plus ``L log2(sigma)`` when ``sigma > 1``, as an
         accepted trace may be, plus that rounding bound.
         """
-        lams = [lam for lam in self.state._eigenvalues.tolist() if lam > 0.0] or [1.0]
+        lams = _positive(self.state._eigenvalues) or [1.0]
         excess = self.L * max(math.log2(math.fsum(lams)), 0.0)
         max_log = max(abs(math.log2(lam)) for lam in lams)
         return excess + _weight_error(self.state.dim, self.L, max_log,
@@ -509,26 +510,25 @@ class TypicalSubspace:
     def basis(self) -> np.ndarray:
         """Orthonormal ``d**L x dim`` columns spanning the subspace.
 
-        Column ``j`` of the product basis of one ``eigh`` of ``state`` is kept,
-        in increasing ``j``, when the counts ``c_i`` of its ``L`` base-``d``
-        digits put nothing on an eigenvalue ``lam_i <= 0`` and its weight
-        ``0.0 + c_0 log2(lam_0) + c_1 log2(lam_1) + ...`` lies in the window:
-        the census's float and test, so no census runs here.  Each kept column
-        is multiplied out one letter position at a time, so memory stays
-        ``O(d**L * dim)``.
+        Of one ``eigh`` of ``state``, the ``r**L`` products of the last ``r``
+        eigenvectors, those of positive eigenvalues (:func:`_positive`), are
+        taken in ``eigh`` order.  One is kept when the counts ``c_i`` of its
+        ``L`` base-``r`` digits weigh ``0.0 + c_0 log2(lam_0) + ...`` within
+        the window: the census's float and test, so no census runs here.
+        Each kept column is multiplied out one letter position at a time, so
+        memory stays ``O(d**L * dim)``.
         """
         d = self.state.dim
-        total = d ** self.L
-        check_capacity(total, self.max_dim)
+        check_capacity(d ** self.L, self.max_dim)
         lo, hi = _typical_window(self.state._entropy, self.L, self.delta)
-        powers = d ** np.arange(self.L - 1, -1, -1)
-        digits = (np.arange(total)[:, None] // powers) % d
-        weight = np.zeros(total)
-        for i, lam in enumerate(self.state._eigenvalues.tolist()):
-            counts = np.count_nonzero(digits == i, axis=1)
-            # a count on an eigenvalue <= 0 weighs -inf, outside every window
-            weight += counts * math.log2(lam) if lam > 0.0 else np.where(counts, -np.inf, 0.0)
-        kept = digits[(lo <= weight) & (weight <= hi)]
+        lams = _positive(self.state._eigenvalues)
+        r = len(lams)
+        digits = (np.arange(r ** self.L)[:, None] // r ** np.arange(self.L - 1, -1, -1)) % r
+        weight = np.zeros(len(digits))
+        for i, lam in enumerate(lams):
+            weight += np.count_nonzero(digits == i, axis=1) * math.log2(lam)
+        # the spectrum is ascending, so its positive eigenvalues are the last r
+        kept = digits[(lo <= weight) & (weight <= hi)] + (d - r)
         eigenvectors = np.linalg.eigh(self.state.data)[1]
         basis = np.ones((1, len(kept)), dtype=complex)
         for k in range(self.L):
@@ -567,6 +567,13 @@ def _typical_window(entropy: float, L: int, delta: float) -> tuple[float, float]
     return -L * (entropy + delta), -L * (entropy - delta)
 
 
+def _positive(evals: np.ndarray) -> list[float]:
+    """The eigenvalues ``> 0.0`` in ``evals``, in order: the letters the census
+    and ``basis`` count.  A class that counts a zero, or clamped negative,
+    eigenvalue weighs ``-inf``, so this drops them."""
+    return [lam for lam in evals.real.tolist() if lam > 0.0]
+
+
 def _weight_error(d: int, L: int, max_log: float, lo: float, hi: float) -> float:
     """A bound on the rounding error of a class weight against the window
     ``lo..hi``: the weight is a float sum of ``d`` terms ``m_i * log2(lam_i)``
@@ -574,23 +581,17 @@ def _weight_error(d: int, L: int, max_log: float, lo: float, hi: float) -> float
     return 4 * (d + 2) * _EPS * (L * max_log + abs(lo) + abs(hi))
 
 
-def _qubit_span(lams: Sequence[float], logs: Sequence[float], L: int,
-                lo: float, hi: float) -> range:
+def _qubit_span(logs: Sequence[float], L: int, lo: float, hi: float) -> range:
     """The counts ``m`` on the first of two letters whose classes can pass ``lo <= w <= hi``.
 
+    ``logs`` are the ``log2`` of two positive eigenvalues (:func:`_positive`).
     The weight ``m * logs[0] + (L - m) * logs[1]`` is linear in ``m``, so each
     edge of the window is solved for in closed form.  Each end is widened by
     :func:`_weight_error` over the slope, plus one count, as
     :class:`_WindowSolver` widens its ends: the caller's own test, not this
     solve, decides every class.  A pad that reaches ``L``, or a flat weight,
-    cuts nothing.  A zero eigenvalue (0 in ``logs``) gets no count, which
-    would make the weight ``-inf``: only ``m = 0`` or only ``m = L`` is left,
-    or no class when both are zero.
+    cuts nothing.
     """
-    if not lams[0] > 0.0:
-        return range(1 if lams[1] > 0.0 else 0)
-    if not lams[1] > 0.0:
-        return range(L, L + 1)
     a, b = logs
     slope = a - b
     first, last = 0.0, float(L)
@@ -608,44 +609,35 @@ class _WindowSolver:
     """Solve for the counts on one letter whose classes can pass ``lo <= w <= hi``,
     for a source of three or more letters (a qubit's one span is :func:`_qubit_span`).
 
-    :meth:`spans` returns, for each pair ``(base, n)``, a range within
-    ``0..n`` holding every count ``c`` on letter ``j`` of a passing class
-    whose counts before ``j`` weigh ``base`` and whose other ``n - c``
+    ``lams`` are positive eigenvalues (:func:`_positive`), ``logs`` their
+    ``log2``.  :meth:`spans` returns, for each pair ``(base, n)``, a range
+    within ``0..n`` holding every count ``c`` on letter ``j`` of a passing
+    class whose counts before ``j`` weigh ``base`` and whose other ``n - c``
     counts follow ``j``.  Its weight lies within ``base + c * logs[j]`` plus
-    ``n - c`` times the smallest and the largest positive letter's log to
-    come, linear in ``c``; at the last letter but one they meet.  A zero
-    eigenvalue (0 in ``logs``) gets no count, which would make the weight
-    ``-inf``.  Each end is widened by :func:`_weight_error` over the slope,
-    plus one count: the caller's own ``lo <= w <= hi`` test, not this
-    solve, decides every class.  A flat or nearly flat bound gives no end.
+    ``n - c`` times the smallest and the largest log to come, linear in
+    ``c``; at the last letter but one they meet.  Each end is widened by
+    :func:`_weight_error` over the slope, plus one count: the caller's own
+    ``lo <= w <= hi`` test, not this solve, decides every class.  A flat or
+    nearly flat bound gives no end.
     """
 
     def __init__(self, lams: Sequence[float], logs: Sequence[float], L: int,
                  lo: float, hi: float) -> None:
         self.lams, self.logs, self.lo, self.hi = lams, logs, lo, hi
         self.err = _weight_error(len(logs), L, max(map(abs, logs)), lo, hi)
-        self.after, bounds = [], None  # the smallest and largest positive log after each letter
-        for lam, lg in zip(lams[:0:-1], logs[:0:-1]):
-            if lam > 0.0:
-                bounds = (min(bounds[0], lg), max(bounds[1], lg)) if bounds else (lg, lg)
-            self.after.insert(0, bounds)
+        self.after = [(min(logs[j:]), max(logs[j:])) for j in range(1, len(logs))]
 
     def _ends(self, j: int):
         """``(edge, log, slope, is_first, pad)`` for each end that can cut letter ``j``'s span."""
-        bounds = self.after[j]
+        low, high = self.after[j]
         # the largest weight must reach lo, and the smallest must stay under hi
-        for edge, lg, sign in ((self.lo, bounds[1], 1.0), (self.hi, bounds[0], -1.0)):
+        for edge, lg, sign in ((self.lo, high, 1.0), (self.hi, low, -1.0)):
             slope = self.logs[j] - lg
             if slope:
                 yield edge, lg, slope, slope * sign > 0.0, self.err / abs(slope) + 1.0
 
     def spans(self, j: int, base: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The span of each ``(base, n)`` pair, as its first count and its width."""
-        bounds = self.after[j]
-        if not self.lams[j] > 0.0:  # no count here; the rest must fit the positive letters after j
-            return np.zeros_like(n), np.ones_like(n) if bounds else (n == 0).astype(n.dtype)
-        if not bounds:
-            return n, np.ones_like(n)
         first, last = np.zeros(len(n)), n.astype(float)
         for edge, lg, slope, is_first, pad in self._ends(j):
             cut = pad < n
@@ -751,7 +743,7 @@ def _scalar_census(lams: Sequence[float], logs: Sequence[float], L: int,
     """
     a, b = logs
     pa, pb = lams
-    span = _qubit_span(lams, logs, L, lo, hi)
+    span = _qubit_span(logs, L, lo, hi)
     dim, capture = 0, 0.0
     mult = math.comb(L, span.start)
     for m in span:
@@ -783,10 +775,6 @@ def _batched_census(window: _WindowSolver, L: int) -> tuple[int, float]:
     one that loop gives.
     """
     lams, lo, hi = window.lams, window.lo, window.hi
-    if L >= 2 ** 63:
-        raise ValidationError(
-            f"block length L = {L} is too long for a census of {len(lams)} letters, "
-            "whose counts must stay below 2**63")
     a, b = window.logs[-2:]
     size = max(1, min(_CHUNK, _CHUNK_BITS // math.ceil(L * math.log2(len(lams)))))
 
@@ -831,9 +819,9 @@ def _combinatorial_census(evals: np.ndarray, L: int, lo: float, hi: float) -> tu
     Returns ``(dim, capture)`` to every caller: the number of eigenvectors of
     ``diag(evals)^(x L)`` whose log-weight lies in ``lo..hi`` (see
     :func:`_typical_window`), and the sum of their eigenvalues; it lists no
-    class.  Only the classes near the window are weighed, and each
-    multinomial is stepped by its exact recurrence.  The number of letters
-    ``d`` picks the route.  Three or more letters take
+    class.  Its letters are the ``r`` eigenvalues ``> 0.0`` (:func:`_positive`),
+    and ``r``, the source's rank, picks the route: one letter, or none, is
+    closed form, and three or more take
     :func:`_batched_census`, whose counts are solved for by
     :class:`_WindowSolver`: it solves each level of prefixes for all of them
     at once and weighs blocks of classes in numpy, leaving Python only the
@@ -843,14 +831,17 @@ def _combinatorial_census(evals: np.ndarray, L: int, lo: float, hi: float) -> tu
     so :func:`_scalar_census` weighs them one by one in a single loop, free
     of numpy's fixed cost per call, which would dominate short blocks.  The
     cost is a few numpy calls per block plus one big-integer step per class
-    near the window.
+    near the window.  A carrier of ``d >= 3`` refuses ``L >= 2**63`` whatever
+    its rank, as the int64 counts of three or more letters would overflow.
     """
-    lams = np.real(evals).tolist()
-    if len(lams) == 1:
-        if lams[0] > 0.0 and lo <= L * math.log2(lams[0]) <= hi:
-            return 1, lams[0] ** L
-        return 0, 0.0
-    logs = [math.log2(lam) if lam > 0.0 else 0.0 for lam in lams]
+    if len(evals) >= 3 and L >= 2 ** 63:
+        raise ValidationError(
+            f"block length L = {L} is too long for a census of {len(evals)} letters, "
+            "whose counts must stay below 2**63")
+    lams = _positive(evals)
+    logs = list(map(math.log2, lams))
+    if len(lams) < 2:
+        return (1, lams[0] ** L) if lams and lo <= L * logs[0] <= hi else (0, 0.0)
     if len(lams) == 2:
         return _scalar_census(lams, logs, L, lo, hi)
     return _batched_census(_WindowSolver(lams, logs, L, lo, hi), L)
@@ -868,10 +859,11 @@ def typical_subspace(
     of ``rho_b``, so a multinomial census over type classes of the spectrum that
     validated ``rho_b``, with the entropy ``rho_b`` keeps and no
     diagonalization, gives the exact ``dim`` and capture probability for any
-    source, diagonal or not, at any integer block length.  The census
-    solves only the prefixes of ``d - 2`` counts that can reach the window
-    and weighs only the classes near it, in blocks of at most ``_CHUNK``
-    for ``d >= 3``, and keeps none; ``basis`` reruns no census.
+    source, diagonal or not, at any integer block length.  The census of
+    the ``r`` positive eigenvalues solves only the prefixes of ``r - 2``
+    counts that can reach the window and weighs only the classes near it,
+    in blocks of at most ``_CHUNK`` for ``r >= 3``, and keeps none;
+    ``basis`` reruns no census.
     Nothing of size ``d**L`` is allocated here, and ``max_dim`` is kept as
     given; ``basis`` and ``projector`` are built on first access when
     ``d**L`` is within it (default: the configured dense cap, read then).
@@ -909,7 +901,7 @@ def qubit_capture_curve(
         L = _positive_integer(L, "each block length in lengths")
         lo, hi = _typical_window(entropy, L, delta)
         capture = 0.0
-        for k in _qubit_span((1.0 - p, p), (lq, lp), L, lo, hi):
+        for k in _qubit_span((lq, lp), L, lo, hi):
             w = (L - k) * lp + k * lq
             if lo <= w <= hi:
                 log_c = (math.lgamma(L + 1) - math.lgamma(k + 1)
@@ -1003,7 +995,7 @@ def refactorization_ledger(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RefactorizationUnitary:
     """Explicit swap unitary for small blocks, with its verification data.
 

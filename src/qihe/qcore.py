@@ -196,7 +196,7 @@ def _all_finite(a: np.ndarray) -> bool:
     return math.isfinite(np.vdot(a, a).real) or bool(np.isfinite(a).all())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays inside: == and hash go by identity
 class DensityMatrix:
     """A validated density operator together with its subsystem signature.
 
@@ -223,7 +223,7 @@ class DensityMatrix:
 
     data: np.ndarray
     dims: tuple[int, ...]
-    _eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+    _eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         _validate(self, self.data, self.dims)
@@ -290,7 +290,7 @@ def _validate(state: DensityMatrix, data, dims, spectrum: np.ndarray | None = No
     object.__setattr__(state, "_eigenvalues", spectrum)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """A normalized state vector with a subsystem signature."""
 
@@ -318,7 +318,7 @@ class PureState:
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()), self.dims)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantumChannel:
     """A Kraus-operator map acting on a contiguous block of subsystems.
 
@@ -383,7 +383,7 @@ class QuantumChannel:
         return self.kraus[0].shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementRecord:
     """One branch of a computational-basis measurement.
 

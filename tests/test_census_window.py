@@ -16,9 +16,11 @@ eigenvalues, and widths down to 1e-17.  The long blocks run again with
 the census of three or more letters cut into blocks of one and seven
 classes, so that a prefix's run of classes straddles blocks, and a spy
 on ``math.comb`` checks that each run is seeded once however the blocks
-cut it; a two-letter census is seeded once in all.  The closed-form span
-of a two-letter source is checked against brute force over all its
-classes.  A brute-force oracle of the weights each prefix can reach
+cut it; a two-letter census is seeded once in all.  A spy checks that the
+number of positive eigenvalues, not ``d``, picks the route.  The
+closed-form span of a two-letter source is checked against brute force over
+all its classes, and the basis of rotated, rank-deficient sources against
+``np.kron`` powers.  A brute-force oracle of the weights each prefix can reach
 checks that the frontier of prefixes builds none that cannot reach the
 window.  Windows whose edges sit on a class weight check that ``basis``
 keeps exactly ``dim`` columns where rounding decides a class.
@@ -44,7 +46,7 @@ from qihe.coding import (
     qubit_capture_curve,
     typical_subspace,
 )
-from qihe.qcore import DensityMatrix, entropy_from_eigenvalues
+from qihe.qcore import DensityMatrix, ValidationError, entropy_from_eigenvalues
 
 # Longest block per carrier dimension at which the full enumeration stays quick.
 _MAX_L = {1: 400, 2: 400, 3: 60, 4: 20, 5: 10, 6: 8}
@@ -240,13 +242,12 @@ def test_census_equals_the_full_enumeration_at_long_blocks(evals, L, delta, log_
 @pytest.mark.parametrize("evals, L, delta", [
     ((0.2, 0.3, 0.5), 300, 0.1),
     ((0.3, 0.33, 0.37), 700, 0.01),
-    ((0.0, 0.4, 0.6), 200, 0.05),
 ])
 def test_each_run_is_seeded_once(evals, L, delta, chunk, monkeypatch):
     """A d = 3 census seeds the run of each prefix whose last span holds a
     class once, by two ``math.comb`` calls, however the blocks cut its run."""
     lo, hi = window_of(np.array(evals), L, delta)
-    logs = [math.log2(lam) if lam > 0.0 else 0.0 for lam in evals]
+    logs = [math.log2(lam) for lam in evals]
     window = _WindowSolver(evals, logs, L, lo, hi)
     runs = sum(int(np.count_nonzero(window.spans(1, weight, rest)[1]))
                for _, rest, weight in _prefixes(window, L))
@@ -295,18 +296,19 @@ def test_walk_builds_no_prefix_that_cannot_reach_the_window(evals, L, delta):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(["random", "zero", "degenerate", "near-degenerate"]),
+@given(st.sampled_from(["random", "degenerate", "near-degenerate"]),
        st.integers(0, 2**32 - 1), st.integers(1, 3000), widths)
 def test_qubit_span_holds_every_kept_class_and_little_more(kind, seed, L, delta):
     """The closed-form span of a two-letter source, against brute force over
     all ``L + 1`` classes: it holds every class whose weight lies in the
     window, and reaches past the kept classes by at most the pad, widened
     by one more pad of rounding and one count of ``floor``/``ceil``, at
-    either end."""
+    either end.  Its letters are positive, as the census passes them."""
     evals = spectrum(kind, 2, seed).tolist()
+    assume(min(evals) > 0.0)
     lo, hi = window_of(np.array(evals), L, delta)
-    logs = [math.log2(lam) if lam > 0.0 else 0.0 for lam in evals]
-    span = _qubit_span(evals, logs, L, lo, hi)
+    logs = [math.log2(lam) for lam in evals]
+    span = _qubit_span(logs, L, lo, hi)
     kept = [m for m in range(L + 1)
             if (w := _class_weight_log2((m, L - m), evals)) is not None and lo <= w <= hi]
     assert set(kept) <= set(span)
@@ -323,15 +325,92 @@ def test_qubit_span_holds_every_kept_class_and_little_more(kind, seed, L, delta)
     ((0.25, 0.75), 3000, 0.02),
     ((0.5, 0.5), 1005, 0.1),
     ((0.0, 1.0), 6, 0.1),
+    ((0.0, 0.4, 0.6), 200, 0.05),
 ])
 def test_a_two_letter_census_seeds_one_binomial(evals, L, delta, monkeypatch):
-    """The qubit census steps its binomials inline from one ``math.comb`` seed."""
+    """The census of two positive eigenvalues, of any ``d``, steps its
+    binomials inline from one ``math.comb`` seed; one positive eigenvalue is
+    one class in closed form, with no seed."""
     seeds = []
     comb = math.comb
     monkeypatch.setattr(math, "comb", lambda n, k: seeds.append((n, k)) or comb(n, k))
     dim, _ = census(np.array(evals), L, delta)
-    assert dim > 0
-    assert len(seeds) == 1
+    if sum(lam > 0.0 for lam in evals) == 1:
+        assert (dim, seeds) == (1, [])
+    else:
+        assert dim > 0 and len(seeds) == 1
+
+
+def test_the_route_follows_the_rank(monkeypatch):
+    """The census counts the positive eigenvalues alone, and their number,
+    not ``d``, picks the route: one runs neither loop, two run only the
+    two-letter loop from one ``math.comb`` seed, and three walk the prefixes.
+    A carrier of ``d >= 3`` still refuses ``L >= 2**63`` whatever its rank,
+    before either loop runs."""
+    calls, seeds = [], []
+    for name in ("_scalar_census", "_batched_census", "_prefixes"):
+        monkeypatch.setattr(coding, name, lambda *args, name=name, real=getattr(coding, name):
+                            calls.append(name) or real(*args))
+    comb = math.comb
+    monkeypatch.setattr(math, "comb", lambda n, k: seeds.append((n, k)) or comb(n, k))
+
+    def run(evals):
+        calls.clear()
+        seeds.clear()
+        return census(np.array(evals), 12, 0.3)
+
+    for d in range(1, 6):
+        assert run([0.0] * (d - 1) + [1.0]) == (1, 1.0)
+        assert (calls, seeds) == ([], [])
+    for d in range(3, 6):
+        assert run([0.0] * (d - 2) + [0.3, 0.7])[0] > 0
+        assert calls == ["_scalar_census"] and len(seeds) == 1
+    run([0.2, 0.3, 0.5])
+    assert calls == ["_batched_census", "_prefixes"]
+    calls.clear()
+    for evals in ([0.0, 0.0, 1.0], [0.0, 0.3, 0.7]):
+        with pytest.raises(ValidationError, match=rf"L = {2 ** 63} .* 3 letters.*2\*\*63"):
+            _combinatorial_census(np.array(evals), 2 ** 63, -math.inf, 0.0)
+    assert calls == []
+
+
+@st.composite
+def rotated_sources(draw):
+    """A randomly rotated source of rank ``r <= d <= 4``, a block length with
+    ``d**L <= 256`` and a ``delta``.  Its positive eigenvalues are at least
+    1/31, so each kept product is at least ``31**-4`` or ``11**-8``."""
+    d = draw(st.integers(1, 4))
+    weights = np.array(draw(st.lists(st.integers(1, 10), min_size=1, max_size=d)), dtype=float)
+    lams = np.zeros(d)
+    lams[:len(weights)] = weights / weights.sum()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    m = q @ np.diag(lams) @ q.conj().T
+    L = draw(st.integers(1, int(math.log(256, d) + 1e-9) if d > 1 else 8))
+    return DensityMatrix((m + m.conj().T) / 2, (d,)), L, draw(st.floats(0.05, 1.5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rotated_sources())
+def test_basis_columns_are_typical_eigenvectors_of_the_power(inputs):
+    """``basis`` of a rotated, possibly rank-deficient, source has ``dim``
+    orthonormal columns, each an eigenvector of ``rho^(x L)``, built here by
+    ``np.kron``, whose eigenvalue's ``log2`` lies in the window.  That
+    eigenvalue is read back as ``v^H rho^(x L) v``, to about 1e-14, so its
+    ``log2`` is checked to 1e-4."""
+    rho, L, delta = inputs
+    sub = typical_subspace(rho, L, delta)
+    basis = sub.basis
+    assert basis.shape == (rho.dim ** L, sub.dim)
+    assert np.allclose(basis.conj().T @ basis, np.eye(sub.dim), atol=1e-12)
+    power = np.ones((1, 1))
+    for _ in range(L):
+        power = np.kron(power, rho.data)
+    image = power @ basis
+    lams = np.einsum("ij,ij->j", basis.conj(), image).real
+    assert np.allclose(image, basis * lams, atol=1e-12)
+    lo, hi = _typical_window(sub.source_entropy, L, delta)
+    assert np.all((lo - 1e-4 <= np.log2(lams)) & (np.log2(lams) <= hi + 1e-4))
 
 
 @settings(max_examples=150, deadline=None)

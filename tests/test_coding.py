@@ -152,6 +152,14 @@ class TestAlphabet:
         with pytest.raises(ValidationError):
             Alphabet(letters=(a, b), probs=(0.5, 0.5))
 
+    def test_letters_share_a_subsystem_signature(self):
+        """Letters of one dimension but two signatures are refused where the
+        alphabet is made, naming both, not by the first budget's mixture."""
+        pair = tensor_power(zero_plus_alphabet().letters[1], 2)
+        flat = DensityMatrix(pair.data, (4,))
+        with pytest.raises(ValidationError, match=r"signature, got \(2, 2\) and \(4,\)"):
+            Alphabet(letters=(pair, flat), probs=(0.5, 0.5))
+
     def test_needs_at_least_one_letter(self):
         with pytest.raises(ValidationError):
             Alphabet(letters=(), probs=())
@@ -430,6 +438,33 @@ class TestBlocking:
         assert abs(np.trace(blocked.letters[0].data) - 1.0) > TRACE_TOL
         with pytest.raises(ValidationError, match="trace must be 1"):
             DensityMatrix(np.diag([0.3, 0.7 + 1.01e-10]).astype(complex), (2,))
+
+
+def test_values_holding_arrays_compare_and_hash_by_identity(monkeypatch):
+    """``==``, ``!=`` and ``hash`` of each frozen type that holds arrays go by
+    identity: two copies of one value are unequal, and each is its own dict
+    key.  Two blocks of one alphabet compare with no power built."""
+    rho = DensityMatrix(np.eye(4, dtype=complex) / 4, (2, 2))
+    sub = typical_subspace(ensemble_state(orthogonal_pure_alphabet(2)), 2, 0.5)
+    base = zero_plus_alphabet()
+    makers = [
+        zero_plus_alphabet,
+        lambda: qcore.basis_state(0, 2).density(),
+        lambda: qcore.basis_state(0, 2),
+        lambda: qcore.QuantumChannel((np.eye(2),), (0,)),
+        lambda: qcore.measure_computational(rho, 0)[0],
+        lambda: refactorization_unitary(sub),
+        lambda: block_alphabet(base, 3),
+    ]
+    calls = _spy_tensor_power(monkeypatch)
+    for make in makers:
+        a, b = make(), make()
+        assert a == a and not a != a
+        assert a != b and not a == b
+        assert hash(a) == hash(a)
+        keys = {a: "a", b: "b"}
+        assert (keys[a], keys[b], len(keys)) == ("a", "b", 2)
+    assert calls == []
 
 
 def _spy_tensor_power(monkeypatch) -> list[int]:
