@@ -48,6 +48,7 @@ from .qcore import (
     CapacityError,
     DensityMatrix,
     ValidationError,
+    _CAPACITY,
     basis_state,
     check_capacity,
     entropy_from_eigenvalues,
@@ -153,7 +154,7 @@ def _cmd_work(args, ctx: ThermalContext) -> tuple[dict, None]:
         dim = args.d
         if dim < 1:
             raise ValidationError(f"--d must be at least 1, got {dim}")
-        check_capacity(dim, args.capacity)
+        check_capacity(dim)
         entropy = entropy_from_eigenvalues(np.full(dim, 1.0 / dim))
     elif args.state == "bell-pair":
         dim, entropy = bell_pair().dim, 0.0
@@ -210,18 +211,17 @@ def _cmd_protocol(args, ctx: ThermalContext) -> tuple[dict, None]:
         report = {"protocol": "classical"}
         report.update(outcome.to_dict())
     elif args.which == "ghz":
-        outcome = ghz_unlock(args.n, args.initiator, ctx, max_dim=args.capacity)
+        outcome = ghz_unlock(args.n, args.initiator, ctx)
         report = {"protocol": "ghz", "n": args.n, "initiator": args.initiator}
         report.update(outcome.to_dict())
     else:  # parity
         revealed = _parse_reveal(args.reveal)
         if revealed:
-            outcome = parity_unlock(args.n, revealed, ctx, max_dim=args.capacity)
+            outcome = parity_unlock(args.n, revealed, ctx)
             report = {"protocol": "parity", "mode": "unlock", "n": args.n}
             report.update(outcome.to_dict())
         else:
-            reports = parity_no_information_trials(args.n, args.trials, seed=args.seed,
-                                                   max_dim=args.capacity)
+            reports = parity_no_information_trials(args.n, args.trials, seed=args.seed)
             report = {
                 "protocol": "parity",
                 "mode": "no-information-check",
@@ -271,11 +271,10 @@ def _cmd_tradeoff(args, ctx: ThermalContext) -> tuple[dict, tuple[list[str], lis
         # the last row is the largest, so it is checked before any row runs;
         # past the cap's bits and 64 bits, d**N is over the cap and is named
         # "2**k or more", so a larger exponent is not raised to
-        cap = max_dimension(args.capacity)
-        check_capacity(alphabet.d ** min(args.block, cap.bit_length() + 65), cap)
+        check_capacity(alphabet.d ** min(args.block, max_dimension().bit_length() + 65))
         sweep = []
         for n in range(1, args.block + 1):
-            bp = _entropy_budget(block_alphabet(alphabet, n, args.capacity))[0]
+            bp = _entropy_budget(block_alphabet(alphabet, n))[0]
             sweep.append({
                 "n": n,
                 "comm_bits_per_letter": bp.comm_bits / n,
@@ -310,8 +309,7 @@ def _cmd_typical(args, ctx: ThermalContext) -> tuple[dict, None]:
 
 def _cmd_refactor(args, ctx: ThermalContext) -> tuple[dict, None]:
     alphabet = load_alphabet(args.alphabet)
-    ledger = refactorization_ledger(alphabet, args.L, args.delta, ctx,
-                                    max_dim=args.capacity)
+    ledger = refactorization_ledger(alphabet, args.L, args.delta, ctx)
     report = {
         "alphabet": args.alphabet,
         "L": args.L,
@@ -462,14 +460,14 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # --capacity is the cap for this run alone; max_dimension reads it
+    token = _CAPACITY.set(getattr(args, "capacity", None))
     try:
         # natural units where the subcommand offers no thermal flags
         ctx = ThermalContext(**{k: v for k, v in vars(args).items()
                                 if k in ("temperature", "units")})
         if hasattr(args, "capacity"):
-            args.capacity = max_dimension(args.capacity)
-            if args.capacity < 4:
-                raise ValidationError(f"capacity must be at least 4, got {args.capacity}")
+            max_dimension()  # an invalid cap is refused before any handler runs
         report, csv_table = _HANDLERS[args.command](args, ctx)
         _emit(report, args.output, ctx.energy_unit, csv_table)
     except (CapacityError, MemoryError) as exc:
@@ -478,6 +476,8 @@ def run(argv: list[str] | None = None) -> int:
     except (ValidationError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"qihe: validation error: {exc}\n")
         return 2
+    finally:
+        _CAPACITY.reset(token)
     if args.command == "verify" and not report.get("all_passed", False):
         return 1
     return 0

@@ -326,7 +326,7 @@ def tradeoff_curve(
     return tradeoff_point(alphabet, ctx).endpoints()
 
 
-def block_alphabet(alphabet: Alphabet, n: int, max_dim: int | None = None) -> Alphabet:
+def block_alphabet(alphabet: Alphabet, n: int) -> Alphabet:
     """Treat ``n``-letter blocks as super-letters ``rho_a^(x n)``.
 
     Blocking multiplies both letter entropies and capacity by ``n`` while
@@ -334,17 +334,17 @@ def block_alphabet(alphabet: Alphabet, n: int, max_dim: int | None = None) -> Al
     letters, which is what pushes the per-letter energy toward its
     ``M - <S_a>`` ceiling.
 
-    ``n`` and ``d**n`` are checked against ``max_dim`` at once.  The blocked
-    alphabet holds ``alphabet`` and ``n``: its letters, the dense
-    ``d**n x d**n`` powers (:func:`tensor_power`), are built on first read and
-    kept, and its ``probs``, ``d``, capacity and repr build nothing.  Blocked
+    ``n`` and ``d**n`` are checked against the dense cap at once.  The blocked
+    alphabet holds ``alphabet`` and ``n``: its letters, the dense ``d**n x d**n``
+    powers (:func:`tensor_power`), are built on first read, under the cap read
+    then, and kept; its ``probs``, ``d``, capacity and repr build nothing.  Blocked
     at n >= 5, a qubit alphabet's budget (:func:`tradeoff_point`,
     :func:`holevo_chi`) comes from the spin blocks of ``alphabet``'s ``2 x 2``
     letters, and reads neither the powers nor a mixed ``rho_B``.
     """
     n = _positive_integer(n, "block length n")
-    check_capacity(alphabet.d ** n, max_dim)
-    return _BlockedAlphabet(alphabet, n, max_dim)
+    check_capacity(alphabet.d ** n)
+    return _BlockedAlphabet(alphabet, n)
 
 
 @dataclass(frozen=True, init=False, repr=False, eq=False)
@@ -353,14 +353,13 @@ class _BlockedAlphabet(Alphabet):
 
     base: Alphabet
     n: int
-    max_dim: int | None
 
-    def __init__(self, base: Alphabet, n: int, max_dim: int | None) -> None:
-        self.__dict__.update(base=base, n=n, max_dim=max_dim, probs=base.probs)
+    def __init__(self, base: Alphabet, n: int) -> None:
+        self.__dict__.update(base=base, n=n, probs=base.probs)
 
     @cached_property
     def letters(self) -> tuple[DensityMatrix, ...]:
-        return tuple(tensor_power(let, self.n, self.max_dim) for let in self.base.letters)
+        return tuple(tensor_power(let, self.n) for let in self.base.letters)
 
     @property
     def d(self) -> int:
@@ -464,8 +463,8 @@ class TypicalSubspace:
     by the products of the eigenvectors of ``state``, the source, whose
     counts of its kept eigenvalues form a typical type class.  ``basis``
     picks them by weight, with no second census; it, ``projector`` and
-    :func:`refactorization_unitary` raise :class:`CapacityError` past
-    ``max_dim``, the caller's one cap, read only when they are built.
+    :func:`refactorization_unitary` raise :class:`CapacityError` past the
+    dense cap, read only when they are built.
     """
 
     L: int
@@ -474,7 +473,6 @@ class TypicalSubspace:
     capture_probability: float
     source_entropy: float
     state: DensityMatrix = field(repr=False, compare=False)
-    max_dim: int | None = None
 
     def __post_init__(self) -> None:
         if not (-1e-12 <= self.capture_probability <= 1.0 + 1e-12):
@@ -519,7 +517,7 @@ class TypicalSubspace:
         memory stays ``O(d**L * dim)``.
         """
         d = self.state.dim
-        check_capacity(d ** self.L, self.max_dim)
+        check_capacity(d ** self.L)
         lo, hi = _typical_window(self.state._entropy, self.L, self.delta)
         lams = _positive(self.state._eigenvalues)
         r = len(lams)
@@ -847,12 +845,7 @@ def _combinatorial_census(evals: np.ndarray, L: int, lo: float, hi: float) -> tu
     return _batched_census(_WindowSolver(lams, logs, L, lo, hi), L)
 
 
-def typical_subspace(
-    rho_b: DensityMatrix,
-    L: int,
-    delta: float,
-    max_dim: int | None = None,
-) -> TypicalSubspace:
+def typical_subspace(rho_b: DensityMatrix, L: int, delta: float) -> TypicalSubspace:
     """Project ``rho_B^(x L)`` onto eigenvalues within ``2**(-L(S +/- delta))``.
 
     The eigenvalues of ``rho_B^(x L)`` are products of the ``d`` eigenvalues
@@ -864,9 +857,9 @@ def typical_subspace(
     counts that can reach the window and weighs only the classes near it,
     in blocks of at most ``_CHUNK`` for ``r >= 3``, and keeps none;
     ``basis`` reruns no census.
-    Nothing of size ``d**L`` is allocated here, and ``max_dim`` is kept as
-    given; ``basis`` and ``projector`` are built on first access when
-    ``d**L`` is within it (default: the configured dense cap, read then).
+    Nothing of size ``d**L`` is allocated here, and no cap is read;
+    ``basis`` and ``projector`` are built on first access when ``d**L`` is
+    within the dense cap, read then.
     """
     L = _positive_integer(L, "block length L")
     delta = _check_delta(delta)
@@ -878,7 +871,6 @@ def typical_subspace(
         capture_probability=min(max(capture, 0.0), 1.0),
         source_entropy=entropy,
         state=rho_b,
-        max_dim=max_dim,
     )
 
 
@@ -952,11 +944,7 @@ class RefactorizationLedger:
 
 
 def refactorization_ledger(
-    alphabet: Alphabet,
-    L: int,
-    delta: float,
-    ctx: ThermalContext,
-    max_dim: int | None = None,
+    alphabet: Alphabet, L: int, delta: float, ctx: ThermalContext
 ) -> RefactorizationLedger:
     """Audit the engine yield of refactorizing ``L`` source letters.
 
@@ -967,7 +955,7 @@ def refactorization_ledger(
     :func:`refactorization_unitary` for the explicit small-block check.
     """
     rho_b = ensemble_state(alphabet)
-    sub = typical_subspace(rho_b, L, delta, max_dim=max_dim)
+    sub = typical_subspace(rho_b, L, delta)
     if sub.dim < 1:
         raise ValidationError(
             "typical subspace is empty; widen delta or lengthen the block"
@@ -1028,12 +1016,12 @@ def refactorization_unitary(sub: TypicalSubspace) -> RefactorizationUnitary:
     Only sensible for small blocks: the unitary lives on the product of
     the full carrier block and the ancilla, so its dimension is
     ``d**L * dim``.  That side, then the basis's ``d**L``, is checked
-    against the subspace's one cap ``max_dim`` before anything is built;
-    either raises :class:`CapacityError`.
+    against the dense cap, read now, before anything is built; either
+    raises :class:`CapacityError`.
     """
     if sub.dim < 1:
         raise ValidationError("cannot build a swap unitary for an empty subspace")
-    check_capacity(sub.state.dim ** sub.L * sub.dim, sub.max_dim)
+    check_capacity(sub.state.dim ** sub.L * sub.dim)
     d_block, d_anc = sub.basis.shape
     total = d_block * d_anc
 

@@ -20,8 +20,8 @@ unlocking works on the state's amplitudes and parity unlocking on its
 diagonal, so neither builds a ``2**n x 2**n`` matrix; the no-information
 check applies its channel to the four nonzero blocks of the parity
 diagonal as plain arrays, so it builds and diagonalizes no state.  Every
-function that builds an ``n``-qubit register takes ``max_dim``, the cap on
-its dimension ``2**n`` (default: the configured dense cap).
+function that builds an ``n``-qubit register checks its dimension ``2**n``
+against the dense cap (:func:`~qihe.qcore.max_dimension`) first.
 """
 
 from __future__ import annotations
@@ -153,12 +153,12 @@ def classical_pair_protocol(ctx: ThermalContext) -> ProtocolOutcome:
     )
 
 
-def ghz_state(n: int, max_dim: int | None = None) -> PureState:
+def ghz_state(n: int) -> PureState:
     """The n-qubit state ``(|0...0> + |1...1>)/sqrt(2)`` for ``n >= 2``."""
     n = _integer(n, "number of qubits n")
     if n < 2:
         raise ValidationError(f"a GHZ state needs at least 2 qubits, got {n}")
-    check_capacity(2 ** n, max_dim)
+    check_capacity(2 ** n)
     amp = np.zeros(2 ** n, dtype=complex)
     amp[0] = amp[-1] = 1.0 / math.sqrt(2.0)
     return PureState(amp, (2,) * n)
@@ -169,11 +169,7 @@ def _party_id(index: int) -> str:
 
 
 def ghz_unlock(
-    n: int,
-    initiator: int,
-    ctx: ThermalContext,
-    outcome: int | None = None,
-    max_dim: int | None = None,
+    n: int, initiator: int, ctx: ThermalContext, outcome: int | None = None
 ) -> ProtocolOutcome:
     """One party measures its GHZ qubit and broadcasts; the rest cash in.
 
@@ -199,7 +195,7 @@ def ghz_unlock(
         outcome = _integer(outcome, "measurement outcome")
         if outcome not in (0, 1):
             raise ValidationError(f"measurement outcome must be 0 or 1, got {outcome}")
-    amp = ghz_state(n, max_dim).amplitudes.reshape((2,) * n)
+    amp = ghz_state(n).amplitudes.reshape((2,) * n)
     branches = [outcome] if outcome is not None else [0, 1]
 
     remote = [i for i in range(n) if i != initiator]
@@ -236,12 +232,12 @@ def _odd_parity(n: int) -> np.ndarray:
     return odd
 
 
-def _even_parity_weights(n: int, max_dim: int | None) -> np.ndarray:
+def _even_parity_weights(n: int) -> np.ndarray:
     """Diagonal of the n-qubit even-parity state, in basis-index order."""
     n = _integer(n, "number of qubits n")
     if n < 2:
         raise ValidationError(f"an even-parity state needs n >= 2 qubits, got {n}")
-    check_capacity(2 ** n, max_dim)
+    check_capacity(2 ** n)
     return np.where(_odd_parity(n), 0.0, 2.0 ** (1 - n))
 
 
@@ -299,9 +295,7 @@ class ParityCheckReport:
     branch_weight: float
 
 
-def parity_no_information_check(
-    n: int, ch: QuantumChannel, max_dim: int | None = None
-) -> ParityCheckReport:
+def parity_no_information_check(n: int, ch: QuantumChannel) -> ParityCheckReport:
     """Verify that attacking qubits 2..n-1 of the parity state reveals nothing.
 
     ``ch`` must target exactly the last ``n - 2`` qubits (indices
@@ -328,7 +322,7 @@ def parity_no_information_check(
     # blocks sum_k K diag(w_l) K^dag, one per value l of qubits 0 and 1.  K diag(w_l) is K
     # with its columns scaled; conj(K) is applied to each of its rows, and each block traced
     # qubit by qubit, as the dense product and partial trace did, so no number moves.
-    weights = _even_parity_weights(n, max_dim).reshape(4, 1, block)
+    weights = _even_parity_weights(n).reshape(4, 1, block)
     terms = (np.matmul(k.conj(), (k * weights)[..., None])[..., 0] for k in ch.kraus)
     blocks = next(terms)
     for term in terms:
@@ -371,35 +365,25 @@ def parity_no_information_check(
     )
 
 
-def parity_no_information_trials(
-    n: int,
-    trials: int,
-    seed: int = 0,
-    max_dim: int | None = None,
-) -> list[ParityCheckReport]:
+def parity_no_information_trials(n: int, trials: int, seed: int = 0) -> list[ParityCheckReport]:
     """Run the no-information check against seeded Haar-random channels."""
     n, trials = _integer(n, "number of qubits n"), _integer(trials, "trials")
     if n < 3:
         raise ValidationError(f"the no-information check needs n >= 3, got {n}")
     if trials < 1:
         raise ValidationError(f"need at least one trial, got {trials}")
-    check_capacity(2 ** n, max_dim)  # before any 2**(n-2)-sized channel is drawn
+    check_capacity(2 ** n)  # before any 2**(n-2)-sized channel is drawn
     rng = np.random.default_rng(seed)
     block = 2 ** (n - 2)
     reports = []
     for _ in range(trials):
         n_kraus = int(rng.integers(1, _MAX_KRAUS + 1))
         ch = haar_random_channel(block, n_kraus, rng, tuple(range(2, n)))
-        reports.append(parity_no_information_check(n, ch, max_dim))
+        reports.append(parity_no_information_check(n, ch))
     return reports
 
 
-def parity_unlock(
-    n: int,
-    revealed: Mapping[int, int],
-    ctx: ThermalContext,
-    max_dim: int | None = None,
-) -> ProtocolOutcome:
+def parity_unlock(n: int, revealed: Mapping[int, int], ctx: ThermalContext) -> ProtocolOutcome:
     """Condition the even-parity state on broadcast measurement outcomes.
 
     ``revealed`` maps qubit indices to announced outcomes.  With
@@ -424,7 +408,7 @@ def parity_unlock(
         if b not in (0, 1):
             raise ValidationError(f"revealed outcome for qubit {q} must be 0 or 1, got {b}")
 
-    weights = _even_parity_weights(n, max_dim).reshape((2,) * n)
+    weights = _even_parity_weights(n).reshape((2,) * n)
     for q in sorted(outcomes, reverse=True):
         branch = np.take(weights, outcomes[q], axis=q)
         probability = float(branch.sum() / weights.sum())

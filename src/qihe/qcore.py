@@ -23,8 +23,9 @@ Conventions
   ``i_0`` leading (the ordering produced by ``numpy.kron``).
 * All entropies are in bits (base-2 logarithms).
 * Dense operations refuse to build objects whose total dimension exceeds
-  a configurable cap (default ``2**14``, overridable per call or through
-  the ``QIHE_MAX_DIM`` environment variable).
+  one cap, resolved by :func:`max_dimension` alone (default ``2**14``; the
+  ``QIHE_MAX_DIM`` environment variable, or the CLI's ``--capacity`` for
+  one run, sets it).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import math
 import numbers
 import operator
 import os
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -76,6 +78,9 @@ PROBABILITY_TOL = 1e-10
 _EPS = 2.0 ** -52  # float64 machine epsilon
 DEFAULT_MAX_DIM = 2 ** 14
 MAX_DIM_ENV = "QIHE_MAX_DIM"
+# The CLI's --capacity for the run in progress: ``cli.run`` sets it and resets it
+# when the run ends, so it shadows QIHE_MAX_DIM for that run alone.
+_CAPACITY: ContextVar[int | None] = ContextVar("qihe_capacity", default=None)
 
 
 class QiheError(Exception):
@@ -98,17 +103,22 @@ class ImpossibleEvidenceError(ValidationError):
     """Conditioning on an outcome combination that has probability zero."""
 
 
-def max_dimension(override: int | None = None) -> int:
-    """Return the dense-dimension cap: explicit override, env var, or default."""
-    if override is not None:
-        return _integer(override, "max_dim")
-    raw = os.environ.get(MAX_DIM_ENV)
-    if raw is None:
-        return DEFAULT_MAX_DIM
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValidationError(f"{MAX_DIM_ENV} must be an integer, got {raw!r}") from None
+def max_dimension() -> int:
+    """The dense-dimension cap, resolved here alone: the CLI's ``--capacity``
+    for the run in progress, else ``QIHE_MAX_DIM``, else ``2**14``.  A source
+    that gives no integer of at least 4 is named in a :class:`ValidationError`."""
+    cap, source = _CAPACITY.get(), "--capacity"
+    if cap is None:
+        raw, source = os.environ.get(MAX_DIM_ENV), MAX_DIM_ENV
+        if raw is None:
+            return DEFAULT_MAX_DIM
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise ValidationError(f"{MAX_DIM_ENV} must be an integer, got {raw!r}") from None
+    if cap < 4:
+        raise ValidationError(f"{source} must be at least 4, got {cap}")
+    return cap
 
 
 def _size(n: int) -> str:
@@ -117,13 +127,14 @@ def _size(n: int) -> str:
     return str(n) if bits <= 64 else f"2**{bits - 1} or more"
 
 
-def check_capacity(dim: int, max_dim: int | None = None) -> None:
-    """Raise :class:`CapacityError` if ``dim`` exceeds the cap: the one "too big" check."""
-    cap = max_dimension(max_dim)
+def check_capacity(dim: int) -> None:
+    """Raise :class:`CapacityError` if ``dim`` exceeds :func:`max_dimension`,
+    read at each call: the one "too big" check."""
+    cap = max_dimension()
     if dim > cap:
         raise CapacityError(
             f"total dimension {_size(dim)} exceeds the cap {_size(cap)}; raise it with "
-            f"--capacity, the max_dim argument or the {MAX_DIM_ENV} environment variable"
+            f"--capacity or the {MAX_DIM_ENV} environment variable"
         )
 
 
@@ -490,7 +501,7 @@ def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         x.shape[0] * y.shape[0], x.shape[1] * y.shape[1])
 
 
-def tensor_power(a: DensityMatrix, n: int, max_dim: int | None = None) -> DensityMatrix:
+def tensor_power(a: DensityMatrix, n: int) -> DensityMatrix:
     """``n``-fold tensor power of a state.
 
     The products are plain arrays, bit-identical to a chain of ``np.kron``;
@@ -503,7 +514,7 @@ def tensor_power(a: DensityMatrix, n: int, max_dim: int | None = None) -> Densit
     products, sorted ascending.
     """
     n = _positive_integer(n, "tensor power n")
-    check_capacity(a.dim ** n, max_dim)
+    check_capacity(a.dim ** n)
     if n == 1:
         return a
     data, spectrum = a.data, a._eigenvalues

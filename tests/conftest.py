@@ -14,7 +14,7 @@ def even_parity_state(n: int) -> DensityMatrix:
     """The n-qubit uniform mixture over all even-parity basis strings, as a
     dense ``DensityMatrix``: weight ``2**(1-n)`` on each of the ``2**(n-1)``
     strings of even Hamming weight, zero elsewhere."""
-    return DensityMatrix(np.diag(_even_parity_weights(n, None)), (2,) * n)
+    return DensityMatrix(np.diag(_even_parity_weights(n)), (2,) * n)
 
 
 def _ginibre_density(rng: np.random.Generator, d: int) -> DensityMatrix:

@@ -471,3 +471,20 @@ def edge_windows(draw):
 def test_basis_keeps_dim_columns_when_an_edge_sits_on_a_class_weight(inputs):
     sub = diagonal_subspace(*inputs)
     assert sub.basis.shape[1] == sub.dim
+
+
+@pytest.mark.parametrize("evals, L, delta", [
+    ((1.0 + 0.99e-10,), 10, 1e-30),
+    ((0.9, 0.1), 1, 0.01),
+    ((0.5, 0.3, 0.2), 1, 0.01),
+    ((0.5, 0.3, 0.2), 3, 0.001),
+], ids=["rank-1", "rank-2", "rank-3-L1", "rank-3-L3"])
+def test_an_empty_window_captures_positive_zero(evals, L, delta):
+    """A window that keeps no class captures ``+0.0`` on every route, not
+    ``-0.0``: ``max(-0.0, 0.0)`` is ``-0.0``, so the clamp would keep the sign.
+    The rank-1 source sits 0.99e-10 above trace 1, so its one class weighs
+    ``L log2(lam)`` while the window centres on ``L lam log2(lam)``."""
+    rho = DensityMatrix(np.diag(evals).astype(complex), (len(evals),))
+    sub = typical_subspace(rho, L, delta)
+    assert sub.dim == 0
+    assert math.copysign(1.0, sub.capture_probability) == 1.0

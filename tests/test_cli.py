@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 import qihe.cli
+from qihe import qcore
 from qihe.cli import main
 from qihe.coding import (
     Alphabet,
@@ -32,7 +33,7 @@ from qihe.coding import (
     typical_subspace,
     zero_plus_alphabet,
 )
-from qihe.qcore import basis_state, make_density
+from qihe.qcore import CapacityError, ValidationError, basis_state, make_density
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -782,6 +783,74 @@ class TestCapacityAnswers:
         assert (code, out, rows) == (3, "", [])
         assert f"total dimension {size}" in err
         assert "--capacity" in err
+
+
+class TestCapacityScope:
+    """``--capacity`` is the cap of one run: ``cli.run`` sets it over
+    ``QIHE_MAX_DIM`` and resets it when the run ends, however it ends, and
+    ``qcore.max_dimension`` is the one reader of either."""
+
+    def test_the_flag_does_not_outlive_its_run(self, capsys, monkeypatch):
+        monkeypatch.setenv("QIHE_MAX_DIM", "8")
+        caps, real = [], qihe.cli._HANDLERS["protocol"]
+        monkeypatch.setitem(qihe.cli._HANDLERS, "protocol",
+                            lambda args, ctx: caps.append(qcore.max_dimension()) or real(args, ctx))
+        assert run_cli(capsys, "protocol", "ghz", "--n", "4", "--capacity", "16")[0] == 0
+        assert run_cli(capsys, "protocol", "ghz", "--n", "4")[0] == 3
+        assert caps == [16, 8]
+        assert qcore.max_dimension() == 8
+
+    @pytest.mark.parametrize("error, code", [(RuntimeError, None), (ValidationError, 2),
+                                             (CapacityError, 3)])
+    def test_the_flag_does_not_outlive_a_run_whose_handler_raised(self, capsys, monkeypatch,
+                                                                  error, code):
+        monkeypatch.setenv("QIHE_MAX_DIM", "8")
+        real = qihe.cli._HANDLERS["protocol"]
+
+        def broken(args, ctx):
+            assert qcore.max_dimension() == 16
+            raise error("the handler failed")
+
+        monkeypatch.setitem(qihe.cli._HANDLERS, "protocol", broken)
+        argv = ("protocol", "ghz", "--n", "4", "--capacity", "16")
+        if code is None:
+            with pytest.raises(RuntimeError, match="the handler failed"):
+                main(list(argv))
+        else:
+            assert run_cli(capsys, *argv)[0] == code
+        monkeypatch.setitem(qihe.cli._HANDLERS, "protocol", real)
+        assert qcore.max_dimension() == 8
+        assert run_cli(capsys, "protocol", "ghz", "--n", "4")[0] == 3
+        assert run_cli(capsys, *argv)[0] == 0
+
+    @pytest.mark.parametrize("raw", ["-5", "2"])
+    @pytest.mark.parametrize("argv", [("verify", "--seed", "1"), ("work",)], ids=" ".join)
+    def test_an_environment_cap_below_4_is_a_validation_error(self, capsys, monkeypatch,
+                                                              raw, argv):
+        """One rule for a valid cap, an integer of at least 4, whichever
+        source gives it: ``verify``, which offers no ``--capacity``, no longer
+        exits 3 on a negative cap."""
+        monkeypatch.setenv("QIHE_MAX_DIM", raw)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"QIHE_MAX_DIM must be at least 4, got {raw}" in err
+
+    def test_a_flag_below_4_is_named_in_the_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("QIHE_MAX_DIM", "abc")
+        code, out, err = run_cli(capsys, "work", "--capacity", "2")
+        assert (code, out) == (2, "")
+        assert "--capacity must be at least 4, got 2" in err
+
+    @pytest.mark.parametrize("raw", ["-5", "2", "abc"])
+    @pytest.mark.parametrize("name", ["carnot", "holevo", "protocol-bell", "protocol-classical",
+                                      "typical"])
+    def test_subcommands_that_read_no_cap_run_under_any(self, capsys, monkeypatch, tmp_path,
+                                                        name, raw):
+        argv = subcommand_argv(name, tmp_path)
+        monkeypatch.setenv("QIHE_MAX_DIM", raw)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert out
 
 
 class TestReadmeExamples:

@@ -316,9 +316,10 @@ class TestBlocking:
             tradeoff_point(blocked, natural_ctx)
             assert calls == sides
 
-    def test_block_capacity_guard(self):
+    def test_block_capacity_guard(self, monkeypatch):
+        monkeypatch.setenv("QIHE_MAX_DIM", "4096")
         with pytest.raises(CapacityError):
-            block_alphabet(orthogonal_pure_alphabet(4), 8, max_dim=4096)
+            block_alphabet(orthogonal_pure_alphabet(4), 8)
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_letters_at_the_positivity_tolerance_block(self, n):
@@ -471,7 +472,7 @@ def _spy_tensor_power(monkeypatch) -> list[int]:
     """The ``n`` of each call that ``coding`` makes to ``tensor_power`` from now on."""
     calls, real = [], coding.tensor_power
     monkeypatch.setattr(coding, "tensor_power",
-                        lambda a, n, max_dim=None: calls.append(n) or real(a, n, max_dim))
+                        lambda a, n: calls.append(n) or real(a, n))
     return calls
 
 
@@ -586,7 +587,7 @@ class TestSchurWeylBlocks:
         assert row["energy_bits_per_letter"] == point.energy_bits / n
 
     @pytest.mark.parametrize("n", [20, 30])
-    def test_long_blocks_match_a_high_precision_oracle(self, n):
+    def test_long_blocks_match_a_high_precision_oracle(self, n, monkeypatch):
         """Far past the dense cap, the budget of ``{|0>, |+>}`` is within 1e-12
         of its Gram-matrix entropy ``H((1 +/- <0|+>**n) / 2)``, and that of a
         mixed pair is within 1e-12 of :func:`_spin_oracle`'s."""
@@ -598,13 +599,15 @@ class TestSchurWeylBlocks:
         mixed = Alphabet((DensityMatrix(np.array([[0.8, 0.1 - 0.2j], [0.1 + 0.2j, 0.2]]), (2,)),
                           DensityMatrix(np.array([[0.35, 0.3], [0.3, 0.65]]), (2,))), (0.4, 0.6))
         for ab, (s_b, avg) in ((zero_plus, (gram, 0.0)), (mixed, _spin_oracle(mixed, n))):
-            point, got = coding._entropy_budget(block_alphabet(ab, n, max_dim=2 ** n))
+            monkeypatch.setenv("QIHE_MAX_DIM", str(2 ** n))
+            point, got = coding._entropy_budget(block_alphabet(ab, n))
             assert abs(got - s_b) <= 1e-12
             assert abs(point.avg_letter_entropy - avg) <= 1e-12
             assert abs(point.comm_bits - (s_b - avg)) <= 1e-12
             assert abs(point.energy_bits - (n - s_b)) <= 1e-12
+        monkeypatch.setenv("QIHE_MAX_DIM", str(2 ** n - 1))
         with pytest.raises(CapacityError):
-            block_alphabet(mixed, n, max_dim=2 ** n - 1)
+            block_alphabet(mixed, n)
 
     def test_the_spin_route_builds_no_blocked_matrix(self, natural_ctx, monkeypatch, tmp_path):
         """A qubit alphabet blocked at n = 6 takes its budget, and ``tradeoff
@@ -776,9 +779,10 @@ class TestTypicalSubspace:
         with pytest.raises(CapacityError):  # 2**2000 is far above the cap
             sub.basis
 
-    def test_basis_is_withheld_above_the_capacity_cap(self):
+    def test_basis_is_withheld_above_the_capacity_cap(self, monkeypatch):
         rho = make_density(np.diag([0.9, 0.1]).astype(complex), 2)
-        capped = typical_subspace(rho, L=8, delta=0.2, max_dim=128)
+        monkeypatch.setenv("QIHE_MAX_DIM", "128")
+        capped = typical_subspace(rho, L=8, delta=0.2)
         assert capped.dim == 8  # the census does not depend on the cap
         with pytest.raises(CapacityError):
             capped.basis
@@ -798,12 +802,13 @@ class TestTypicalSubspace:
             with pytest.raises(CapacityError, match=r"2\*\*\d+ or more"):
                 build()
 
-    @pytest.mark.parametrize("max_dim", [2.5, True])
-    def test_a_non_integer_cap_is_refused_when_the_basis_is_built(self, max_dim):
+    @pytest.mark.parametrize("raw", ["2.5", "True"])
+    def test_a_non_integer_cap_is_refused_when_the_basis_is_built(self, raw, monkeypatch):
         rho = make_density(np.diag([0.9, 0.1]).astype(complex), 2)
-        sub = typical_subspace(rho, 8, 0.2, max_dim=max_dim)
-        assert sub.dim == 8 and sub.max_dim is max_dim
-        with pytest.raises(ValidationError, match="max_dim must be an integer"):
+        monkeypatch.setenv("QIHE_MAX_DIM", raw)
+        sub = typical_subspace(rho, 8, 0.2)
+        assert sub.dim == 8
+        with pytest.raises(ValidationError, match="QIHE_MAX_DIM must be an integer"):
             sub.basis
 
     def test_the_cap_is_read_when_the_basis_is_built(self, monkeypatch):
@@ -816,9 +821,10 @@ class TestTypicalSubspace:
         monkeypatch.setenv("QIHE_MAX_DIM", "256")
         assert sub.basis.shape == (256, 8)
 
-    def test_auto_falls_back_to_census_for_long_blocks(self):
+    def test_auto_falls_back_to_census_for_long_blocks(self, monkeypatch):
         rho = make_density(np.diag([0.9, 0.1]).astype(complex), 2)
-        sub = typical_subspace(rho, L=40, delta=0.2, max_dim=2**14)
+        monkeypatch.setenv("QIHE_MAX_DIM", str(2 ** 14))
+        sub = typical_subspace(rho, L=40, delta=0.2)
         with pytest.raises(CapacityError):
             sub.projector
         assert 0.0 <= sub.capture_probability <= 1.0

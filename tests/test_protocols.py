@@ -204,9 +204,10 @@ class TestParityNoInformation:
         assert rep.rho12_deviation == 0.0
         assert abs(rep.branch_weight - 0.5) < 1e-12
 
-    def test_trials_check_the_cap_before_drawing_a_channel(self):
+    def test_trials_check_the_cap_before_drawing_a_channel(self, monkeypatch):
+        monkeypatch.setenv("QIHE_MAX_DIM", "1024")
         with pytest.raises(CapacityError):
-            parity_no_information_trials(40, trials=1, max_dim=1024)
+            parity_no_information_trials(40, trials=1)
 
     def test_random_channels_leak_nothing(self):
         for n in (3, 4, 5):

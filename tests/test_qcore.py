@@ -479,11 +479,12 @@ class TestTensorAndPartialTrace:
         a = make_density(np.eye(2, dtype=complex) / 2)
         assert np.array_equal(tensor_power(a, np.int64(3)).data, tensor_power(a, 3).data)
 
-    def test_tensor_capacity_guard(self, random_density):
+    def test_tensor_capacity_guard(self, random_density, monkeypatch):
         rng = np.random.default_rng(19)
         a = random_density(rng, 8)
+        monkeypatch.setenv("QIHE_MAX_DIM", "32")
         with pytest.raises(CapacityError):
-            tensor_power(a, 2, max_dim=32)
+            tensor_power(a, 2)
 
 
 _EDGE_LETTERS = dict(
@@ -568,19 +569,35 @@ class TestCapacity:
                                             (2 ** 64, "2**64 or more"),
                                             (2 ** 20000 + 5, "2**20000 or more")],
                              ids=["17", "2**64-1", "2**64", "2**20000+5"])
-    def test_message_names_every_knob_and_prints_no_huge_integer(self, dim, shown):
+    def test_message_names_every_knob_and_prints_no_huge_integer(self, dim, shown,
+                                                                 monkeypatch):
+        monkeypatch.setenv("QIHE_MAX_DIM", "16")
         with pytest.raises(CapacityError) as err:
-            qcore.check_capacity(dim, 16)
+            qcore.check_capacity(dim)
         message = str(err.value)
         assert message.startswith(f"total dimension {shown} exceeds the cap 16;")
-        for knob in ("--capacity", "max_dim", "QIHE_MAX_DIM"):
+        for knob in ("--capacity", "QIHE_MAX_DIM"):
             assert knob in message
+        assert "max_dim" not in message
         assert len(message) < 200
 
-    @pytest.mark.parametrize("override", [2.9, True, np.True_, "64"])
-    def test_a_non_integer_override_is_refused(self, override):
-        with pytest.raises(ValidationError, match="max_dim must be an integer"):
-            qcore.max_dimension(override)
+    @pytest.mark.parametrize("raw", ["2.9", "True", "64.0", "abc", ""])
+    def test_a_non_integer_environment_cap_is_refused(self, raw, monkeypatch):
+        monkeypatch.setenv("QIHE_MAX_DIM", raw)
+        with pytest.raises(ValidationError, match="QIHE_MAX_DIM must be an integer"):
+            qcore.max_dimension()
+
+    @pytest.mark.parametrize("raw", ["3", "0", "-5"])
+    def test_an_environment_cap_below_4_is_refused(self, raw, monkeypatch):
+        monkeypatch.setenv("QIHE_MAX_DIM", raw)
+        with pytest.raises(ValidationError, match=f"QIHE_MAX_DIM must be at least 4, got {raw}"):
+            qcore.max_dimension()
+        with pytest.raises(ValidationError):
+            qcore.check_capacity(4)
+
+    def test_4_is_the_least_cap(self, monkeypatch):
+        monkeypatch.setenv("QIHE_MAX_DIM", "4")
+        assert qcore.max_dimension() == 4
 
 
 class TestChannels:
