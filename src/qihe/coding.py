@@ -24,12 +24,12 @@ blocks ``B_k = sum_a p_a det(rho_a)^k Sym^(n-2k)(rho_a)`` of sides
 ``n + 1, n - 1, ...``, block ``k`` repeated ``C(n, k) - C(n, k - 1)`` times,
 built from the ``2 x 2`` letters alone, and each letter's ``S(rho_a^(x n))``
 is ``n S(rho_a)``.  Every other budget goes dense on the built letters:
-below ``n = 5`` one ``eigvalsh`` of side ``2**n`` is the faster, and
-alphabets of ``d >= 3`` have no other route.
+alphabets of ``d >= 3`` have no other route, and ``verify`` pins the
+dense floats below ``n = 5``.
 
 For long blocks the receiver can concentrate the source onto its
-typical subspace, swap the typical content into a compact ancilla with
-a permutation-style unitary, and run the emptied carriers through the
+typical subspace, swap the typical content into a compact ancilla by the
+inverse of the product eigenbasis, and run the emptied carriers through the
 engine (Schumacher compression).  :func:`typical_subspace` counts the
 subspace from the spectrum that validated ``rho_B``, and the entropy it
 keeps, by a multinomial census over eigenvalue type classes, so it
@@ -419,7 +419,7 @@ def _blocked_letter_entropy(letter: DensityMatrix, n: int) -> float:
     return n * sigma ** (n - 1) * von_neumann_entropy(letter)
 
 
-_SPIN_MIN_N = 5  # below it one eigvalsh of side 2**n beats the spin blocks
+_SPIN_MIN_N = 5  # below it the dense route, whose floats verify criterion 9 pins at n <= 4
 
 
 @lru_cache(maxsize=32)
@@ -506,33 +506,39 @@ class TypicalSubspace:
 
     @cached_property
     def basis(self) -> np.ndarray:
-        """Orthonormal ``d**L x dim`` columns spanning the subspace.
+        """Orthonormal ``d**L x dim`` columns spanning the subspace (:meth:`_products`)."""
+        return self._products(True)
 
-        Of one ``eigh`` of ``state``, the ``r**L`` products of the last ``r``
-        eigenvectors, those of positive eigenvalues (:func:`_positive`), are
-        taken in ``eigh`` order.  One is kept when the counts ``c_i`` of its
-        ``L`` base-``r`` digits weigh ``0.0 + c_0 log2(lam_0) + ...`` within
-        the window: the census's float and test, so no census runs here.
-        Each kept column is multiplied out one letter position at a time, so
-        memory stays ``O(d**L * dim)``.
-        """
+    @cached_property
+    def _eigenbasis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(eigenvectors, digits, keep)``: of one ``eigh`` of ``state``, the ``L``
+        base-``d`` digits naming each product of ``E^(x L)``, and which the window
+        keeps: those whose digits name only the last ``r`` eigenvectors, of
+        positive eigenvalues (:func:`_positive`), and whose counts ``c_i`` weigh
+        ``0.0 + c_0 log2(lam_0) + ...`` within it, by the census's float and test."""
         d = self.state.dim
         check_capacity(d ** self.L)
         lo, hi = _typical_window(self.state._entropy, self.L, self.delta)
         lams = _positive(self.state._eigenvalues)
-        r = len(lams)
-        digits = (np.arange(r ** self.L)[:, None] // r ** np.arange(self.L - 1, -1, -1)) % r
+        # the spectrum is ascending, so its positive eigenvalues are the last r
+        first = d - len(lams)
+        digits = (np.arange(d ** self.L)[:, None] // d ** np.arange(self.L - 1, -1, -1)) % d
         weight = np.zeros(len(digits))
         for i, lam in enumerate(lams):
-            weight += np.count_nonzero(digits == i, axis=1) * math.log2(lam)
-        # the spectrum is ascending, so its positive eigenvalues are the last r
-        kept = digits[(lo <= weight) & (weight <= hi)] + (d - r)
-        eigenvectors = np.linalg.eigh(self.state.data)[1]
-        basis = np.ones((1, len(kept)), dtype=complex)
+            weight += np.count_nonzero(digits == first + i, axis=1) * math.log2(lam)
+        keep = (digits >= first).all(axis=1) & (lo <= weight) & (weight <= hi)
+        return np.linalg.eigh(self.state.data)[1], digits, keep
+
+    def _products(self, kept: bool) -> np.ndarray:
+        """The columns of :attr:`_eigenbasis` that the window keeps, or, if
+        ``kept`` is false, all the others, multiplied out letter by letter."""
+        eigenvectors, digits, keep = self._eigenbasis
+        digits = digits[keep == kept]
+        columns = np.ones((1, len(digits)), dtype=complex)
         for k in range(self.L):
-            basis = (basis[:, None, :] * eigenvectors[:, kept[:, k]]).reshape(
-                basis.shape[0] * d, len(kept))
-        return basis
+            columns = (columns[:, None, :] * eigenvectors[:, digits[:, k]]).reshape(
+                columns.shape[0] * len(eigenvectors), len(digits))
+        return columns
 
     @cached_property
     def projector(self) -> np.ndarray:
@@ -829,14 +835,14 @@ def _combinatorial_census(evals: np.ndarray, L: int, lo: float, hi: float) -> tu
     so :func:`_scalar_census` weighs them one by one in a single loop, free
     of numpy's fixed cost per call, which would dominate short blocks.  The
     cost is a few numpy calls per block plus one big-integer step per class
-    near the window.  A carrier of ``d >= 3`` refuses ``L >= 2**63`` whatever
-    its rank, as the int64 counts of three or more letters would overflow.
+    near the window.  ``L >= 2**63`` is refused by a carrier of ``d >= 3``, whose int64
+    counts would overflow, and by two positive eigenvalues, whose ``math.comb`` seed would.
     """
-    if len(evals) >= 3 and L >= 2 ** 63:
+    lams = _positive(evals)
+    if L >= 2 ** 63 and (len(evals) >= 3 or len(lams) >= 2):
         raise ValidationError(
             f"block length L = {L} is too long for a census of {len(evals)} letters, "
             "whose counts must stay below 2**63")
-    lams = _positive(evals)
     logs = list(map(math.log2, lams))
     if len(lams) < 2:
         return (1, lams[0] ** L) if lams and lo <= L * logs[0] <= hi else (0, 0.0)
@@ -988,9 +994,9 @@ class RefactorizationUnitary:
     """Explicit swap unitary for small blocks, with its verification data.
 
     ``matrix`` acts on carrier block (x) ancilla; it sends the basis
-    ``t_i (x) |0>_D`` of the loaded subspace onto ``|0>_L (x) |i>_D``,
-    emptying the carriers into the ancilla.  The residuals record how
-    far the construction is from exact unitarity and exact mapping.
+    ``gamma_basis``, ``t_i (x) |0>_D``, onto ``|0>_L (x) |i>_D``, emptying the
+    carriers into the ancilla.  The residuals are ``max|U U^H - I|`` and
+    ``max|U Gamma - I|``, taken on side ``d**L`` (:func:`refactorization_unitary`).
     """
 
     matrix: np.ndarray
@@ -999,43 +1005,32 @@ class RefactorizationUnitary:
     mapping_residual: float
 
 
-def _complete_orthonormal(cols: np.ndarray) -> np.ndarray:
-    """Extend orthonormal columns to a full orthonormal basis.
-
-    One complete QR factorization supplies the orthogonal complement; the
-    input columns are kept verbatim as the leading columns.
-    """
-    full = np.linalg.qr(cols, mode="complete")[0]
-    full[:, : cols.shape[1]] = cols
-    return full
-
-
 def refactorization_unitary(sub: TypicalSubspace) -> RefactorizationUnitary:
     """Materialize and verify the swap unitary for a typical subspace.
 
-    Only sensible for small blocks: the unitary lives on the product of
-    the full carrier block and the ancilla, so its dimension is
-    ``d**L * dim``.  That side, then the basis's ``d**L``, is checked
-    against the dense cap, read now, before anything is built; either
-    raises :class:`CapacityError`.
+    Only sensible for small blocks: its side is ``d**L * dim``.  That side,
+    then the basis's ``d**L``, is checked against the dense cap, read now,
+    before anything is built; either raises :class:`CapacityError`.
+
+    ``U = S (V^H (x) I_dim)``: ``V`` is the product eigenbasis, ``basis``
+    first (:meth:`TypicalSubspace._products`), and ``S`` swaps the disjoint
+    rows ``i`` and ``i * dim``, ``0 < i < dim``.  ``S`` and ``(x) I_dim`` are
+    exact, so ``U``'s residuals are ``max|V^H V - I|`` and ``max|V^H basis - I|``.
+    The working set is the output plus ``V``.
     """
     if sub.dim < 1:
         raise ValidationError("cannot build a swap unitary for an empty subspace")
     check_capacity(sub.state.dim ** sub.L * sub.dim)
-    d_block, d_anc = sub.basis.shape
-    total = d_block * d_anc
-
-    e0 = np.eye(d_anc, 1, dtype=complex)
-    gamma = _kron(sub.basis, e0)  # columns t_i (x) |0>_D
-    full = _complete_orthonormal(gamma)
-    u = full.conj().T
-
-    target = np.eye(total, d_anc, dtype=complex)  # |0>_L (x) |i>_D in product ordering
-    mapping = float(np.max(np.abs(u @ gamma - target)))
-    unitarity = float(np.max(np.abs(u @ u.conj().T - np.eye(total))))
+    basis = sub.basis
+    d_block, d_anc = basis.shape
+    vh = np.concatenate((basis, sub._products(False)), axis=1).conj().T
+    u = np.zeros((d_block * d_anc, d_block * d_anc), dtype=complex)
+    u.reshape(d_block, d_anc, d_block, d_anc)[:, range(d_anc), :, range(d_anc)] = vh
+    ones, multiples = slice(1, d_anc), slice(d_anc, d_anc * d_anc, d_anc)  # rows i, i * dim
+    u[ones], u[multiples] = u[multiples].copy(), u[ones].copy()
     return RefactorizationUnitary(
         matrix=u,
-        gamma_basis=gamma,
-        unitarity_residual=unitarity,
-        mapping_residual=mapping,
+        gamma_basis=_kron(basis, np.eye(d_anc, 1, dtype=complex)),  # columns t_i (x) |0>_D
+        unitarity_residual=float(np.max(np.abs(vh @ vh.conj().T - np.eye(d_block)))),
+        mapping_residual=float(np.max(np.abs(vh @ basis - np.eye(d_block, d_anc)))),
     )

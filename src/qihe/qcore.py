@@ -115,16 +115,18 @@ def max_dimension() -> int:
         try:
             cap = int(raw)
         except ValueError:
-            raise ValidationError(f"{MAX_DIM_ENV} must be an integer, got {raw!r}") from None
+            raise ValidationError(f"{MAX_DIM_ENV} must be an integer, got {raw[:20]!r} "
+                                  f"({len(raw)} characters)") from None
     if cap < 4:
-        raise ValidationError(f"{source} must be at least 4, got {cap}")
+        raise ValidationError(f"{source} must be at least 4, got {_size(cap)}")
     return cap
 
 
 def _size(n: int) -> str:
-    """``n`` in digits up to 64 bits, else as ``2**k or more``: no huge int becomes a string."""
-    bits = int(n).bit_length()
-    return str(n) if bits <= 64 else f"2**{bits - 1} or more"
+    """``n`` in digits up to 64 bits, else as ``2**k or more`` (``-2**k or less``):
+    no huge int becomes a string."""
+    bits, (sign, bound) = int(n).bit_length(), ("-", "less") if n < 0 else ("", "more")
+    return str(n) if bits <= 64 else f"{sign}2**{bits - 1} or {bound}"
 
 
 def check_capacity(dim: int) -> None:

@@ -374,6 +374,25 @@ def test_the_route_follows_the_rank(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("L", [2 ** 63, 10 ** 30], ids=["2**63", "10**30"])
+def test_a_two_letter_census_refuses_l_past_2_63(monkeypatch, L):
+    """Two positive eigenvalues step a binomial whose ``math.comb`` seed takes
+    no count past ``2**63 - 1``, so ``L >= 2**63`` is refused on a qubit
+    carrier too, before the two-letter loop runs."""
+    calls = []
+    monkeypatch.setattr(coding, "_scalar_census", lambda *args: calls.append(args))
+    rho = DensityMatrix(np.diag([0.9, 0.1]).astype(complex), (2,))
+    with pytest.raises(ValidationError, match=rf"L = {L} .* 2 letters.*2\*\*63"):
+        typical_subspace(rho, L, 1e-4)
+    assert calls == []
+
+
+def test_a_rank_one_source_stays_closed_form_at_any_l():
+    rho = DensityMatrix(np.diag([1.0, 0.0]).astype(complex), (2,))
+    sub = typical_subspace(rho, 2 ** 64, 0.1)
+    assert (sub.dim, sub.capture_probability) == (1, 1.0)
+
+
 @st.composite
 def rotated_sources(draw):
     """A randomly rotated source of rank ``r <= d <= 4``, a block length with

@@ -489,6 +489,14 @@ class TestCodingCommands:
         assert doc["dim"] == 8
         np.testing.assert_allclose(doc["capture_probability"], 0.38263752, atol=1e-7)
 
+    def test_typical_refuses_a_qubit_block_past_2_63(self):
+        """A two-letter census at ``L >= 2**63`` is a validation error, not a
+        traceback from ``math.comb``."""
+        run = run_cli_process("typical", "--p", "0.9", "--L", str(10 ** 20), "--delta", "0.0001")
+        assert (run.returncode, run.stdout) == (2, "")
+        assert "Traceback" not in run.stderr
+        assert f"L = {10 ** 20}" in run.stderr and "2**63" in run.stderr
+
     def test_refactor_command_includes_unitary_check_for_small_blocks(self, capsys, tmp_path):
         path = str(tmp_path / "orth.json")
         save_alphabet(orthogonal_pure_alphabet(), path)
@@ -834,6 +842,15 @@ class TestCapacityScope:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert f"QIHE_MAX_DIM must be at least 4, got {raw}" in err
+
+    @pytest.mark.parametrize("raw", ["9" * 5000, "-" + "9" * 4000], ids=["5000 nines", "-4000 nines"])
+    def test_a_long_environment_cap_gives_a_short_error(self, capsys, monkeypatch, raw):
+        """A malformed or huge ``QIHE_MAX_DIM`` is quoted by its first 20
+        characters and its length, or by its size, never whole."""
+        monkeypatch.setenv("QIHE_MAX_DIM", raw)
+        code, out, err = run_cli(capsys, "work")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and len(err.encode()) < 200 and "QIHE_MAX_DIM" in err
 
     def test_a_flag_below_4_is_named_in_the_error(self, capsys, monkeypatch):
         monkeypatch.setenv("QIHE_MAX_DIM", "abc")

@@ -9,7 +9,9 @@ Independent oracles used here:
   * capture probabilities for diagonal qubit sources are binomial tail
     sums computed with math.comb, bypassing the library's census;
   * typical-class membership is re-derived inline from the eigenvalue
-    window definition.
+    window definition;
+  * the swap unitary is checked on its full matrix by plain numpy products
+    with ``np.kron(basis, e0)``.
 """
 
 import contextlib
@@ -24,7 +26,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qihe import cli, coding, qcore
 from qihe.qcore import (
@@ -1065,6 +1067,23 @@ class TestRefactorizationLedger:
             refactorization_ledger(diag_qubit_alphabet(0.9), 1, 0.001, natural_ctx)
 
 
+@st.composite
+def _rotated_subspaces(draw):
+    """The typical subspace of a rotated source on ``d`` in {2, 3} of any
+    rank, rank-deficient included, at ``L <= 3``, whose swap has side at most 512."""
+    d = draw(st.integers(2, 3))
+    weights = np.array(draw(st.lists(st.integers(1, 10), min_size=1, max_size=d)), dtype=float)
+    lams = np.zeros(d)
+    lams[:len(weights)] = weights / weights.sum()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    m = q @ np.diag(lams) @ q.conj().T
+    sub = typical_subspace(make_density((m + m.conj().T) / 2, d),
+                           draw(st.integers(1, 3)), draw(st.floats(0.05, 2.0)))
+    assume(1 <= sub.dim and d ** sub.L * sub.dim <= 512)
+    return sub
+
+
 class TestRefactorizationUnitary:
     def test_orthogonal_alphabet_swap_is_a_permutation(self, natural_ctx):
         led = refactorization_ledger(orthogonal_pure_alphabet(), 2, 0.1, natural_ctx)
@@ -1105,6 +1124,53 @@ class TestRefactorizationUnitary:
         sub = typical_subspace(rho, L=40, delta=0.2)
         with pytest.raises(CapacityError):
             refactorization_unitary(sub)
+
+    @settings(max_examples=120, deadline=None)
+    @given(_rotated_subspaces())
+    def test_the_swap_meets_its_oracles_on_the_full_matrix(self, sub):
+        """On the full matrix, by plain numpy: ``U U^H`` is the identity and
+        ``U`` sends ``np.kron(basis, e0)`` onto the first ``dim`` coordinates,
+        each to 1e-12, and each residual reported from side ``d**L`` is the
+        one taken on side ``d**L * dim``, to 1e-15."""
+        ru = refactorization_unitary(sub)
+        u, side = ru.matrix, sub.state.dim ** sub.L * sub.dim
+        assert u.shape == (side, side)
+        unitarity = np.max(np.abs(u @ u.conj().T - np.eye(side)))
+        mapping = np.max(np.abs(u @ np.kron(sub.basis, np.eye(sub.dim, 1)) - np.eye(side, sub.dim)))
+        assert unitarity <= 1e-12 and mapping <= 1e-12
+        assert abs(ru.unitarity_residual - unitarity) <= 1e-15
+        assert abs(ru.mapping_residual - mapping) <= 1e-15
+
+    def test_the_swap_factors_no_matrix(self, monkeypatch, natural_ctx):
+        """The complement of the typical columns is the rest of the product
+        eigenbasis: no QR runs, and the kept columns are built once."""
+        qr, built = [], []
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: qr.append(a) or 1 / 0)
+        products = TypicalSubspace._products
+        monkeypatch.setattr(TypicalSubspace, "_products",
+                            lambda sub, kept: built.append(kept) or products(sub, kept))
+        sub = refactorization_ledger(zero_plus_alphabet(), 3, 0.9, natural_ctx).subspace
+        ru = refactorization_unitary(sub)
+        assert (qr, built) == ([], [True, False])
+        assert ru.mapping_residual < 1e-12 and ru.gamma_basis.shape == (8 * sub.dim, sub.dim)
+
+    def test_the_swap_holds_little_beside_its_output(self):
+        """At side 1 408 (L = 6 on a three-letter qubit alphabet) the traced
+        peak of the swap, its basis included, stays under 1.5 times its
+        output: the complete QR it replaced peaked at 4 times."""
+        letters = ([[0.8, 0], [0, 0.2]], [[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]],
+                   [[0.5, 0.5], [0.5, 0.5]])
+        ab = Alphabet(tuple(make_density(np.array(m, dtype=complex), 2) for m in letters),
+                      (0.3, 0.3, 0.4))
+        sub = typical_subspace(ensemble_state(ab), 6, 0.5)
+        tracemalloc.start()
+        try:
+            ru = refactorization_unitary(sub)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ru.matrix.shape == (1408, 1408)
+        assert peak < 1.5 * ru.matrix.nbytes
 
 
 class TestDerivedOnce:
