@@ -54,7 +54,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import compress, islice
 from typing import Sequence
 
@@ -507,7 +507,7 @@ class TypicalSubspace:
     @cached_property
     def basis(self) -> np.ndarray:
         """Orthonormal ``d**L x dim`` columns spanning the subspace (:meth:`_products`)."""
-        return self._products(True)
+        return self._products()
 
     @cached_property
     def _eigenbasis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -529,11 +529,11 @@ class TypicalSubspace:
         keep = (digits >= first).all(axis=1) & (lo <= weight) & (weight <= hi)
         return np.linalg.eigh(self.state.data)[1], digits, keep
 
-    def _products(self, kept: bool) -> np.ndarray:
-        """The columns of :attr:`_eigenbasis` that the window keeps, or, if
-        ``kept`` is false, all the others, multiplied out letter by letter."""
+    def _products(self) -> np.ndarray:
+        """The columns of ``E^(x L)`` that the window keeps (:attr:`_eigenbasis`),
+        multiplied out letter by letter: bit for bit those of a :func:`qcore._kron` chain."""
         eigenvectors, digits, keep = self._eigenbasis
-        digits = digits[keep == kept]
+        digits = digits[keep]
         columns = np.ones((1, len(digits)), dtype=complex)
         for k in range(self.L):
             columns = (columns[:, None, :] * eigenvectors[:, digits[:, k]]).reshape(
@@ -1008,29 +1008,29 @@ class RefactorizationUnitary:
 def refactorization_unitary(sub: TypicalSubspace) -> RefactorizationUnitary:
     """Materialize and verify the swap unitary for a typical subspace.
 
-    Only sensible for small blocks: its side is ``d**L * dim``.  That side,
-    then the basis's ``d**L``, is checked against the dense cap, read now,
-    before anything is built; either raises :class:`CapacityError`.
-
-    ``U = S (V^H (x) I_dim)``: ``V`` is the product eigenbasis, ``basis``
-    first (:meth:`TypicalSubspace._products`), and ``S`` swaps the disjoint
-    rows ``i`` and ``i * dim``, ``0 < i < dim``.  ``S`` and ``(x) I_dim`` are
-    exact, so ``U``'s residuals are ``max|V^H V - I|`` and ``max|V^H basis - I|``.
-    The working set is the output plus ``V``.
+    Only sensible for small blocks: its side ``d**L * dim``, then ``d**L``, is
+    checked against the dense cap, read now, before anything is built; either
+    raises :class:`CapacityError`.  ``U = S (V^H (x) I_dim)``: ``V`` is one
+    Kronecker power ``E^(x L)`` of the eigenvectors (:attr:`TypicalSubspace._eigenbasis`),
+    its kept columns first in a stable order, so ``V[:, :dim]`` is ``basis`` bit for
+    bit; ``S`` swaps the disjoint rows ``i`` and ``i * dim``, ``0 < i < dim``.  ``S``
+    and ``(x) I_dim`` are exact, so the residuals are ``max G`` and ``max G[:, :dim]``
+    of one ``G = |V^H V - I|``.  The working set is the output plus a few copies of ``V``.
     """
     if sub.dim < 1:
         raise ValidationError("cannot build a swap unitary for an empty subspace")
     check_capacity(sub.state.dim ** sub.L * sub.dim)
-    basis = sub.basis
-    d_block, d_anc = basis.shape
-    vh = np.concatenate((basis, sub._products(False)), axis=1).conj().T
-    u = np.zeros((d_block * d_anc, d_block * d_anc), dtype=complex)
-    u.reshape(d_block, d_anc, d_block, d_anc)[:, range(d_anc), :, range(d_anc)] = vh
+    eigenvectors, _, keep = sub._eigenbasis
+    v = reduce(_kron, [eigenvectors] * sub.L)[:, np.argsort(~keep, kind="stable")]
+    vh, d_anc = v.conj().T, sub.dim
+    u = np.zeros((len(v) * d_anc,) * 2, dtype=complex)  # V^H (x) I_dim: V^H on its block diagonal
+    np.einsum("ijkj->ijk", u.reshape(len(v), d_anc, len(v), d_anc))[...] = vh[:, None, :]
     ones, multiples = slice(1, d_anc), slice(d_anc, d_anc * d_anc, d_anc)  # rows i, i * dim
     u[ones], u[multiples] = u[multiples].copy(), u[ones].copy()
+    gram = np.abs(vh @ v - np.eye(len(v)))
     return RefactorizationUnitary(
         matrix=u,
-        gamma_basis=_kron(basis, np.eye(d_anc, 1, dtype=complex)),  # columns t_i (x) |0>_D
-        unitarity_residual=float(np.max(np.abs(vh @ vh.conj().T - np.eye(d_block)))),
-        mapping_residual=float(np.max(np.abs(vh @ basis - np.eye(d_block, d_anc)))),
+        gamma_basis=_kron(v[:, :d_anc], np.eye(d_anc, 1, dtype=complex)),  # columns t_i (x) |0>_D
+        unitarity_residual=float(gram.max()),
+        mapping_residual=float(gram[:, :d_anc].max()),
     )

@@ -34,6 +34,7 @@ import math
 import numbers
 import operator
 import os
+import sys
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -186,10 +187,12 @@ def _as_dims(dims: int | Iterable[int], total: int) -> tuple[int, ...]:
 
 
 def _positive_integer(value, name: str) -> int:
-    """``value`` as a Python ``int`` of at least 1, or a :class:`ValidationError` naming it."""
+    """``value`` as a Python ``int`` from 1 to the float maximum, or a :class:`ValidationError`."""
     value = _integer(value, name)
     if value < 1:
-        raise ValidationError(f"{name} must be at least 1, got {value}")
+        raise ValidationError(f"{name} must be at least 1, got {_size(value)}")
+    if value > sys.float_info.max:
+        raise ValidationError(f"{name} is out of the float range, got {_size(value)}")
     return value
 
 
@@ -256,8 +259,9 @@ class DensityMatrix:
         return entropy_from_eigenvalues(self._eigenvalues)
 
 
-def _validate(state: DensityMatrix, data, dims, spectrum: np.ndarray | None = None) -> None:
-    """Check ``data`` as a density matrix and set ``state``'s fields: the one validation body.
+def _validate(state: DensityMatrix, data, dims, spectrum: np.ndarray | None = None,
+              psd_tol: float = PSD_TOL) -> DensityMatrix:
+    """Check ``data`` as a density matrix, and set and return ``state``: the one validation body.
 
     Given no ``spectrum``, as for every matrix given to :class:`DensityMatrix`,
     ``data`` is checked in full: its shape, Hermiticity and trace, then the
@@ -266,6 +270,7 @@ def _validate(state: DensityMatrix, data, dims, spectrum: np.ndarray | None = No
     ``spectrum``, ascending, ``data`` is a fresh array built from validated
     states, whose Hermiticity and trace follow from theirs: only the
     positivity of ``spectrum`` is checked, and ``data`` is kept as it is.
+    Positivity is checked at ``-psd_tol``; the kept spectrum is clamped at ``-PSD_TOL``.
     """
     if spectrum is None:
         data = np.asarray(data, dtype=complex)
@@ -291,16 +296,18 @@ def _validate(state: DensityMatrix, data, dims, spectrum: np.ndarray | None = No
         spectrum = np.linalg.eigvalsh(data)
         data = np.array(data)  # after eigvalsh, whose copies are freed: no higher peak
     lo = float(spectrum[0])  # ascending, so spectrum[0] is the minimum
-    if lo < -PSD_TOL:
+    if lo < -psd_tol:
         raise ValidationError(
-            f"not positive semidefinite: min eigenvalue {lo:.3e} is below -{PSD_TOL:.0e}"
+            f"not positive semidefinite: min eigenvalue {lo:.3e} is below -{psd_tol:.0e}"
         )
+    spectrum = spectrum if lo >= -PSD_TOL else np.maximum(spectrum, -PSD_TOL)  # read as zeros
 
     data.setflags(write=False)
     spectrum.setflags(write=False)
     object.__setattr__(state, "data", data)
     object.__setattr__(state, "dims", dims)
     object.__setattr__(state, "_eigenvalues", spectrum)
+    return state
 
 
 @dataclass(frozen=True, eq=False)
@@ -492,9 +499,7 @@ def mixture(
     acc = np.zeros((parts[0].dim,) * 2, dtype=complex)
     for w, dm in zip(weights, parts):
         acc += w * dm.data
-    out = object.__new__(DensityMatrix)
-    _validate(out, acc, ref_dims, np.linalg.eigvalsh(acc))
-    return out
+    return _validate(object.__new__(DensityMatrix), acc, ref_dims, np.linalg.eigvalsh(acc))
 
 
 def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -523,9 +528,7 @@ def tensor_power(a: DensityMatrix, n: int) -> DensityMatrix:
     for _ in range(n - 1):
         data = _kron(data, a.data)
         spectrum = (spectrum[:, None] * a._eigenvalues[None, :]).reshape(-1)
-    power = object.__new__(DensityMatrix)
-    _validate(power, data, a.dims * n, np.sort(spectrum))
-    return power
+    return _validate(object.__new__(DensityMatrix), data, a.dims * n, np.sort(spectrum))
 
 
 def _partial_trace_raw(data: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
@@ -571,7 +574,8 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     subsystems in their original order.  Tracing out everything is an
     argument error, because the result would be a scalar, not a state.
     The reduced state is the Hermitian part of the traced array, which a sum
-    of the input's nearly Hermitian blocks can push past the tolerance.
+    of the input's nearly Hermitian blocks can push past the tolerance; as
+    ``rho >= -PSD_TOL`` gives ``Tr_B rho >= -PSD_TOL d_B``, it is checked at that bound.
     """
     keep_sorted = sorted(set(_integers(keep, "partial trace keep indices")))
     if not keep_sorted:
@@ -580,8 +584,9 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
         raise ValueError(
             f"keep indices {keep_sorted} out of range for {rho.n_subsystems} subsystems"
         )
-    reduced = _partial_trace_raw(rho.data, rho.dims, keep_sorted)
-    return DensityMatrix(_hermitian_part(reduced), tuple(rho.dims[i] for i in keep_sorted))
+    reduced = _hermitian_part(_partial_trace_raw(rho.data, rho.dims, keep_sorted))
+    dims, d_b = tuple(rho.dims[i] for i in keep_sorted), rho.dim // len(reduced)
+    return _validate(object.__new__(DensityMatrix), reduced, dims, psd_tol=PSD_TOL * d_b)
 
 
 def apply_channel(rho: DensityMatrix, ch: QuantumChannel) -> tuple[DensityMatrix, float]:

@@ -497,6 +497,14 @@ class TestCodingCommands:
         assert "Traceback" not in run.stderr
         assert f"L = {10 ** 20}" in run.stderr and "2**63" in run.stderr
 
+    def test_typical_refuses_a_block_past_the_float_range(self):
+        """``--L`` past the float range is a validation error of a few bytes, not
+        an ``OverflowError`` traceback from the typicality window."""
+        run = run_cli_process("typical", "--p", "0.9", "--L", str(10 ** 400), "--delta", "0.1")
+        assert (run.returncode, run.stdout) == (2, "")
+        assert "Traceback" not in run.stderr and len(run.stderr.encode()) < 200
+        assert "block length L is out of the float range, got 2**1328 or more" in run.stderr
+
     def test_refactor_command_includes_unitary_check_for_small_blocks(self, capsys, tmp_path):
         path = str(tmp_path / "orth.json")
         save_alphabet(orthogonal_pure_alphabet(), path)

@@ -20,6 +20,7 @@ import io
 import json
 import math
 import os
+import sys
 import tempfile
 import tracemalloc
 
@@ -42,6 +43,7 @@ from qihe.thermo import ThermalContext
 from qihe.coding import (
     Alphabet,
     RefactorizationLedger,
+    RefactorizationUnitary,
     TradeoffPoint,
     TypicalSubspace,
     block_alphabet,
@@ -958,6 +960,27 @@ class TestTypicalSubspace:
         with pytest.raises(ValidationError, match="block length n must be an integer"):
             block_alphabet(zero_plus_alphabet(), 2.5)
 
+    def test_block_lengths_past_the_float_range_are_refused(self):
+        """A block length past the float range is refused before any float is
+        formed, naming it and quoting it in a few bytes: on the rank-1 source,
+        whose census is closed form at any ``L``, and along a capture curve.  The
+        largest integer within the range is still a block length."""
+        rank1 = make_density(np.diag([1.0, 0.0]).astype(complex), 2)
+        largest = int(sys.float_info.max)
+        for call, message in (
+                (lambda: typical_subspace(rank1, 10 ** 400, 0.1),
+                 "block length L is out of the float range, got 2**1328 or more"),
+                (lambda: typical_subspace(rank1, largest + 1, 0.1),
+                 "block length L is out of the float range, got 2**1023 or more"),
+                (lambda: qubit_capture_curve(0.9, [10, 10 ** 400], 0.1),
+                 "each block length in lengths is out of the float range, got 2**1328 or more"),
+                (lambda: typical_subspace(rank1, -10 ** 5000, 0.1),
+                 "block length L must be at least 1, got -2**16609 or less")):
+            with pytest.raises(ValidationError) as info:
+                call()
+            assert str(info.value) == message
+        assert typical_subspace(rank1, largest, 0.1).dim == 1
+
     @pytest.mark.parametrize("delta", [0.0, -0.1, math.nan, math.inf])
     def test_capture_curve_refuses_the_delta_typical_subspace_refuses(self, delta):
         rho = make_density(np.diag([0.7, 0.3]).astype(complex), 2)
@@ -1084,6 +1107,55 @@ def _rotated_subspaces(draw):
     return sub
 
 
+def _swap_oracle(sub: TypicalSubspace) -> tuple[np.ndarray, float, float]:
+    """``(U, max|U U^H - I|, max|U Gamma - I|)`` by plain numpy, on ``U``'s full side.
+
+    ``V`` is a chain of ``np.kron`` on the eigenvectors of ``eigh``: the columns
+    that ``basis`` matches, in ``V``'s order, then the others, in order.  ``U`` is
+    ``np.kron(V^H, I_dim)`` with rows ``i`` and ``i * dim`` swapped one pair at a
+    time, and ``Gamma`` is ``np.kron(basis, e0)``.
+    """
+    e = np.linalg.eigh(sub.state.data)[1]
+    v = e
+    for _ in range(sub.L - 1):
+        v = np.kron(v, e)
+    kept = np.argmax(np.abs(v.conj().T @ sub.basis), axis=0)
+    assert (np.diff(kept) > 0).all()
+    v = v[:, np.concatenate((kept, np.setdiff1d(np.arange(len(v)), kept)))]
+    u = np.kron(v.conj().T, np.eye(sub.dim))
+    for i in range(1, sub.dim):
+        u[[i, i * sub.dim]] = u[[i * sub.dim, i]]
+    side = len(u)
+    gamma = np.kron(sub.basis, np.eye(sub.dim, 1))
+    return (u, np.max(np.abs(u @ u.conj().T - np.eye(side))),
+            np.max(np.abs(u @ gamma - np.eye(side, sub.dim))))
+
+
+def _check_swap_against_oracle(sub: TypicalSubspace) -> RefactorizationUnitary:
+    """``refactorization_unitary(sub)`` is :func:`_swap_oracle`'s ``U`` entry for entry,
+    its ``gamma_basis`` is ``np.kron(basis, e0)`` byte for byte, and each residual
+    is the full-matrix one to 1e-15."""
+    ru = refactorization_unitary(sub)
+    u, unitarity, mapping = _swap_oracle(sub)
+    e0 = np.zeros((sub.dim, 1), dtype=complex)
+    e0[0, 0] = 1.0
+    assert np.array_equal(ru.matrix, u)
+    assert ru.gamma_basis.tobytes() == np.kron(sub.basis, e0).tobytes()
+    assert abs(ru.unitarity_residual - unitarity) <= 1e-15
+    assert abs(ru.mapping_residual - mapping) <= 1e-15
+    return ru
+
+
+def _qutrit_source(rank: int) -> DensityMatrix:
+    """``rho_B`` of the two qutrit alphabets of the CI's refactor checks: rank 3, or
+    rank 2 with a zero eigenvalue.  At ``L = 3`` their ``V`` has 27 columns."""
+    if rank == 3:
+        m = 0.5 * np.diag([0.5, 0.3, 0.2]) + 0.5 * np.full((3, 3), 1 / 3)
+    else:
+        m = 0.5 * np.diag([1.0, 0.0, 0.0]) + 0.25 * np.array([[1, 1, 0], [1, 1, 0], [0, 0, 0]])
+    return make_density(m.astype(complex), 3)
+
+
 class TestRefactorizationUnitary:
     def test_orthogonal_alphabet_swap_is_a_permutation(self, natural_ctx):
         led = refactorization_ledger(orthogonal_pure_alphabet(), 2, 0.1, natural_ctx)
@@ -1128,30 +1200,42 @@ class TestRefactorizationUnitary:
     @settings(max_examples=120, deadline=None)
     @given(_rotated_subspaces())
     def test_the_swap_meets_its_oracles_on_the_full_matrix(self, sub):
-        """On the full matrix, by plain numpy: ``U U^H`` is the identity and
-        ``U`` sends ``np.kron(basis, e0)`` onto the first ``dim`` coordinates,
-        each to 1e-12, and each residual reported from side ``d**L`` is the
-        one taken on side ``d**L * dim``, to 1e-15."""
-        ru = refactorization_unitary(sub)
-        u, side = ru.matrix, sub.state.dim ** sub.L * sub.dim
-        assert u.shape == (side, side)
-        unitarity = np.max(np.abs(u @ u.conj().T - np.eye(side)))
-        mapping = np.max(np.abs(u @ np.kron(sub.basis, np.eye(sub.dim, 1)) - np.eye(side, sub.dim)))
-        assert unitarity <= 1e-12 and mapping <= 1e-12
-        assert abs(ru.unitarity_residual - unitarity) <= 1e-15
-        assert abs(ru.mapping_residual - mapping) <= 1e-15
+        """On random rotated sources of any rank the swap is :func:`_swap_oracle`'s,
+        and on the full matrix ``U U^H`` is the identity and ``U`` sends
+        ``np.kron(basis, e0)`` onto the first ``dim`` coordinates, each to 1e-12."""
+        ru = _check_swap_against_oracle(sub)
+        assert ru.unitarity_residual <= 1e-12 and ru.mapping_residual <= 1e-12
+
+    @pytest.mark.parametrize("rank, stretch", [(3, 1.0), (2, 1.0), (2, 1.001)])
+    def test_the_swap_is_its_kron_oracle_on_27_columns(self, monkeypatch, rank, stretch):
+        """At ``L = 3`` on a qutrit source the kept columns must come first in a
+        stable order: an unstable sort of 27 columns reorders them.  With the
+        eigenvector of the zero eigenvalue of the rank-2 source, which no kept
+        product holds, stretched by ``stretch``, ``V`` is not unitary: the
+        unitarity residual reads about ``6e-3`` and the mapping residual stays
+        near 0, each the full-matrix one."""
+        sub = typical_subspace(_qutrit_source(rank), 3, 0.5)
+        assert sub.dim == {2: 4, 3: 9}[rank]
+        eigh = np.linalg.eigh
+
+        def stretched(a):
+            w, e = eigh(a)
+            return w, e * [stretch, 1, 1]
+
+        monkeypatch.setattr(np.linalg, "eigh", stretched)
+        ru = _check_swap_against_oracle(sub)
+        assert ru.mapping_residual < 1e-12
+        assert (ru.unitarity_residual > 5e-3) == (stretch > 1)
 
     def test_the_swap_factors_no_matrix(self, monkeypatch, natural_ctx):
-        """The complement of the typical columns is the rest of the product
-        eigenbasis: no QR runs, and the kept columns are built once."""
+        """``V`` is one Kronecker power of the eigenvectors, with no QR and no
+        product columns built letter by letter (:meth:`TypicalSubspace._products`)."""
         qr, built = [], []
         monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: qr.append(a) or 1 / 0)
-        products = TypicalSubspace._products
-        monkeypatch.setattr(TypicalSubspace, "_products",
-                            lambda sub, kept: built.append(kept) or products(sub, kept))
+        monkeypatch.setattr(TypicalSubspace, "_products", lambda sub: built.append(sub) or 1 / 0)
         sub = refactorization_ledger(zero_plus_alphabet(), 3, 0.9, natural_ctx).subspace
         ru = refactorization_unitary(sub)
-        assert (qr, built) == ([], [True, False])
+        assert (qr, built) == ([], [])
         assert ru.mapping_residual < 1e-12 and ru.gamma_basis.shape == (8 * sub.dim, sub.dim)
 
     def test_the_swap_holds_little_beside_its_output(self):

@@ -7,13 +7,14 @@ All expected values are either textbook closed forms computed inline or
 hand-worked small matrices; random checks use fixed seeds.
 """
 
+import itertools
 import math
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qihe import qcore
 from qihe.qcore import (
@@ -338,6 +339,45 @@ class TestTensorAndPartialTrace:
         rho = DensityMatrix(np.diag([0.4 + b * 1j, 0.4 + b * 1j, 0.1 - b * 1j, 0.1 - b * 1j]),
                             (2, 2))
         assert np.array_equal(partial_trace(rho, [0]).data, np.diag([0.8, 0.2]).astype(complex))
+
+    def test_the_reduced_state_of_an_input_at_the_psd_edge_is_a_state(self):
+        """``rho = diag(-e, -e, 0.5 + e, 0.5 + e)``, ``e = 0.99e-10``, is accepted, and
+        ``Tr_B rho`` has the eigenvalue ``-2e``: ``rho >= -PSD_TOL`` gives only
+        ``Tr_B rho >= -2 PSD_TOL``.  The reduced state is accepted, keeps that
+        eigenvalue at ``-PSD_TOL``, and its entropy reads it as zero."""
+        e = 0.99e-10
+        rho = DensityMatrix(np.diag([-e, -e, 0.5 + e, 0.5 + e]).astype(complex), (2, 2))
+        reduced = partial_trace(rho, [0])
+        assert np.array_equal(reduced.data, qcore._partial_trace_raw(rho.data, (2, 2), [0]))
+        assert reduced.data[0, 0] < -PSD_TOL
+        assert reduced._eigenvalues[0] == -PSD_TOL
+        top = reduced._eigenvalues[1]
+        assert von_neumann_entropy(reduced) == -top * math.log2(top)
+
+    @settings(max_examples=150, deadline=None)
+    @given(dims=st.lists(st.integers(1, 3), min_size=2, max_size=3), data=st.data())
+    def test_the_reduced_states_of_an_accepted_diagonal_input_are_states(self, dims, data):
+        """A diagonal input whose entries sit in ``[-PSD_TOL, 0]`` or are positive,
+        with its trace off 1 by up to ``0.99e-10``: whenever it is accepted, each of
+        its reduced states is accepted, is the traced array, and has an entropy."""
+        total = math.prod(dims)
+        edge = st.sampled_from([-PSD_TOL, -_EDGE, 0.0]) | st.floats(-PSD_TOL, 0.0)
+        entries = np.array(data.draw(st.lists(edge | st.floats(0.01, 1.0),
+                                              min_size=total, max_size=total)))
+        positive = entries > 0
+        assume(positive.any())
+        entries[positive] *= (1.0 - math.fsum(entries[~positive])) / math.fsum(entries[positive])
+        entries[-1] += data.draw(st.sampled_from([-_EDGE, 0.0, _EDGE]))
+        try:
+            rho = DensityMatrix(np.diag(entries).astype(complex), tuple(dims))
+        except ValidationError:
+            assume(False)
+        for r in range(1, len(dims) + 1):
+            for keep in map(list, itertools.combinations(range(len(dims)), r)):
+                reduced = partial_trace(rho, keep)
+                assert np.array_equal(reduced.data, qcore._partial_trace_raw(rho.data, dims, keep))
+                assert reduced._eigenvalues[0] >= -PSD_TOL
+                assert math.isfinite(von_neumann_entropy(reduced))
 
     def test_partial_trace_of_an_exactly_hermitian_input_is_the_traced_array(
             self, random_density):
