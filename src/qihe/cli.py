@@ -49,6 +49,7 @@ from .qcore import (
     DensityMatrix,
     ValidationError,
     _CAPACITY,
+    _capped_power,
     basis_state,
     check_capacity,
     entropy_from_eigenvalues,
@@ -268,10 +269,8 @@ def _cmd_tradeoff(args, ctx: ThermalContext) -> tuple[dict, tuple[list[str], lis
         },
     }
     if args.block:
-        # the last row is the largest, so it is checked before any row runs;
-        # past the cap's bits and 64 bits, d**N is over the cap and is named
-        # "2**k or more", so a larger exponent is not raised to
-        check_capacity(alphabet.d ** min(args.block, max_dimension().bit_length() + 65))
+        # the last row is the largest, so it is checked before any row runs
+        check_capacity(_capped_power(alphabet.d, args.block))
         sweep = []
         for n in range(1, args.block + 1):
             bp = _entropy_budget(block_alphabet(alphabet, n))[0]

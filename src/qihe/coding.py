@@ -17,15 +17,15 @@ and blocks read one alphabet, ``rho_B`` is mixed and diagonalized once.
 A blocked alphabet (:func:`block_alphabet`) is its base and ``n``: it
 checks ``d**n`` against the dense cap at once, and builds its
 ``d**n x d**n`` letters only when they are read.  One dispatcher picks each
-budget's route from the base.  A qubit base taken ``n >= 5`` letters at a
-time reads no letter and no matrix of side ``2**n``: by Schur-Weyl duality
+budget's route from the base.  A blocked qubit base, at any ``n``, reads no
+letter and no matrix of side ``2**n``: by Schur-Weyl duality
 ``rho_B = sum_a p_a rho_a^(x n)`` has the spectrum of ``n // 2 + 1`` spin
 blocks ``B_k = sum_a p_a det(rho_a)^k Sym^(n-2k)(rho_a)`` of sides
 ``n + 1, n - 1, ...``, block ``k`` repeated ``C(n, k) - C(n, k - 1)`` times,
 built from the ``2 x 2`` letters alone, and each letter's ``S(rho_a^(x n))``
 is ``n S(rho_a)``.  Every other budget goes dense on the built letters:
-alphabets of ``d >= 3`` have no other route, and ``verify`` pins the
-dense floats below ``n = 5``.
+unblocked alphabets, and blocked alphabets of ``d >= 3``, which have no
+other route.
 
 For long blocks the receiver can concentrate the source onto its
 typical subspace, swap the typical content into a compact ancilla by the
@@ -64,6 +64,7 @@ from .qcore import (
     _EPS,
     DensityMatrix,
     ValidationError,
+    _capped_power,
     _kron,
     _positive_integer,
     _real,
@@ -231,7 +232,7 @@ def ensemble_state(alphabet: Alphabet) -> DensityMatrix:
     It is mixed and validated on the first call for ``alphabet`` only; every
     later call returns the same read-only state, with its entropy, once taken.
     Of a blocked alphabet it mixes the built powers, which the budget of a
-    qubit alphabet blocked at ``n >= 5`` never reads: it never calls this.
+    blocked qubit alphabet never reads: it never calls this.
     """
     return alphabet._ensemble
 
@@ -279,19 +280,17 @@ def _entropy_budget(alphabet: Alphabet) -> tuple[TradeoffPoint, float]:
     """The full-communication point and ``S(rho_B)`` of ``alphabet``: the one
     place that picks a budget's route, keyed on a blocked alphabet's base.
 
-    A qubit base taken ``n >= 5`` letters at a time builds no matrix of side
-    ``2**n``: ``S(rho_B) = sum_k m_k S(B_k)`` over the spin blocks that the
+    A qubit base taken ``n`` letters at a time, at any ``n``, builds no matrix of
+    side ``2**n``: ``S(rho_B) = sum_k m_k S(B_k)`` over the spin blocks that the
     blocked alphabet keeps (:func:`block_alphabet`), and each letter's is
     ``n S(rho_a)`` (:func:`_blocked_letter_entropy`).  Every other alphabet
     goes dense, on its built letters: it reads the entropies that its letters
     and its mixed ``rho_B`` keep.
     """
-    blocked = isinstance(alphabet, _BlockedAlphabet)
-    base, n = (alphabet.base, alphabet.n) if blocked else (alphabet, 1)
-    if base.d == 2 and n >= _SPIN_MIN_N:
+    if isinstance(alphabet, _BlockedAlphabet) and alphabet.base.d == 2:
         s_b = sum(m * entropy_from_eigenvalues(mu) for m, mu in alphabet._spin_blocks)
-        entropies = [_blocked_letter_entropy(let, n) for let in base.letters]
-        capacity = n * base.capacity_bits
+        entropies = [_blocked_letter_entropy(let, alphabet.n) for let in alphabet.base.letters]
+        capacity = alphabet.n * alphabet.base.capacity_bits
     else:
         s_b = von_neumann_entropy(ensemble_state(alphabet))
         entropies, capacity = letter_entropies(alphabet), alphabet.capacity_bits
@@ -338,12 +337,12 @@ def block_alphabet(alphabet: Alphabet, n: int) -> Alphabet:
     alphabet holds ``alphabet`` and ``n``: its letters, the dense ``d**n x d**n``
     powers (:func:`tensor_power`), are built on first read, under the cap read
     then, and kept; its ``probs``, ``d``, capacity and repr build nothing.  Blocked
-    at n >= 5, a qubit alphabet's budget (:func:`tradeoff_point`,
+    at any n, a qubit alphabet's budget (:func:`tradeoff_point`,
     :func:`holevo_chi`) comes from the spin blocks of ``alphabet``'s ``2 x 2``
     letters, and reads neither the powers nor a mixed ``rho_B``.
     """
     n = _positive_integer(n, "block length n")
-    check_capacity(alphabet.d ** n)
+    check_capacity(_capped_power(alphabet.d, n))
     return _BlockedAlphabet(alphabet, n)
 
 
@@ -417,9 +416,6 @@ def _blocked_letter_entropy(letter: DensityMatrix, n: int) -> float:
     to the tolerances, is the mass of its clamped spectrum."""
     sigma = sum(_positive(letter._eigenvalues))
     return n * sigma ** (n - 1) * von_neumann_entropy(letter)
-
-
-_SPIN_MIN_N = 5  # below it the dense route, whose floats verify criterion 9 pins at n <= 4
 
 
 @lru_cache(maxsize=32)
@@ -517,7 +513,7 @@ class TypicalSubspace:
         positive eigenvalues (:func:`_positive`), and whose counts ``c_i`` weigh
         ``0.0 + c_0 log2(lam_0) + ...`` within it, by the census's float and test."""
         d = self.state.dim
-        check_capacity(d ** self.L)
+        check_capacity(_capped_power(d, self.L))
         lo, hi = _typical_window(self.state._entropy, self.L, self.delta)
         lams = _positive(self.state._eigenvalues)
         # the spectrum is ascending, so its positive eigenvalues are the last r
@@ -1019,7 +1015,7 @@ def refactorization_unitary(sub: TypicalSubspace) -> RefactorizationUnitary:
     """
     if sub.dim < 1:
         raise ValidationError("cannot build a swap unitary for an empty subspace")
-    check_capacity(sub.state.dim ** sub.L * sub.dim)
+    check_capacity(_capped_power(sub.state.dim, sub.L) * sub.dim)
     eigenvectors, _, keep = sub._eigenbasis
     v = reduce(_kron, [eigenvectors] * sub.L)[:, np.argsort(~keep, kind="stable")]
     vh, d_anc = v.conj().T, sub.dim

@@ -39,8 +39,10 @@ from .qcore import (
     PureState,
     QuantumChannel,
     ValidationError,
+    _capped_power,
     _integer,
     _partial_trace_raw,
+    _seed,
     basis_state,
     check_capacity,
     mixture,
@@ -158,7 +160,7 @@ def ghz_state(n: int) -> PureState:
     n = _integer(n, "number of qubits n")
     if n < 2:
         raise ValidationError(f"a GHZ state needs at least 2 qubits, got {n}")
-    check_capacity(2 ** n)
+    check_capacity(_capped_power(2, n))
     amp = np.zeros(2 ** n, dtype=complex)
     amp[0] = amp[-1] = 1.0 / math.sqrt(2.0)
     return PureState(amp, (2,) * n)
@@ -237,7 +239,7 @@ def _even_parity_weights(n: int) -> np.ndarray:
     n = _integer(n, "number of qubits n")
     if n < 2:
         raise ValidationError(f"an even-parity state needs n >= 2 qubits, got {n}")
-    check_capacity(2 ** n)
+    check_capacity(_capped_power(2, n))
     return np.where(_odd_parity(n), 0.0, 2.0 ** (1 - n))
 
 
@@ -323,25 +325,12 @@ def parity_no_information_check(n: int, ch: QuantumChannel) -> ParityCheckReport
     # with its columns scaled; conj(K) is applied to each of its rows, and each block traced
     # qubit by qubit, as the dense product and partial trace did, so no number moves.
     weights = _even_parity_weights(n).reshape(4, 1, block)
-    terms = (np.matmul(k.conj(), (k * weights)[..., None])[..., 0] for k in ch.kraus)
-    blocks = next(terms)
-    for term in terms:
-        blocks += term
+    blocks = sum(np.matmul(k.conj(), (k * weights)[..., None])[..., 0] for k in ch.kraus)
     rho12 = np.diag([_partial_trace_raw(b, (2,) * (n - 2), ())[0, 0] for b in blocks])
 
-    # Accumulate Kraus operator by operator, each in ascending column order:
-    # a vectorised sum changes the last ulp of the reported weights.
-    odd = _odd_parity(n - 2)
-    c_even = 0.0
-    c_odd = 0.0
-    for k in ch.kraus:
-        mags = np.abs(k) ** 2
-        for i in range(block):
-            col = float(np.sum(mags[:, i]))
-            if odd[i]:
-                c_odd += col
-            else:
-                c_even += col
+    # the squared column norms of all Kraus operators, tallied by the parity of the column
+    columns = (np.abs(np.asarray(ch.kraus)) ** 2).sum(axis=(0, 1))
+    c_even, c_odd = map(float, np.bincount(_odd_parity(n - 2), weights=columns, minlength=2))
 
     scale = 2.0 ** (1 - n)
     predicted12 = scale * np.diag(
@@ -372,8 +361,8 @@ def parity_no_information_trials(n: int, trials: int, seed: int = 0) -> list[Par
         raise ValidationError(f"the no-information check needs n >= 3, got {n}")
     if trials < 1:
         raise ValidationError(f"need at least one trial, got {trials}")
-    check_capacity(2 ** n)  # before any 2**(n-2)-sized channel is drawn
-    rng = np.random.default_rng(seed)
+    check_capacity(_capped_power(2, n))  # before any 2**(n-2)-sized channel is drawn
+    rng = np.random.default_rng(_seed(seed))
     block = 2 ** (n - 2)
     reports = []
     for _ in range(trials):

@@ -141,6 +141,12 @@ def check_capacity(dim: int) -> None:
         )
 
 
+def _capped_power(base: int, n: int) -> int:
+    """``base**n`` for :func:`check_capacity`, its exponent cut at the cap's bits plus 65:
+    there any ``base >= 2`` is over the cap and shown as ``2**k or more``."""
+    return base ** min(n, max_dimension().bit_length() + 65)
+
+
 def _integer(value, name: str) -> int:
     """``value`` as a Python ``int``, read by ``operator.index``; a bool or a
     non-integer such as 2.7 raises a :class:`ValidationError` naming ``name``."""
@@ -194,6 +200,14 @@ def _positive_integer(value, name: str) -> int:
     if value > sys.float_info.max:
         raise ValidationError(f"{name} is out of the float range, got {_size(value)}")
     return value
+
+
+def _seed(value) -> int:
+    """``value`` as a random seed, an ``int`` of at least 0, read by :func:`_integer`."""
+    seed = _integer(value, "seed")
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {_size(seed)}")
+    return seed
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -521,7 +535,7 @@ def tensor_power(a: DensityMatrix, n: int) -> DensityMatrix:
     products, sorted ascending.
     """
     n = _positive_integer(n, "tensor power n")
-    check_capacity(a.dim ** n)
+    check_capacity(_capped_power(a.dim, n))
     if n == 1:
         return a
     data, spectrum = a.data, a._eigenvalues

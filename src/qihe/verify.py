@@ -266,7 +266,8 @@ _CRITERIA = (
 
 
 def run_acceptance(seed: int = 0) -> list[CriterionResult]:
-    """Run every acceptance criterion and collect the results."""
+    """Run every acceptance criterion, seeded by ``seed >= 0``, and collect the results."""
+    seed = qcore._seed(seed)
     return [fn(seed) for fn in _CRITERIA]
 
 

@@ -34,6 +34,7 @@ from qihe.coding import (
     zero_plus_alphabet,
 )
 from qihe.qcore import CapacityError, ValidationError, basis_state, make_density
+from qihe.verify import run_acceptance, summary
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -755,7 +756,7 @@ class TestCapacityAnswers:
 
     def test_blocked_qubit_rows_keep_the_cap_and_build_no_blocked_matrix(self, capsys,
                                                                          tmp_path):
-        """Rows from n = 5 on take the spin blocks, yet each is still checked
+        """Every row takes the spin blocks, yet each is still checked
         against the cap on ``2**n``: ``--block 7`` passes a cap of 64 and exits
         3.  At the default cap ``--block 14`` allocates under 1 MiB at its peak,
         where one dense row of side 2**14 would take 4 GiB."""
@@ -954,20 +955,40 @@ class TestUsageAndDeterminism:
         assert first == second
 
     @pytest.mark.parametrize("seed, md5", [
-        ("7", "3d55b81b8683a3fe9d5476945ddac9bf"),
-        ("11", "975a9fefda4bf28242c517207ca7bdeb"),
+        ("7", "d4d071d77683058ce2e511b0f42e7cab"),
+        ("11", "058c29e311a1d960ca551e2334cc1b47"),
     ])
     def test_verify_stdout_matches_its_golden_md5(self, seed, md5):
         """The ``verify`` report is pinned byte for byte.
 
         A speed-up must leave these hashes alone.  They were last moved by
-        the ``bit`` labels of the criterion-6 and -9 fields and by channels
-        applied on their target axes, which moves the last ulps of the
-        criterion-5 deviations; CHANGES.md records the old and new values.
+        the criterion-9 rates at n = 1..4, now taken from the spin blocks,
+        and by the parity weights summed in numpy, which moves the last ulps
+        of the criterion-5 deviations; CHANGES.md records the old and new
+        values.
         """
         proc = run_cli_process("verify", "--seed", seed)
         assert proc.returncode == 0
         assert hashlib.md5(proc.stdout.encode()).hexdigest() == md5
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--seed", "-1"),
+        ("protocol", "parity", "--n", "3", "--trials", "1", "--seed", "-1"),
+    ], ids=["verify", "parity"])
+    def test_a_negative_seed_exits_2_naming_it(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "qihe: validation error: seed must be non-negative, got -1\n"
+
+    def test_run_acceptance_reads_its_seed_as_an_integer(self):
+        """A negative seed or a bool names ``seed`` before any criterion runs;
+        a numpy integer gives the report of the equal ``int``, and a seed past
+        64 bits passes."""
+        for seed in (-1, True):
+            with pytest.raises(ValidationError, match=r"^seed must be"):
+                run_acceptance(seed)
+        assert summary(run_acceptance(np.int64(3))) == summary(run_acceptance(3))
+        assert summary(run_acceptance(2 ** 100))["all_passed"]
 
     def test_verify_exits_zero_and_reports_every_criterion(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--seed", "7")

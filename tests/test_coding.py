@@ -22,6 +22,7 @@ import math
 import os
 import sys
 import tempfile
+import time
 import tracemalloc
 
 import mpmath
@@ -299,21 +300,26 @@ class TestBlocking:
         assert chi2 <= 2 * chi1 + 1e-12
 
     def test_blocking_diagonalizes_each_state_once(self, natural_ctx, monkeypatch):
-        """block_alphabet(., n) then tradeoff_point: only the blocked ensemble state is diagonalized.
+        """block_alphabet(., n) then tradeoff_point: each state is diagonalized once.
 
-        Each letter's power takes its spectrum from the letter's (its
-        intermediate products are arrays), so only the blocked ensemble
-        state is diagonalized, once; every entropy reads a spectrum its
-        state already holds.  At n = 4 that is one eigvalsh of side 16.  From n = 5 on a
-        qubit ensemble takes one eigvalsh per Schur-Weyl block instead, of
-        sides n + 1, n - 1, ..., and none of side 2**n.
+        A blocked qubit ensemble, at every n, takes one eigvalsh per
+        Schur-Weyl block, of sides n + 1, n - 1, ..., and none of side 2**n.
+        A blocked qutrit ensemble goes dense: each letter's power takes its
+        spectrum from the letter's (its intermediate products are arrays),
+        so only the blocked ensemble state is diagonalized, once, and every
+        entropy reads a spectrum its state already holds.  At n = 2 that is
+        one eigvalsh of side 9.
         """
-        ab = zero_plus_alphabet()
+        qubits = zero_plus_alphabet()
+        qutrits = Alphabet(tuple(DensityMatrix(m, (3,)) for m in (
+            np.diag([0.5, 0.3, 0.2]).astype(complex), np.full((3, 3), 1 / 3, dtype=complex))),
+            (0.5, 0.5))
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             lambda a: calls.append(np.shape(a)[0]) or eigvalsh(a))
-        for n, sides in ((4, [16]), (6, [7, 5, 3, 1])):
+        for ab, n, sides in ((qubits, 1, [2]), (qubits, 4, [5, 3, 1]), (qubits, 6, [7, 5, 3, 1]),
+                             (qutrits, 2, [9])):
             calls.clear()
             blocked = block_alphabet(ab, n)
             tradeoff_point(blocked, natural_ctx)
@@ -509,7 +515,7 @@ def _random_qubit_alphabet(rng: np.random.Generator, kinds) -> Alphabet:
 
 
 class TestSchurWeylBlocks:
-    """A qubit alphabet blocked at n >= 5 takes its budget from the spin
+    """A qubit alphabet blocked at any n takes its budget from the spin
     blocks of its 2 x 2 letters; every other alphabet, and every ensemble
     state, keeps one eigvalsh.
 
@@ -520,7 +526,7 @@ class TestSchurWeylBlocks:
 
     @settings(max_examples=40, deadline=None)
     @given(kinds=st.lists(st.sampled_from(["mixed", "pure", "exact"]), min_size=1, max_size=4),
-           n=st.integers(5, 8), seed=st.integers(0, 2 ** 32 - 1))
+           n=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1))
     def test_blocked_qubit_spectrum_is_that_of_eigvalsh(self, kinds, n, seed):
         """The spin blocks, each repeated by its multiplicity, have the
         spectrum of the dense blocked ensemble within 1e-12, and that
@@ -541,17 +547,17 @@ class TestSchurWeylBlocks:
         assert np.max(np.abs(got - np.linalg.eigvalsh(dense.data))) <= 1e-12
 
     @settings(max_examples=20, deadline=None)
-    @given(d=st.sampled_from([2, 3]), k=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
-    def test_qutrits_and_short_qubit_blocks_keep_the_dense_numbers(self, d, k, seed):
-        """A qutrit alphabet blocked at n = 3, and a qubit alphabet at n = 4,
-        give numbers ``==`` to those of one eigvalsh of :func:`qcore.mixture`."""
+    @given(k=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+    def test_qutrit_blocks_keep_the_dense_numbers(self, k, seed):
+        """A qutrit alphabet blocked at n = 3 gives numbers ``==`` to those of
+        one eigvalsh of :func:`qcore.mixture`."""
         rng = np.random.default_rng(seed)
-        g = rng.normal(size=(k, d, d)) + 1j * rng.normal(size=(k, d, d))
+        g = rng.normal(size=(k, 3, 3)) + 1j * rng.normal(size=(k, 3, 3))
         matrices = [m / np.real(np.trace(m)) for m in g @ g.conj().transpose(0, 2, 1)]
         raw = rng.random(k) + 0.1
-        ab = Alphabet(tuple(DensityMatrix(m, (d,)) for m in matrices),
+        ab = Alphabet(tuple(DensityMatrix(m, (3,)) for m in matrices),
                       tuple(float(x) for x in raw / raw.sum()))
-        blocked = block_alphabet(ab, 4 if d == 2 else 3)
+        blocked = block_alphabet(ab, 3)
         rho = ensemble_state(blocked)
         dense = qcore.mixture(list(zip(blocked.probs, blocked.letters)))
         assert np.array_equal(rho.data, dense.data)
@@ -563,7 +569,7 @@ class TestSchurWeylBlocks:
 
     @settings(max_examples=30, deadline=None)
     @given(kinds=st.lists(st.sampled_from(["mixed", "pure", "exact"]), min_size=1, max_size=4),
-           n=st.integers(5, 9), seed=st.integers(0, 2 ** 32 - 1))
+           n=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1))
     def test_blocked_budget_is_that_of_eigvalsh_and_of_the_cli(self, kinds, n, seed):
         """``S(rho_B)``, chi and the energy of a blocked qubit alphabet are
         within 1e-12 of those from ``eigvalsh`` of :func:`qcore.mixture`, and
@@ -615,9 +621,9 @@ class TestSchurWeylBlocks:
 
     def test_the_spin_route_builds_no_blocked_matrix(self, natural_ctx, monkeypatch, tmp_path):
         """A qubit alphabet blocked at n = 6 takes its budget, and ``tradeoff
-        --block 7`` its rows n = 5, 6 and 7, with no call of ``mixture`` or
-        ``tensor_power``; the sweep blocks every row, and rows 1 to 4 build
-        their powers."""
+        --block 7`` every row, with no call of ``mixture`` or ``tensor_power``;
+        the sweep blocks every row, and only the unblocked point mixes its
+        ``2 x 2`` ``rho_B``."""
         ab = _random_qubit_alphabet(np.random.default_rng(8), ["mixed", "pure", "exact"])
         calls = []
 
@@ -641,9 +647,7 @@ class TestSchurWeylBlocks:
         save_alphabet(ab, path)
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.run(["tradeoff", "--alphabet", path, "--block", "7"]) == 0
-        assert [n for name, n in calls if name == "block_alphabet"] == [1, 2, 3, 4, 5, 6, 7]
-        assert max(n for name, n in calls if name == "tensor_power") == 4
-        assert max(side for name, side in calls if name == "mixture") == 16
+        assert calls == [("mixture", 2)] + [("block_alphabet", n) for n in range(1, 8)]
 
 
 def _spin_oracle(alphabet: Alphabet, n: int) -> tuple[float, float]:
@@ -805,6 +809,22 @@ class TestTypicalSubspace:
                       lambda: refactorization_unitary(sub)):
             with pytest.raises(CapacityError, match=r"2\*\*\d+ or more"):
                 build()
+
+    @pytest.mark.parametrize("build", [
+        lambda: block_alphabet(orthogonal_pure_alphabet(3), 10 ** 7),
+        lambda: tensor_power(orthogonal_pure_alphabet(3).letters[0], 10 ** 7),
+        lambda: typical_subspace(DensityMatrix(np.diag([1.0, 0.0]), (2,)), 10 ** 30, 0.1).basis,
+        lambda: refactorization_unitary(
+            typical_subspace(DensityMatrix(np.diag([1.0, 0.0]), (2,)), 10 ** 30, 0.1)),
+    ], ids=["block_alphabet", "tensor_power", "basis", "swap"])
+    def test_a_power_past_the_cap_is_refused_without_computing_it(self, build):
+        """``3**(10**7)`` and ``2**(10**30)`` are never formed: each request
+        raises within 0.1 s, where forming the first took seconds and the
+        second does not end."""
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=r"total dimension 2\*\*\d+ or more exceeds"):
+            build()
+        assert time.perf_counter() - start < 0.1
 
     @pytest.mark.parametrize("raw", ["2.5", "True"])
     def test_a_non_integer_cap_is_refused_when_the_basis_is_built(self, raw, monkeypatch):

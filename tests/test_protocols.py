@@ -10,6 +10,7 @@ log2(4) - 1 = 1, and a maximally mixed qubit exactly 0.
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -209,6 +210,27 @@ class TestParityNoInformation:
         with pytest.raises(CapacityError):
             parity_no_information_trials(40, trials=1)
 
+    def test_a_negative_seed_is_refused_by_name(self):
+        """A seed below 0 or a bool names ``seed``; a numpy integer gives the
+        reports of the equal ``int``, and a seed past 64 bits is taken."""
+        for seed in (-1, -2 ** 70, True):
+            with pytest.raises(ValidationError, match=r"^seed must be"):
+                parity_no_information_trials(3, 1, seed=seed)
+        assert (parity_no_information_trials(3, 2, seed=np.int64(5))
+                == parity_no_information_trials(3, 2, seed=5))
+        assert len(parity_no_information_trials(3, 1, seed=2 ** 100)) == 1
+
+    @pytest.mark.parametrize("build", [lambda: ghz_state(10 ** 8),
+                                       lambda: parity_no_information_trials(10 ** 8, 1),
+                                       lambda: parity_unlock(10 ** 8, {}, ThermalContext())],
+                             ids=["ghz", "trials", "unlock"])
+    def test_a_register_past_the_cap_is_refused_without_computing_its_size(self, build):
+        """``2**(10**8)`` is never formed: the cap check cuts the exponent first."""
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=r"total dimension 2\*\*\d+ or more exceeds"):
+            build()
+        assert time.perf_counter() - start < 0.1
+
     def test_random_channels_leak_nothing(self):
         for n in (3, 4, 5):
             for rep in parity_no_information_trials(n, trials=5, seed=n):
@@ -255,6 +277,29 @@ class TestParityNoInformation:
         assert rep.branch_weight == weight
         assert rep.rho1_deviation == float(np.max(np.abs(rho1 / weight - np.eye(2) / 2.0)))
         assert rep.rho12_deviation == float(np.max(np.abs(rho12 - predicted12)))
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_parity_weights_are_the_projected_kraus_traces(self, n):
+        """On Haar-random trace-preserving channels, ``c_even + c_odd`` is
+        within ``1e-12 * 2**(n-2)`` of ``2**(n-2)``, and each weight is within
+        1e-12, relative, of ``sum_k tr(K P K^dag)``, where ``P`` projects onto
+        the columns whose bits (qubits 2..n-1) have even, or odd, weight.  A
+        channel's first Kraus operator alone, a selective branch whose two
+        weights differ, meets the same oracle."""
+        block = 2 ** (n - 2)
+        odd = np.diag([bin(i).count("1") % 2 for i in range(block)]).astype(complex)
+        rng = np.random.default_rng(100 + n)
+        target = tuple(range(2, n))
+        for n_kraus in range(1, 5):
+            ch = haar_random_channel(block, n_kraus, rng, target)
+            rep = parity_no_information_check(n, ch)
+            assert abs(rep.c_even + rep.c_odd - block) <= 1e-12 * block
+            branch = QuantumChannel(ch.kraus[:1], target)
+            cases = ((ch.kraus, rep), (branch.kraus, parity_no_information_check(n, branch)))
+            for kraus, rep in cases:
+                for got, proj in ((rep.c_even, np.eye(block) - odd), (rep.c_odd, odd)):
+                    want = sum(np.trace(k @ proj @ k.conj().T).real for k in kraus)
+                    assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_channel_must_avoid_the_first_two_qubits(self):
         ch = QuantumChannel(kraus=(np.eye(2, dtype=complex),), target=(1,))
