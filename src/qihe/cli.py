@@ -4,11 +4,12 @@ Subcommands map one-to-one onto the library surface: ``work``,
 ``carnot``, ``protocol {bell,classical,ghz,parity}``, ``holevo``,
 ``tradeoff``, ``typical``, ``refactor`` and ``verify``.  Each offers only
 the run-wide flags its handler reads (``--units``, ``--temperature``,
-``--capacity``, ``--seed``), so any other is a usage error; a subcommand
-without ``--units`` reports energies in natural bit-units.  Reports are
-emitted as JSON by default (sorted keys, compact separators, so a fixed
-configuration and seed reproduce byte-identical output), with ``pretty``
-for humans and ``csv`` for ``tradeoff`` alone.  Every numeric field in a
+``--capacity``, ``--seed``), and each ``protocol parity`` mode only those
+it reads, so any other is a usage error; a subcommand without ``--units``
+reports energies in natural bit-units.  Reports are emitted as JSON by
+default (sorted keys, compact separators, so a fixed configuration and
+seed reproduce byte-identical output), with ``pretty`` for humans and
+``csv`` for ``tradeoff`` alone.  Every numeric field in a
 JSON report carries a ``<name>_units`` sibling, attached by ``_annotate``
 from the field's name alone.
 
@@ -416,6 +417,7 @@ def build_parser() -> _Parser:
     p.add_argument("--initiator", type=int, default=0)
     p = psub.add_parser("parity", help="even-parity sharing")
     _add_run_flags(p, *_THERMAL, "--capacity", "--seed")
+    p.set_defaults(units=None, temperature=None, seed=None)  # so run can tell a given flag
     p.add_argument("--n", type=int, default=3)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--reveal", action="append", metavar="INDEX:BIT",
@@ -457,6 +459,13 @@ def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "which", None) == "parity":  # each mode refuses the flags it does not read
+            unread = ("--seed",) if args.reveal else _THERMAL
+            if given := [flag for flag in unread if getattr(args, flag[2:]) is not None]:
+                parser.error(f"unrecognized arguments: {' '.join(given)}")
+            for flag in (*_THERMAL, "--seed"):
+                if getattr(args, flag[2:]) is None:
+                    setattr(args, flag[2:], _RUN_FLAGS[flag]["default"])
     except SystemExit as exc:
         return int(exc.code or 0)
     # --capacity is the cap for this run alone; max_dimension reads it

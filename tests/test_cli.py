@@ -34,6 +34,7 @@ from qihe.coding import (
     zero_plus_alphabet,
 )
 from qihe.qcore import CapacityError, ValidationError, basis_state, make_density
+from qihe.thermo import ThermalContext, cycle_work
 from qihe.verify import run_acceptance, summary
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -49,7 +50,10 @@ SUBCOMMANDS = {
     "protocol-bell": ("protocol bell", THERMAL | {"--output"}),
     "protocol-classical": ("protocol classical", THERMAL | {"--output"}),
     "protocol-ghz": ("protocol ghz --n 3", THERMAL | {"--capacity", "--output"}),
-    "protocol-parity": ("protocol parity --n 3 --trials 2", set(COMMON_FLAGS)),
+    "protocol-parity-trials": ("protocol parity --n 3 --trials 2",
+                               {"--capacity", "--seed", "--output"}),
+    "protocol-parity-reveal": ("protocol parity --n 3 --reveal 0:1 --reveal 1:0",
+                               THERMAL | {"--capacity", "--output"}),
     "holevo": ("holevo --alphabet {alphabet}", {"--output"}),
     "tradeoff": ("tradeoff --alphabet {alphabet}", {"--capacity", "--output"}),
     "typical": ("typical --p 0.9 --L 8 --delta 0.2", {"--output"}),
@@ -732,6 +736,33 @@ class TestFlagsPerSubcommand:
             assert (code, out) == (64, "")
             assert "usage" in err
             assert f"unrecognized arguments: {flag}" in err
+
+    @pytest.mark.parametrize("mode, given, flag", [
+        ("--trials 2", "--temp 10", "--temperature"),
+        ("--trials 2", "--un SI", "--units"),
+        ("--reveal 0:1 --reveal 1:0", "--seed 0", "--seed"),
+        ("--reveal 0:1 --reveal 1:0", "--se 5", "--seed"),
+    ])
+    def test_a_parity_mode_refuses_an_unread_flag_however_it_is_given(self, capsys, mode,
+                                                                       given, flag):
+        """The flag is read from its parsed value, so an abbreviation is refused
+        under its full name, and so is ``--seed 0``, which equals the default."""
+        code, out, err = run_cli(capsys, *f"protocol parity --n 3 {mode} {given}".split())
+        assert (code, out) == (64, "")
+        assert err.startswith("usage: qihe")
+        assert err.endswith(f"unrecognized arguments: {flag}\n")
+
+    def test_each_parity_mode_reads_its_flags_and_defaults_the_others(self, capsys):
+        """A flag a mode reads keeps its value, abbreviated or not, and one
+        not given keeps its default: the trials report ``"seed": 0``."""
+        code, out, _ = run_cli(capsys, *"protocol parity --n 3 --trials 2".split())
+        assert code == 0 and json.loads(out)["seed"] == 0
+        code, out, _ = run_cli(capsys, *"protocol parity --n 3 --trials 2 --se 4".split())
+        assert code == 0 and json.loads(out)["seed"] == 4
+        argv = "protocol parity --n 3 --reveal 0:1 --reveal 1:0 --un SI --temp 10".split()
+        code, out, _ = run_cli(capsys, *argv)
+        work = json.loads(out)["parties"]["A3"]["work"]
+        assert code == 0 and work == cycle_work(1.0, ThermalContext(10.0, "SI")).work
 
 
 class TestCapacityAnswers:

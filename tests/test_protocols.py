@@ -11,9 +11,11 @@ log2(4) - 1 = 1, and a maximally mixed qubit exactly 0.
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import even_parity_state
 from qihe import qcore
@@ -405,6 +407,67 @@ class TestHaarRandomChannels:
             assert len(ch.kraus) == n_kraus
             for j, k in enumerate(ch.kraus):
                 assert np.array_equal(k, big[j * dim:(j + 1) * dim, :dim]), (dim, n_kraus)
+
+    @pytest.mark.parametrize("dim, n_kraus", [(1, 2), (4, 3), (16, 4), (64, 2)])
+    def test_only_the_kept_columns_are_factored(self, monkeypatch, dim, n_kraus):
+        """The QR sees the ``N x dim`` slice of the draw, never the ``N x N`` square."""
+        shapes = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kwargs:
+                            shapes.append(np.shape(a)) or qr(a, *args, **kwargs))
+        haar_random_channel(dim, n_kraus, np.random.default_rng(dim), target=(0,))
+        assert shapes == [(n_kraus * dim, dim)]
+
+    def test_a_draw_holds_one_square_of_normals_at_a_time(self):
+        """At ``N = 1024`` one real square of normals is 8 MiB; the square
+        complex Ginibre matrix and its QR took 69 MiB at their peak."""
+        tracemalloc.start()
+        try:
+            haar_random_channel(256, 4, np.random.default_rng(0), target=(0,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 1024 * 1024 * 8
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_a_one_dimensional_draw_is_the_phase_of_two_normals(self, seed):
+        """Mezzadri's recipe on a ``1 x 1`` Ginibre draw gives its unit phase,
+        as scipy does where it accepts dimension 1; the two normals are spent."""
+        rng = np.random.default_rng(seed)
+        (k,) = haar_random_channel(1, 1, rng, target=(0,)).kraus
+        oracle = np.random.default_rng(seed)
+        re, im = oracle.normal(size=2)
+        z = complex(re, im) / math.sqrt(2)
+        assert k.shape == (1, 1)
+        assert abs(k[0, 0] - z / abs(z)) <= 1e-15
+        assert rng.normal() == oracle.normal()
+        from scipy.stats import unitary_group
+
+        try:
+            scipy_draw = unitary_group.rvs(1, random_state=np.random.default_rng(seed))
+        except ValueError:  # scipy releases that take only dimensions above 1
+            return
+        assert np.array_equal(k, np.reshape(scipy_draw, (1, 1)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 64), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+    def test_the_isometry_is_the_first_columns_of_the_square_draw(self, dim, n_kraus, seed):
+        """The oracle of the sliced draw: scipy's square unitary on the same
+        stream, whose first ``dim`` columns agree within 1e-13, and bit for
+        bit up to ``dim = 16``."""
+        from scipy.stats import unitary_group
+
+        n = dim * n_kraus
+        ch = haar_random_channel(dim, n_kraus, np.random.default_rng(seed), target=(0,))
+        try:
+            big = unitary_group.rvs(n, random_state=np.random.default_rng(seed))
+        except ValueError:  # scipy releases that take only dimensions above 1
+            return
+        want = np.reshape(big, (n, n))[:, :dim]
+        got = np.vstack(ch.kraus)
+        assert np.max(np.abs(got - want)) <= 1e-13
+        if dim <= 16:
+            assert np.array_equal(got, want)
 
     def test_seeded_draws_are_reproducible(self):
         a = haar_random_channel(4, 3, np.random.default_rng(21), target=(2, 3))
